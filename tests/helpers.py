@@ -7,6 +7,10 @@ from random import Random
 
 import finalg as fa
 
+F = Fraction
+F0 = Fraction(0)
+F1 = Fraction(1)
+
 # Names of the corpus members with zero radical (semisimple over Q).
 SEMIPRIME_NAMES = {"M2", "M3", "QC2", "QS3", "QD4", "M2xQC2", "M2tQC2"}
 
@@ -130,3 +134,23 @@ def inner_automorphism_map(a: fa.FinAlgebra, u: fa.Element) -> fa.Mat:
     left = a.mult_operator(u, "left")
     inv = fa.solve_affine(left, a.unit).particular
     return left * a.mult_operator(inv, "right")
+
+
+def dense_copy(a: fa.FinAlgebra, rng: Random) -> fa.FinAlgebra:
+    """The same algebra on the basis b'_i = sum_k P[k][i] b_k, with P = L U
+    for seeded unit triangular L (lower) and U (upper) with entries in
+    {-1, 0, 1}, so that every structure constant is generically dense."""
+    d = a.dim
+    lower = [[F1 if r == c else (F(rng.choice((-1, 0, 1))) if r > c else F0)
+              for c in range(d)] for r in range(d)]
+    upper = [[F1 if r == c else (F(rng.choice((-1, 0, 1))) if r < c else F0)
+              for c in range(d)] for r in range(d)]
+    p = fa.Mat(lower) * fa.Mat(upper)
+    inverse = fa.Mat([
+        fa.solve_affine(p, [F1 if r == c else F0 for r in range(d)]).particular
+        for c in range(d)
+    ]).transpose()
+    new_basis = [a.element(p.column(i)) for i in range(d)]
+    c = [[inverse.apply((x * y).coeffs) for y in new_basis] for x in new_basis]
+    unit = None if a.unit is None else inverse.apply(a.unit)
+    return fa.FinAlgebra(c, unit)
