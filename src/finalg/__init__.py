@@ -16,11 +16,9 @@ from .linalg import (
     Subspace,
     as_vector,
     dot,
-    format_rational,
     kernel_from_constraints,
     parse_rational,
     solve_affine,
-    subspace_lattice,
 )
 from .algebras import (
     AssociativityError,

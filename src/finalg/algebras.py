@@ -1,9 +1,12 @@
 """Finite-dimensional associative algebras presented by structure constants.
 
-An algebra of dimension d over Q is given by a tensor c with
-``b_i * b_j = sum_k c[i][j][k] b_k`` on a fixed basis b_0..b_{d-1}.
-Associativity (and the unit law, when a unit is declared) is checked at
-construction; instances are immutable afterwards.
+An algebra of dimension d over Q is given by structure constants with
+``b_i * b_j = sum_k c[i][j][k] b_k`` on a fixed basis b_0..b_{d-1}.  They
+are stored sparsely, as the nonzero (k, c[i][j][k]) pairs of each basis
+product, and read through the product API of `FinAlgebra`: `product`,
+`product_terms`, `mul` and `mul_basis`.  Associativity (and the unit law,
+when a unit is declared) is checked at construction; instances are
+immutable afterwards.
 """
 
 from __future__ import annotations
@@ -36,21 +39,24 @@ class AssociativityError(ValueError):
 
 
 class FinAlgebra:
-    """An associative algebra over Q given by exact structure constants."""
+    """An associative algebra over Q given by exact structure constants.
 
-    __slots__ = ("dim", "c", "unit", "labels", "_pairs")
+    The constructor takes the dense tensor ``c[i][j][k]``; only its nonzero
+    entries are kept.
+    """
+
+    __slots__ = ("dim", "unit", "labels", "_pairs")
 
     def __init__(self, c, unit=None, labels=None):
-        tensor = tuple(tuple(as_vector(row) for row in plane) for plane in c)
-        dim = len(tensor)
-        for plane in tensor:
+        planes = [[as_vector(row) for row in plane] for plane in c]
+        dim = len(planes)
+        for plane in planes:
             if len(plane) != dim or any(len(row) != dim for row in plane):
                 raise ValueError("structure tensor must be dim x dim x dim")
         self.dim = dim
-        self.c = tensor
         self._pairs = tuple(
             tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in plane)
-            for plane in tensor
+            for plane in planes
         )
         self.unit = None if unit is None else as_vector(unit)
         if self.unit is not None and len(self.unit) != dim:
@@ -61,36 +67,42 @@ class FinAlgebra:
         self._validate()
 
     def _validate(self) -> None:
-        d, c, pairs = self.dim, self.c, self._pairs
+        d, pairs = self.dim, self._pairs
         for i in range(d):
             for j in range(d):
                 pij = pairs[i][j]
                 for k in range(d):
                     left = [_ZERO] * d
                     for t, a in pij:
-                        row = c[t][k]
-                        for s in range(d):
-                            x = row[s]
-                            if x:
-                                left[s] += a * x
+                        for s, x in pairs[t][k]:
+                            left[s] += a * x
                     right = [_ZERO] * d
                     for t, b in pairs[j][k]:
-                        row = c[i][t]
-                        for s in range(d):
-                            x = row[s]
-                            if x:
-                                right[s] += b * x
+                        for s, x in pairs[i][t]:
+                            right[s] += b * x
                     if left != right:
                         raise AssociativityError((i, j, k), tuple(left), tuple(right))
         if self.unit is not None:
             for i in range(d):
                 e = tuple(_ONE if s == i else _ZERO for s in range(d))
-                if self._mul_vec(self.unit, e) != e or self._mul_vec(e, self.unit) != e:
+                if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
                     raise ValueError(f"claimed unit fails the unit law on basis element {i}")
 
-    # -- raw coefficient-vector arithmetic ---------------------------------
+    # -- products on coefficient vectors -----------------------------------
 
-    def _mul_vec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
+    def product_terms(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+        """b_i * b_j as its nonzero (k, coefficient) pairs, k increasing."""
+        return self._pairs[i][j]
+
+    def product(self, i: int, j: int) -> Vec:
+        """The coefficient vector of b_i * b_j."""
+        out = [_ZERO] * self.dim
+        for k, coef in self._pairs[i][j]:
+            out[k] = coef
+        return tuple(out)
+
+    def mul(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
+        """The product of two coefficient vectors."""
         out = [_ZERO] * self.dim
         pairs = self._pairs
         for i, xi in enumerate(x):
@@ -105,7 +117,7 @@ class FinAlgebra:
                     out[k] += f * coef
         return tuple(out)
 
-    def _basis_mul_vec(self, i: int, v: Sequence[Fraction], side: str = "left") -> Vec:
+    def mul_basis(self, i: int, v: Sequence[Fraction], side: str = "left") -> Vec:
         """b_i * v (left) or v * b_i (right) without building a basis vector."""
         out = [_ZERO] * self.dim
         pairs = self._pairs
@@ -149,13 +161,17 @@ class FinAlgebra:
     def multiply(self, x: "Element", y: "Element") -> "Element":
         self._element_check(x)
         self._element_check(y)
-        return Element(self, self._mul_vec(x.coeffs, y.coeffs))
+        return Element(self, self.mul(x.coeffs, y.coeffs))
 
     def mult_operator(self, x, side: str = "left") -> Mat:
         """Matrix of y -> xy (left) or y -> yx (right) on coefficient columns."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        xs = x.coeffs if isinstance(x, Element) else as_vector(x)
+        if isinstance(x, Element):
+            self._element_check(x)
+            xs = x.coeffs
+        else:
+            xs = as_vector(x)
         if len(xs) != self.dim:
             raise ValueError("coefficient vector has wrong length")
         d = self.dim
@@ -177,10 +193,10 @@ class FinAlgebra:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinAlgebra):
             return NotImplemented
-        return self.dim == other.dim and self.c == other.c and self.unit == other.unit
+        return self.dim == other.dim and self._pairs == other._pairs and self.unit == other.unit
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.c, self.unit))
+        return hash((self.dim, self._pairs, self.unit))
 
     def __repr__(self) -> str:
         return f"FinAlgebra(dim={self.dim}, unital={self.is_unital})"
@@ -216,7 +232,7 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._peer(other)
-            return Element(self.algebra, self.algebra._mul_vec(self.coeffs, other.coeffs))
+            return Element(self.algebra, self.algebra.mul(self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
             return Element(self.algebra, tuple(f * a for a in self.coeffs))
@@ -454,12 +470,12 @@ def direct_product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     for i in range(da):
         for j in range(da):
             row = c[i][j]
-            for k, coef in a._pairs[i][j]:
+            for k, coef in a.product_terms(i, j):
                 row[k] = coef
     for i in range(db):
         for j in range(db):
             row = c[da + i][da + j]
-            for k, coef in b._pairs[i][j]:
+            for k, coef in b.product_terms(i, j):
                 row[da + k] = coef
     unit = None
     if a.unit is not None and b.unit is not None:
@@ -477,13 +493,13 @@ def tensor_product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     c = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
     for i1 in range(da):
         for i2 in range(da):
-            pa = a._pairs[i1][i2]
+            pa = a.product_terms(i1, i2)
             if not pa:
                 continue
             for j1 in range(db):
                 x1 = i1 * db + j1
                 for j2 in range(db):
-                    pb = b._pairs[j1][j2]
+                    pb = b.product_terms(j1, j2)
                     if not pb:
                         continue
                     row = c[x1][i2 * db + j2]
@@ -518,7 +534,7 @@ def adjoin_unit(a: FinAlgebra) -> FinAlgebra:
         c[i + 1][0][i + 1] = _ONE
         for j in range(a.dim):
             row = c[i + 1][j + 1]
-            for k, coef in a._pairs[i][j]:
+            for k, coef in a.product_terms(i, j):
                 row[k + 1] = coef
     unit = [_ONE] + [_ZERO] * a.dim
     labels = None if a.labels is None else ["one"] + list(a.labels)
@@ -528,16 +544,14 @@ def adjoin_unit(a: FinAlgebra) -> FinAlgebra:
 def center(a: FinAlgebra) -> Subspace:
     """{x : x b_i = b_i x for all i}, computed as a kernel."""
     d = a.dim
-    c = a.c
 
     def rows():
         for i in range(d):
+            brackets = [
+                tuple(x - y for x, y in zip(a.product(j, i), a.product(i, j))) for j in range(d)
+            ]
             for k in range(d):
-                row = []
-                for j in range(d):
-                    coef = c[j][i][k] - c[i][j][k]
-                    if coef:
-                        row.append((j, coef))
+                row = [(j, bracket[k]) for j, bracket in enumerate(brackets) if bracket[k]]
                 if row:
                     yield row
 
@@ -554,9 +568,9 @@ def quotient_algebra(a: FinAlgebra, ideal: Subspace) -> FinAlgebra:
         raise ValueError("ideal lives in a different ambient space")
     for u in ideal.basis:
         for i in range(a.dim):
-            if not ideal.contains_vector(a._basis_mul_vec(i, u, "left")):
+            if not ideal.contains_vector(a.mul_basis(i, u, "left")):
                 raise ValueError("subspace is not a left ideal")
-            if not ideal.contains_vector(a._basis_mul_vec(i, u, "right")):
+            if not ideal.contains_vector(a.mul_basis(i, u, "right")):
                 raise ValueError("subspace is not a right ideal")
     pivot_set = set(ideal.pivots)
     keep = [q for q in range(a.dim) if q not in pivot_set]
@@ -564,7 +578,7 @@ def quotient_algebra(a: FinAlgebra, ideal: Subspace) -> FinAlgebra:
     c = [[[_ZERO] * m for _ in range(m)] for _ in range(m)]
     for s, qs in enumerate(keep):
         for t, qt in enumerate(keep):
-            reduced = ideal.reduce_vector(a.c[qs][qt])
+            reduced = ideal.reduce_vector(a.product(qs, qt))
             c[s][t] = [reduced[q] for q in keep]
     unit = None
     if a.unit is not None and m > 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import FinAlgebra, FiniteGroup
-from .linalg import Mat, Vec, format_rational, parse_rational
+from .linalg import Mat, Vec, parse_rational
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -166,10 +166,10 @@ def document_from_algebra(name: str, a: FinAlgebra) -> AlgebraDocument:
     if not name or _TOKEN_RE.fullmatch(name) is None:
         raise ValueError("algebra name must be a single non-empty token")
     products = tuple(
-        (i, j, a.c[i][j])
+        (i, j, a.product(i, j))
         for i in range(a.dim)
         for j in range(a.dim)
-        if any(a.c[i][j])
+        if a.product_terms(i, j)
     )
     return AlgebraDocument(name, a.dim, a.unit, a.labels, products)
 
@@ -180,11 +180,11 @@ def serialize_document(doc: AlgebraDocument) -> str:
     if doc.labels is not None:
         lines.append("labels " + " ".join(doc.labels))
     if doc.unit is not None:
-        lines.append("unit " + " ".join(format_rational(x) for x in doc.unit))
+        lines.append("unit " + " ".join(str(x) for x in doc.unit))
     for i, j, coeffs in sorted(doc.products, key=lambda entry: (entry[0], entry[1])):
         if any(coeffs):
             lines.append(
-                f"product {i} {j} = " + " ".join(format_rational(x) for x in coeffs)
+                f"product {i} {j} = " + " ".join(str(x) for x in coeffs)
             )
     return "\n".join(lines) + "\n"
 
@@ -258,5 +258,5 @@ def format_map_file(t: Mat) -> str:
     if t.rows != t.cols:
         raise ValueError("map files hold square matrices")
     lines = [str(t.rows)]
-    lines.extend(" ".join(format_rational(x) for x in row) for row in t.data)
+    lines.extend(" ".join(str(x) for x in row) for row in t.data)
     return "\n".join(lines) + "\n"

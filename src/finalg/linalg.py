@@ -39,10 +39,6 @@ def parse_rational(token: str) -> Fraction:
     return Fraction(token)
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def as_vector(values: Iterable) -> Vec:
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
@@ -366,21 +362,6 @@ class Subspace:
     def _ambient_check(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-
-
-def subspace_lattice(op: str, v: Subspace, w: Subspace):
-    """Lattice dispatcher: op in {"sum", "intersect", "contains", "equal"}."""
-    if v.ambient_dim != w.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if op == "sum":
-        return v + w
-    if op == "intersect":
-        return v & w
-    if op == "contains":
-        return v.contains(w)
-    if op == "equal":
-        return v == w
-    raise ValueError(f"unknown lattice operation {op!r}")
 
 
 def kernel_from_constraints(

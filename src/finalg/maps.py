@@ -6,13 +6,17 @@ subspaces of Q^(dim^2) under row-major flattening.
 
 Quantified identities ("for all x") are decided exactly by polarization:
 over the rationals a homogeneous identity of degree d holds for all x iff
-all of its multilinear symmetrizations over basis d-tuples hold, which
-turns each identity into finitely many linear constraints.
+all of its multilinear symmetrizations over basis d-tuples hold.  Each
+polarized identity is written once, and the same description yields both
+the linear constraint rows of a map space and the first violating basis
+tuple of a concrete map.  Products are read only through the public
+product API of `FinAlgebra`.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -102,43 +106,211 @@ class MapSpace:
         return cls(algebra_dim, Subspace.full(algebra_dim ** 2))
 
 
-def _bump(row: dict[int, Fraction], idx: int, value: Fraction) -> None:
-    cur = row.get(idx)
-    if cur is None:
+# -- polarized identities ------------------------------------------------------
+#
+# Each identity is written once, as text, and read two ways: as sparse
+# constraint rows on an unknown map D when it is linear in D, and as a
+# pointwise check that finds the first basis tuple where a given map T fails
+# it.  "lhs = rhs" is stated at a tuple (i, j, ...) of basis indices: a side
+# is a sum of terms joined by "+" ("0" for none), a term is a product of
+# factors separated by spaces, and a factor is a basis letter i, j or k, or
+# the map applied to one or two letters, as in D(ij) for D(b_i b_j).
+
+
+class _Identity:
+    """An identity at every basis tuple of its arity, or only at the sorted
+    tuples i <= j <= ... when it is symmetric, optionally modulo [A, A].
+    Terms are (sign, factors): +1 on the left, -1 on the right, and each
+    factor is (mapped, positions in the tuple)."""
+
+    def __init__(self, text: str, symmetric: bool, modulo_commutators: bool = False):
+        self.terms = []
+        for sign, side in zip((1, -1), text.split("=")):
+            for term in side.split("+"):
+                factors = tuple(
+                    (token.endswith(")"), tuple("ijk".index(c) for c in token if c in "ijk"))
+                    for token in term.split()
+                    if token != "0"
+                )
+                if factors:
+                    self.terms.append((sign, factors))
+        self.arity = 1 + max(p for _, factors in self.terms for _, word in factors for p in word)
+        self.symmetric = symmetric
+        self.modulo_commutators = modulo_commutators
+
+    def tuples(self, d: int):
+        if self.symmetric:
+            return itertools.combinations_with_replacement(range(d), self.arity)
+        return itertools.product(range(d), repeat=self.arity)
+
+
+def _symmetrized(term: str) -> str:
+    """The sum of a term over the six permutations of the letters i, j, k."""
+    return " + ".join(
+        term.translate(str.maketrans("ijk", "".join(p))) for p in itertools.permutations("ijk")
+    )
+
+
+_LEIBNIZ = _Identity("D(ij) = D(i) j + i D(j)", symmetric=False)
+# D(x^2) = D(x) x + x D(x)
+_JORDAN_DERIVATION = _Identity("D(ij) + D(ji) = D(i) j + j D(i) + D(j) i + i D(j)", symmetric=True)
+# D(x) x and D(x) x^2 in [A, A]
+_CRITERION = (
+    _Identity("D(i) j + D(j) i = 0", symmetric=True, modulo_commutators=True),
+    _Identity(_symmetrized("D(i) j k") + " = 0", symmetric=True, modulo_commutators=True),
+)
+# T(x^2) = T(x)^2
+_JORDAN_HOMOMORPHISM = _Identity("T(ij) + T(ji) = T(i) T(j) + T(j) T(i)", symmetric=True)
+_MULTIPLICATIVITY = {
+    "homomorphism": _Identity("T(ij) = T(i) T(j)", symmetric=False),
+    "antihomomorphism": _Identity("T(ij) = T(j) T(i)", symmetric=False),
+}
+# T(x)^3 - x^3 in [A, A]
+_CUBIC = _Identity(
+    _symmetrized("T(i) T(j) T(k)") + " = " + _symmetrized("i j k"),
+    symmetric=True,
+    modulo_commutators=True,
+)
+
+
+def _constraint_rows(a: FinAlgebra, identities):
+    """Sparse rows, over the row-major entries D[k][t] of D, of identities
+    linear in D: a term L D(M) R puts M_t (L b_k R)_r on D[k][t] in the row
+    of output coordinate r.
+
+    Modulo [A, A], each functional f vanishing on [A, A] gives one row, and
+    f(L D(M) R) = f(D(M) R L).  f(b_k W) is found as sum_r W_r f(b_k b_r),
+    projecting before the product with W is expanded.
+    """
+    d = a.dim
+    if not identities[0].modulo_commutators:
+        yield from _rows(a, identities, d, lambda left, right: [
+            (k, r, v) for k in range(d) for r, v in _terms(a, left + (k,) + right)
+        ])
+        return
+    for f in commutator_subspace(a).annihilator().basis:
+        # columns[r][k] = f(b_k b_r)
+        columns = [
+            tuple(
+                sum((coef * f[s] for s, coef in a.product_terms(k, r) if f[s]), _ZERO)
+                for k in range(d)
+            )
+            for r in range(d)
+        ]
+
+        def projected(left, right, columns=columns):
+            w = _terms(a, right + left)
+            return [
+                (k, 0, v)
+                for k in range(d)
+                if (v := sum((c * columns[r][k] for r, c in w if columns[r][k]), _ZERO))
+            ]
+
+        yield from _rows(a, identities, 1, projected)
+
+
+def _rows(a: FinAlgebra, identities, outputs: int, context):
+    """The rows of each basis tuple in turn; context(L, R) lists the nonzero
+    (k, r, coefficient) of L b_k R in output coordinate r, once per (L, R)."""
+    d = a.dim
+    contexts: dict[tuple, list[tuple[int, int, Fraction]]] = {}
+    for identity in identities:
+        terms = []
+        for sign, factors in identity.terms:
+            (n,) = [n for n, (mapped, _) in enumerate(factors) if mapped]
+            words = [word for _, word in factors]
+            terms.append((sign, sum(words[:n], ()), words[n], sum(words[n + 1 :], ())))
+        for tup in identity.tuples(d):
+            rows = [{} for _ in range(outputs)]
+            for sign, left, word, right in terms:
+                key = _at(tup, left), _at(tup, right)
+                entries = contexts.get(key)
+                if entries is None:
+                    entries = contexts[key] = context(*key)
+                for t, m in _terms(a, _at(tup, word)):
+                    scale = _scaler(m if sign > 0 else -m)
+                    for k, r, v in entries:
+                        _accumulate(rows[r], k * d + t, scale(v))
+            yield from (row.items() for row in rows if row)
+
+
+def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None:
+    """The first basis tuple, under `key`, at which the map t fails one of
+    the identities, with both evaluated sides, or with the residual lhs - rhs
+    for identities modulo [A, A]; None when t satisfies them all."""
+    d = a.dim
+    basis = Mat.identity(d).data
+    images = [t.column(j) for j in range(d)]
+    modulo = identities[0].modulo_commutators
+    modulus = commutator_subspace(a) if modulo else Subspace.zero(d)
+    prefixes: dict[tuple, Vec] = {}
+
+    def value(factors) -> Vec:
+        *head, (mapped, word) = factors
+        if len(word) == 2:
+            last = t.apply(a.product(*word)) if mapped else a.product(*word)
+        else:
+            last = images[word[0]] if mapped else basis[word[0]]
+        if not head:
+            return last
+        head = tuple(head)
+        if head not in prefixes:
+            prefixes[head] = value(head)
+        return a.mul(prefixes[head], last)
+
+    for identity in identities:
+        for tup in identity.tuples(d):
+            sides = {1: [_ZERO] * d, -1: [_ZERO] * d}
+            for sign, factors in identity.terms:
+                total = sides[sign]
+                for r, x in enumerate(value(tuple((m, _at(tup, w)) for m, w in factors))):
+                    if x:
+                        total[r] += x
+            lhs, rhs = tuple(sides[1]), tuple(sides[-1])
+            residual = tuple(x - y for x, y in zip(lhs, rhs))
+            if not modulus.contains_vector(residual):
+                return {key: tup, "value": residual} if modulo else {key: tup, "lhs": lhs, "rhs": rhs}
+    return None
+
+
+def _solve(a: FinAlgebra, *identities: _Identity) -> MapSpace:
+    d = a.dim
+    return MapSpace(d, kernel_from_constraints(d * d, _constraint_rows(a, identities)))
+
+
+def _terms(a: FinAlgebra, word: tuple[int, ...]):
+    """b_w, or the product b_v b_w, as sparse (index, coefficient) pairs."""
+    return ((word[0], _ONE),) if len(word) == 1 else a.product_terms(*word)
+
+
+def _scaler(c: Fraction):
+    """v -> c v, without a Fraction multiplication by 1 or -1."""
+    if c == 1:
+        return lambda v: v
+    if c == -1:
+        return operator.neg
+    return lambda v: c if v == 1 else c * v
+
+
+def _accumulate(row: dict[int, Fraction], idx: int, value: Fraction) -> None:
+    total = row.get(idx)
+    if total is None:
         row[idx] = value
     else:
-        cur += value
-        if cur:
-            row[idx] = cur
+        total += value
+        if total:
+            row[idx] = total
         else:
             del row[idx]
 
 
+def _at(tup: tuple[int, ...], positions: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([tup[p] for p in positions])
+
+
 def derivation_space(a: FinAlgebra) -> MapSpace:
     """Solutions of D(b_i b_j) = D(b_i) b_j + b_i D(b_j) over all basis pairs."""
-    d = a.dim
-    c = a.c
-
-    def rows():
-        for i in range(d):
-            ci = c[i]
-            for j in range(d):
-                pij = a._pairs[i][j]
-                for k in range(d):
-                    row: dict[int, Fraction] = {}
-                    for t, coef in pij:
-                        _bump(row, k * d + t, coef)
-                    for q in range(d):
-                        x = c[q][j][k]
-                        if x:
-                            _bump(row, q * d + i, -x)
-                        y = ci[q][k]
-                        if y:
-                            _bump(row, q * d + j, -y)
-                    if row:
-                        yield row.items()
-
-    return MapSpace(d, kernel_from_constraints(d * d, rows()))
+    return _solve(a, _LEIBNIZ)
 
 
 def inner_derivation_space(a: FinAlgebra) -> MapSpace:
@@ -148,9 +320,9 @@ def inner_derivation_space(a: FinAlgebra) -> MapSpace:
     for k in range(d):
         m = [[_ZERO] * d for _ in range(d)]
         for j in range(d):
-            for t, coef in a._pairs[j][k]:
+            for t, coef in a.product_terms(j, k):
                 m[t][j] += coef
-            for t, coef in a._pairs[k][j]:
+            for t, coef in a.product_terms(k, j):
                 m[t][j] -= coef
         rows.append([x for r in m for x in r])
     return MapSpace(d, Subspace.from_rows(d * d, rows))
@@ -160,29 +332,7 @@ def jordan_derivation_space(a: FinAlgebra) -> MapSpace:
     """Solutions of the symmetrized identity
     D(b_i b_j + b_j b_i) = D(b_i) b_j + b_i D(b_j) + D(b_j) b_i + b_j D(b_i),
     the polarization of D(x^2) = D(x) x + x D(x) over the infinite field."""
-    d = a.dim
-    c = a.c
-
-    def rows():
-        for i in range(d):
-            for j in range(i, d):
-                for k in range(d):
-                    row: dict[int, Fraction] = {}
-                    for t, coef in a._pairs[i][j]:
-                        _bump(row, k * d + t, coef)
-                    for t, coef in a._pairs[j][i]:
-                        _bump(row, k * d + t, coef)
-                    for q in range(d):
-                        x = c[q][j][k] + c[j][q][k]
-                        if x:
-                            _bump(row, q * d + i, -x)
-                        y = c[q][i][k] + c[i][q][k]
-                        if y:
-                            _bump(row, q * d + j, -y)
-                    if row:
-                        yield row.items()
-
-    return MapSpace(d, kernel_from_constraints(d * d, rows()))
+    return _solve(a, _JORDAN_DERIVATION)
 
 
 def derivation_criterion_space(a: FinAlgebra) -> MapSpace:
@@ -195,59 +345,7 @@ def derivation_criterion_space(a: FinAlgebra) -> MapSpace:
     On semiprime commutator-simple algebras these maps are exactly the
     derivations.
     """
-    d = a.dim
-    c = a.c
-    commutators = commutator_subspace(a)
-    functionals = commutators.annihilator().basis
-    if not functionals:
-        return MapSpace.full(d)
-
-    def rows():
-        for f in functionals:
-            # fc[q][r] = f(b_q b_r)
-            fc = [
-                [
-                    sum((coef * f[k] for k, coef in a._pairs[q][r] if f[k]), _ZERO)
-                    for r in range(d)
-                ]
-                for q in range(d)
-            ]
-            for i in range(d):
-                for j in range(i, d):
-                    row: dict[int, Fraction] = {}
-                    for q in range(d):
-                        v = fc[q][j]
-                        if v:
-                            _bump(row, q * d + i, v)
-                        w = fc[q][i]
-                        if w:
-                            _bump(row, q * d + j, w)
-                    if row:
-                        yield row.items()
-            # g[q][t][u] = f(b_q (b_t b_u))
-            g = [
-                [
-                    [
-                        sum((coef * fc[q][r] for r, coef in a._pairs[t][u] if fc[q][r]), _ZERO)
-                        for u in range(d)
-                    ]
-                    for t in range(d)
-                ]
-                for q in range(d)
-            ]
-            for i in range(d):
-                for j in range(i, d):
-                    for k in range(j, d):
-                        row = {}
-                        for s, t, u in itertools.permutations((i, j, k)):
-                            for q in range(d):
-                                v = g[q][t][u]
-                                if v:
-                                    _bump(row, q * d + s, v)
-                        if row:
-                            yield row.items()
-
-    return MapSpace(d, kernel_from_constraints(d * d, rows()))
+    return _solve(a, *_CRITERION)
 
 
 @dataclass(frozen=True)
@@ -269,59 +367,6 @@ class VerificationReport:
     spaces: dict[str, int]
     verdict: str
     witness: dict | None = None
-
-
-def _leibniz_violation(a: FinAlgebra, t: Mat) -> tuple[int, int, Vec, Vec] | None:
-    """First basis pair where t fails D(xy) = D(x)y + xD(y), with both sides."""
-    d = a.dim
-    images = [t.column(j) for j in range(d)]
-    for i in range(d):
-        for j in range(d):
-            lhs = t.apply(a.c[i][j])
-            rhs = tuple(
-                x + y
-                for x, y in zip(
-                    a._mul_vec(images[i], _basis_vec(d, j)),
-                    a._mul_vec(_basis_vec(d, i), images[j]),
-                )
-            )
-            if lhs != rhs:
-                return (i, j, lhs, rhs)
-    return None
-
-
-def _basis_vec(d: int, i: int) -> Vec:
-    return tuple(_ONE if s == i else _ZERO for s in range(d))
-
-
-def _criterion_violation(a: FinAlgebra, t: Mat) -> dict | None:
-    """First polarized membership constraint that t fails, with the residual."""
-    d = a.dim
-    commutators = commutator_subspace(a)
-    images = [t.column(j) for j in range(d)]
-    basis = [_basis_vec(d, i) for i in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            expr = tuple(
-                x + y
-                for x, y in zip(
-                    a._mul_vec(images[i], basis[j]), a._mul_vec(images[j], basis[i])
-                )
-            )
-            if not commutators.contains_vector(expr):
-                return {"degree": 2, "tuple": (i, j), "value": expr}
-    for i in range(d):
-        for j in range(i, d):
-            for k in range(j, d):
-                total = [_ZERO] * d
-                for s, u, v in itertools.permutations((i, j, k)):
-                    term = a._mul_vec(images[s], a.c[u][v])
-                    for idx, x in enumerate(term):
-                        if x:
-                            total[idx] += x
-                if not commutators.contains_vector(total):
-                    return {"degree": 3, "tuple": (i, j, k), "value": tuple(total)}
-    return None
 
 
 def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
@@ -354,22 +399,25 @@ def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
     witness: dict | None = None
     for m in criterion.basis_maps():
         if not derivations.contains_map(m):
-            violation = _leibniz_violation(a, m)
             witness = {
                 "direction": "criterion map is not a derivation",
                 "map": [list(row) for row in m.data],
-                "pair": violation[:2] if violation else None,
-                "lhs": violation[2] if violation else None,
-                "rhs": violation[3] if violation else None,
+                **(
+                    _first_violation(a, (_LEIBNIZ,), m, "pair")
+                    or {"pair": None, "lhs": None, "rhs": None}
+                ),
             }
             break
     if witness is None:
         for m in derivations.basis_maps():
             if not criterion.contains_map(m):
+                violation = _first_violation(a, _CRITERION, m, "tuple")
+                if violation:
+                    violation["degree"] = len(violation["tuple"])
                 witness = {
                     "direction": "derivation fails a polarized membership",
                     "map": [list(row) for row in m.data],
-                    "violation": _criterion_violation(a, m),
+                    "violation": violation,
                 }
                 break
     return VerificationReport(checks, spaces, VERDICT_REFUTATION, witness)
@@ -378,7 +426,6 @@ def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
 def pointwise_inner_witness(a: FinAlgebra, d_map: Mat, x: Element) -> Element:
     """Some m with [x, m] = d(x), or Infeasible when no such m exists."""
     _square_check(a, d_map)
-    a._element_check(x)
     system = a.mult_operator(x, "left") - a.mult_operator(x, "right")
     solution = solve_affine(system, d_map.apply(x.coeffs))
     return a.element(solution.particular)
@@ -441,36 +488,17 @@ def jordan_homomorphism_check(a: FinAlgebra, t: Mat) -> CheckResult:
     """Polarized exact check of T(x^2) = T(x)^2:
     T(b_i b_j + b_j b_i) = T(b_i)T(b_j) + T(b_j)T(b_i) for all i <= j."""
     _square_check(a, t)
-    d = a.dim
-    images = [t.column(j) for j in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            lhs = t.apply(tuple(x + y for x, y in zip(a.c[i][j], a.c[j][i])))
-            prod_ij = a._mul_vec(images[i], images[j])
-            prod_ji = a._mul_vec(images[j], images[i])
-            rhs = tuple(x + y for x, y in zip(prod_ij, prod_ji))
-            if lhs != rhs:
-                return CheckResult(False, {"pair": (i, j), "lhs": lhs, "rhs": rhs})
-    return CheckResult(True)
+    witness = _first_violation(a, (_JORDAN_HOMOMORPHISM,), t, "pair")
+    return CheckResult(witness is None, witness)
 
 
 def multiplicativity_check(a: FinAlgebra, t: Mat, mode: str) -> CheckResult:
     """T(b_i b_j) = T(b_i)T(b_j) (homomorphism) or T(b_j)T(b_i) (antihomomorphism)."""
-    if mode not in ("homomorphism", "antihomomorphism"):
+    if mode not in _MULTIPLICATIVITY:
         raise ValueError("mode must be 'homomorphism' or 'antihomomorphism'")
     _square_check(a, t)
-    d = a.dim
-    images = [t.column(j) for j in range(d)]
-    for i in range(d):
-        for j in range(d):
-            lhs = t.apply(a.c[i][j])
-            if mode == "homomorphism":
-                rhs = a._mul_vec(images[i], images[j])
-            else:
-                rhs = a._mul_vec(images[j], images[i])
-            if lhs != rhs:
-                return CheckResult(False, {"pair": (i, j), "lhs": lhs, "rhs": rhs})
-    return CheckResult(True)
+    witness = _first_violation(a, (_MULTIPLICATIVITY[mode],), t, "pair")
+    return CheckResult(witness is None, witness)
 
 
 def cubic_condition_check(a: FinAlgebra, t: Mat) -> CheckResult:
@@ -480,36 +508,8 @@ def cubic_condition_check(a: FinAlgebra, t: Mat) -> CheckResult:
     symmetrization over basis triples i <= j <= k.
     """
     _square_check(a, t)
-    d = a.dim
-    commutators = commutator_subspace(a)
-    images = [t.column(j) for j in range(d)]
-    timage_products: dict[tuple[int, int], Vec] = {}
-
-    def tprod(x: int, y: int) -> Vec:
-        key = (x, y)
-        got = timage_products.get(key)
-        if got is None:
-            got = a._mul_vec(images[x], images[y])
-            timage_products[key] = got
-        return got
-
-    basis = [_basis_vec(d, i) for i in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            for k in range(j, d):
-                total = [_ZERO] * d
-                for x, y, z in itertools.permutations((i, j, k)):
-                    mapped = a._mul_vec(tprod(x, y), images[z])
-                    plain = a._mul_vec(a.c[x][y], basis[z])
-                    for idx in range(d):
-                        delta = mapped[idx] - plain[idx]
-                        if delta:
-                            total[idx] += delta
-                if not commutators.contains_vector(total):
-                    return CheckResult(
-                        False, {"triple": (i, j, k), "value": tuple(total)}
-                    )
-    return CheckResult(True)
+    witness = _first_violation(a, (_CUBIC,), t, "triple")
+    return CheckResult(witness is None, witness)
 
 
 def verify_jordan_criterion(a: FinAlgebra, t: Mat) -> VerificationReport:
@@ -575,8 +575,6 @@ def inner_similarity_witness(
     """
     if a.unit is None:
         raise ValueError("inner similarity needs a unital algebra")
-    a._element_check(x)
-    a._element_check(target)
     system = a.mult_operator(x, "right") - a.mult_operator(target, "left")
     kernel = system.kernel()
     if not kernel:
@@ -595,13 +593,8 @@ def inner_similarity_witness(
             return SimilaritySearch("witness", a.element(u))
     for _ in range(trials):
         weights = [Fraction(rng.randint(-9, 9)) for _ in kernel]
-        u = [_ZERO] * a.dim
-        for w, vec in zip(weights, kernel):
-            if w:
-                for idx, val in enumerate(vec):
-                    if val:
-                        u[idx] += w * val
-        if invertible(tuple(u)):
+        u = (Mat([weights]) * Mat(kernel)).row(0)
+        if invertible(u):
             return SimilaritySearch("witness", a.element(u))
     return SimilaritySearch("inconclusive")
 

@@ -20,7 +20,7 @@ _ZERO = Fraction(0)
 def product_span(a: FinAlgebra) -> Subspace:
     """The span of all products b_i b_j (for unital algebras, the whole space)."""
     return Subspace.from_rows(
-        a.dim, [a.c[i][j] for i in range(a.dim) for j in range(a.dim)]
+        a.dim, [a.product(i, j) for i in range(a.dim) for j in range(a.dim)]
     )
 
 
@@ -29,7 +29,7 @@ def commutator_subspace(a: FinAlgebra) -> Subspace:
     rows = []
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
-            rows.append(tuple(x - y for x, y in zip(a.c[i][j], a.c[j][i])))
+            rows.append(tuple(x - y for x, y in zip(a.product(i, j), a.product(j, i))))
     return Subspace.from_rows(a.dim, rows)
 
 
@@ -50,8 +50,8 @@ def largest_ideal_within(a: FinAlgebra, v: Subspace) -> Subspace:
         products = []
         for u in current.basis:
             for i in range(a.dim):
-                products.append(a._basis_mul_vec(i, u, "left"))
-                products.append(a._basis_mul_vec(i, u, "right"))
+                products.append(a.mul_basis(i, u, "left"))
+                products.append(a.mul_basis(i, u, "right"))
         # products is indexed by (basis-of-current, i, side) in a fixed order;
         # each covector f gives one constraint row per (i, side) over the
         # coordinates s of current.
@@ -112,9 +112,9 @@ def is_commutator_simple(a: FinAlgebra) -> SimplicityVerdict:
         return SimplicityVerdict(True, None)
     for u in ideal.basis:
         for i in range(a.dim):
-            if not ideal.contains_vector(a._basis_mul_vec(i, u, "left")):
+            if not ideal.contains_vector(a.mul_basis(i, u, "left")):
                 raise RuntimeError("internal error: witness is not a left ideal")
-            if not ideal.contains_vector(a._basis_mul_vec(i, u, "right")):
+            if not ideal.contains_vector(a.mul_basis(i, u, "right")):
                 raise RuntimeError("internal error: witness is not a right ideal")
     if not commutators.contains(ideal):
         raise RuntimeError("internal error: witness escapes the commutator subspace")
@@ -143,15 +143,18 @@ def radical(a: FinAlgebra) -> Subspace:
         )
         inside = rad1 & embedded
         return Subspace.from_rows(d, [row[1:] for row in inside.basis])
-    c = a.c
-    left_traces = [sum((c[t][k][k] for k in range(d)), _ZERO) for t in range(d)]
+    # trace of left multiplication by b_t: the b_k-coefficients of b_t b_k
+    left_traces = [
+        sum((coef for k in range(d) for s, coef in a.product_terms(t, k) if s == k), _ZERO)
+        for t in range(d)
+    ]
 
     def rows():
         for j in range(d):
             row = []
             for i in range(d):
                 coef = _ZERO
-                for t, x in a._pairs[i][j]:
+                for t, x in a.product_terms(i, j):
                     lt = left_traces[t]
                     if lt:
                         coef += x * lt
@@ -177,8 +180,8 @@ def ideal_closure(a: FinAlgebra, v: Subspace) -> Subspace:
         rows = list(current.basis)
         for u in current.basis:
             for i in range(a.dim):
-                rows.append(a._basis_mul_vec(i, u, "left"))
-                rows.append(a._basis_mul_vec(i, u, "right"))
+                rows.append(a.mul_basis(i, u, "left"))
+                rows.append(a.mul_basis(i, u, "right"))
         grown = Subspace.from_rows(a.dim, rows)
         if grown == current:
             return current
@@ -227,7 +230,7 @@ class TraceFunctional:
 def _validate_trace(a: FinAlgebra, tf: TraceFunctional) -> None:
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
-            if tf(a.c[i][j]) != tf(a.c[j][i]):
+            if tf(a.product(i, j)) != tf(a.product(j, i)):
                 raise ValueError(
                     f"functional violates t(xy) = t(yx) at basis pair ({i},{j})"
                 )
@@ -245,7 +248,7 @@ def trace_functional_space(a: FinAlgebra) -> tuple[TraceFunctional, ...]:
     def rows():
         for i in range(a.dim):
             for j in range(i + 1, a.dim):
-                w = tuple(x - y for x, y in zip(a.c[i][j], a.c[j][i]))
+                w = tuple(x - y for x, y in zip(a.product(i, j), a.product(j, i)))
                 coords = domain.coordinates(w)
                 row = [(t, coef) for t, coef in enumerate(coords) if coef]
                 if row:
@@ -259,7 +262,7 @@ def gram_matrix(a: FinAlgebra, tf: TraceFunctional) -> Mat:
     """The dim x dim matrix G[i][j] = t(b_i b_j)."""
     if tf.algebra_dim != a.dim:
         raise ValueError("functional belongs to a different algebra")
-    return Mat([[tf(a.c[i][j]) for j in range(a.dim)] for i in range(a.dim)])
+    return Mat([[tf(a.product(i, j)) for j in range(a.dim)] for i in range(a.dim)])
 
 
 def is_nondegenerate_trace(a: FinAlgebra, tf: TraceFunctional) -> bool:

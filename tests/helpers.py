@@ -100,7 +100,7 @@ def power_chain_dims(a: fa.FinAlgebra, sub: fa.Subspace, limit: int) -> list[int
         rows = []
         for u in sub.basis:
             for v in current.basis:
-                rows.append(a._mul_vec(u, v))
+                rows.append(a.mul(u, v))
         current = fa.Subspace.from_rows(a.dim, rows)
         dims.append(current.dim)
         if current.dim == 0:

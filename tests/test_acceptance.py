@@ -122,10 +122,10 @@ def test_random_inner_derivations_satisfy_criterion_and_membership():
             for _ in range(100):
                 x = fa.random_element(a, rng)
                 dx = ad.apply(x.coeffs)
-                dx_x = a._mul_vec(dx, x.coeffs)
+                dx_x = a.mul(dx, x.coeffs)
                 assert commutators.contains_vector(dx_x)
-                x2 = a._mul_vec(x.coeffs, x.coeffs)
-                assert commutators.contains_vector(a._mul_vec(dx, x2))
+                x2 = a.mul(x.coeffs, x.coeffs)
+                assert commutators.contains_vector(a.mul(dx, x2))
             maps_checked += 1
     assert maps_checked >= 200
     _ok(f"{maps_checked} seeded inner derivations stay in both spaces, 100 sampled x each")

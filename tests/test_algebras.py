@@ -162,7 +162,7 @@ class TestUpperTriangular:
 class TestAssociativityValidation:
     def test_corrupted_tensor_rejected_with_triple(self):
         good = fa.build_matrix_algebra(2)
-        c = [[list(row) for row in plane] for plane in good.c]
+        c = [[list(good.product(i, j)) for j in range(4)] for i in range(4)]
         c[0][1][2] += 1
         with pytest.raises(fa.AssociativityError) as excinfo:
             fa.FinAlgebra(c)
@@ -185,7 +185,9 @@ class TestAssociativityValidation:
     def test_bad_unit_rejected(self):
         a = fa.build_matrix_algebra(2)
         with pytest.raises(ValueError, match="unit"):
-            fa.FinAlgebra(a.c, unit=[1, 1, 0, 1])
+            fa.FinAlgebra(
+                [[a.product(i, j) for j in range(4)] for i in range(4)], unit=[1, 1, 0, 1]
+            )
 
 
 class TestElementArithmetic:
