@@ -7,7 +7,8 @@ Exit status contract (documented, deterministic):
 * 3 -- parse or validation error (documents, tables, maps, dimension cap)
 * 4 -- theorem hypotheses not met
 * 5 -- a checked property is false, with a witness in the report
-* 6 -- refutation tripwire (must never fire on sound inputs)
+* 6 -- refutation tripwire, or an internal consistency check that failed
+  (must never fire on sound inputs)
 * 7 -- randomized search exhausted without a definite answer
 
 All randomized subcommands take an explicit --seed; nothing reads the
@@ -97,6 +98,12 @@ def _load_document(options: dict) -> AlgebraDocument:
     path = options.get("path")
     if not path:
         raise PipelineUsageError("this command needs an algebra document path")
+    return _read_document(path, options)
+
+
+def _read_document(path, options: dict) -> AlgebraDocument:
+    """Parse a document and check its dimension against the cap; nothing is
+    built yet."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -158,12 +165,17 @@ def run_pipeline(command: str, options: dict) -> Report:
 # -- gen ----------------------------------------------------------------------
 
 def _gen_build(options: dict) -> tuple[str, FinAlgebra]:
+    """Name and build the requested algebra.  Its dimension is computed from
+    the options and the parsed inputs and checked against the cap first."""
     family = options.get("family")
-    if family == "matrix":
+    if family in ("matrix", "triangular"):
         n = int(options["n"])
-        return f"M{n}", build_matrix_algebra(n)
-    if family == "triangular":
-        n = int(options["n"])
+        if n < 1:
+            raise DocumentError("matrix size must be at least 1")
+        if family == "matrix":
+            _cap_check(n * n, options)
+            return f"M{n}", build_matrix_algebra(n)
+        _cap_check(n * (n + 1) // 2, options)
         return f"T{n}", build_upper_triangular(n)
     if family == "group":
         path = options["cayley"]
@@ -172,24 +184,28 @@ def _gen_build(options: dict) -> tuple[str, FinAlgebra]:
         except OSError as exc:
             raise DocumentError(f"cannot read Cayley table {path}: {exc}") from exc
         group = parse_cayley_table(text)
+        _cap_check(group.order, options)
         name = options.get("name") or f"QG{group.order}"
         return name, build_group_algebra(group)
     if family in ("direct", "tensor"):
-        left_doc = parse_document(Path(options["a"]).read_text(encoding="utf-8"))
-        right_doc = parse_document(Path(options["b"]).read_text(encoding="utf-8"))
-        left, right = left_doc.to_algebra(), right_doc.to_algebra()
+        left_doc = _read_document(options["a"], options)
+        right_doc = _read_document(options["b"], options)
         if family == "direct":
-            return f"{left_doc.name}_times_{right_doc.name}", direct_product(left, right)
-        return f"{left_doc.name}_tensor_{right_doc.name}", tensor_product(left, right)
+            _cap_check(left_doc.dim + right_doc.dim, options)
+            product, name = direct_product, f"{left_doc.name}_times_{right_doc.name}"
+        else:
+            _cap_check(left_doc.dim * right_doc.dim, options)
+            product, name = tensor_product, f"{left_doc.name}_tensor_{right_doc.name}"
+        return name, product(left_doc.to_algebra(), right_doc.to_algebra())
     if family == "adjoin-unit":
-        base_doc = parse_document(Path(options["a"]).read_text(encoding="utf-8"))
+        base_doc = _read_document(options["a"], options)
+        _cap_check(base_doc.dim + 1, options)
         return f"{base_doc.name}_unital", adjoin_unit(base_doc.to_algebra())
     raise PipelineUsageError(f"unknown generator family {family!r}")
 
 
 def _run_gen(options: dict) -> Report:
     name, algebra = _gen_build(options)
-    _cap_check(algebra.dim, options)
     doc = document_from_algebra(name, algebra)
     text = serialize_document(doc)
     out = options.get("out")
@@ -379,6 +395,10 @@ def _finish(command: str, options: dict, fmt: str) -> None:
     except (DocumentError, OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PARSE)
+    except RuntimeError as exc:
+        # an internal consistency check failed: a program fault, not bad input
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_REFUTATION)
     click.echo(emit_report(rep, fmt), nl=False)
     sys.exit(EXIT_FOR_VERDICT[rep.verdict])
 

@@ -8,6 +8,7 @@ from finalg.cli import (
     EXIT_HYPOTHESES,
     EXIT_PARSE,
     EXIT_PROPERTY_FALSE,
+    EXIT_REFUTATION,
     PipelineUsageError,
     main,
     run_pipeline,
@@ -74,6 +75,51 @@ class TestGenerators:
         cases.append((out, fa.adjoin_unit(fa.build_upper_triangular(2))))
         for path, expected in cases:
             assert parse_algebra_document(path.read_text()) == expected
+
+    @pytest.mark.parametrize("family, args", [
+        ("matrix", ["--n", "5"]),
+        ("triangular", ["--n", "7"]),
+        ("group", ["--cayley", "s5.tbl"]),
+        ("direct", ["m4.alg", "t6.alg"]),
+        ("tensor", ["m2.alg", "t3.alg"]),
+        ("adjoin-unit", ["m4.alg"]),
+    ])
+    def test_cap_is_checked_before_anything_is_built(self, family, args, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s5.tbl").write_text(format_cayley_table(fa.symmetric_group(5)))
+        for name, algebra in (("m2", fa.build_matrix_algebra(2)), ("m4", fa.build_matrix_algebra(4)),
+                              ("t3", fa.build_upper_triangular(3)), ("t6", fa.build_upper_triangular(6))):
+            (tmp_path / f"{name}.alg").write_text(
+                fa.serialize_document(fa.document_from_algebra(name, algebra)))
+
+        def refuse(*args):
+            raise AssertionError("an algebra was built before the cap check")
+
+        for builder in ("build_matrix_algebra", "build_upper_triangular", "build_group_algebra",
+                        "direct_product", "tensor_product", "adjoin_unit"):
+            monkeypatch.setattr(f"finalg.cli.{builder}", refuse)
+        monkeypatch.setattr(fa.AlgebraDocument, "to_algebra", refuse)
+        result = CliRunner().invoke(
+            main, ["gen", family, *args, "-o", "out.alg", "--max-dim", "16"], catch_exceptions=False
+        )
+        assert result.exit_code == EXIT_PARSE
+        assert "exceeds the cap" in result.stderr
+        assert not (tmp_path / "out.alg").exists()
+
+    def test_input_documents_are_capped(self, tmp_path):
+        m3 = tmp_path / "m3.alg"
+        m3.write_text(fa.serialize_document(fa.document_from_algebra("M3", fa.build_matrix_algebra(3))))
+        for args in (["direct", m3, m3], ["tensor", m3, m3], ["adjoin-unit", m3]):
+            result = CliRunner().invoke(
+                main, ["gen", *map(str, args), "-o", str(tmp_path / "out.alg"), "--max-dim", "8"]
+            )
+            assert result.exit_code == EXIT_PARSE
+            assert "dimension 9 exceeds the cap 8" in result.stderr
+
+    def test_nonpositive_size_is_rejected_before_the_cap(self, tmp_path):
+        result = CliRunner().invoke(main, ["gen", "matrix", "--n", "-5", "-o", str(tmp_path / "x.alg")])
+        assert result.exit_code == EXIT_PARSE
+        assert "matrix size must be at least 1" in result.stderr
 
     def test_dimension_cap(self, tmp_path):
         runner = CliRunner()
@@ -261,6 +307,18 @@ class TestUsageAndErrors:
     def test_missing_file_exit_code(self, tmp_path):
         result = CliRunner().invoke(main, ["analyze", str(tmp_path / "nope.alg")])
         assert result.exit_code == EXIT_PARSE
+
+    def test_internal_error_exits_through_the_tripwire_code(self, tmp_path, monkeypatch):
+        out = tmp_path / "m2.alg"
+        CliRunner().invoke(main, ["gen", "matrix", "--n", "2", "-o", str(out)])
+        # e12 spans a subspace of [A, A] that is not an ideal, so the
+        # re-verification of the simplicity witness must fail.
+        not_an_ideal = fa.Subspace.from_rows(4, [(0, 1, 0, 0)])
+        monkeypatch.setattr("finalg.structure.largest_ideal_within", lambda a, v: not_an_ideal)
+        result = CliRunner().invoke(main, ["analyze", str(out)])
+        assert result.exit_code == EXIT_REFUTATION
+        assert result.stderr.startswith("error: internal ")
+        assert result.stdout == ""
 
     def test_run_pipeline_report_round_trip(self, tmp_path):
         out = tmp_path / "m2.alg"
