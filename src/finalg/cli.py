@@ -94,16 +94,12 @@ def _cap_check(dim: int, options: dict) -> None:
         )
 
 
-def _load_document(options: dict) -> AlgebraDocument:
-    path = options.get("path")
+def _load_document(options: dict, key: str = "path") -> AlgebraDocument:
+    """Parse the document at options[key] and check its dimension against
+    the cap; nothing is built yet."""
+    path = options.get(key)
     if not path:
         raise PipelineUsageError("this command needs an algebra document path")
-    return _read_document(path, options)
-
-
-def _read_document(path, options: dict) -> AlgebraDocument:
-    """Parse a document and check its dimension against the cap; nothing is
-    built yet."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -188,8 +184,8 @@ def _gen_build(options: dict) -> tuple[str, FinAlgebra]:
         name = options.get("name") or f"QG{group.order}"
         return name, build_group_algebra(group)
     if family in ("direct", "tensor"):
-        left_doc = _read_document(options["a"], options)
-        right_doc = _read_document(options["b"], options)
+        left_doc = _load_document(options, "a")
+        right_doc = _load_document(options, "b")
         if family == "direct":
             _cap_check(left_doc.dim + right_doc.dim, options)
             product, name = direct_product, f"{left_doc.name}_times_{right_doc.name}"
@@ -198,7 +194,7 @@ def _gen_build(options: dict) -> tuple[str, FinAlgebra]:
             product, name = tensor_product, f"{left_doc.name}_tensor_{right_doc.name}"
         return name, product(left_doc.to_algebra(), right_doc.to_algebra())
     if family == "adjoin-unit":
-        base_doc = _read_document(options["a"], options)
+        base_doc = _load_document(options, "a")
         _cap_check(base_doc.dim + 1, options)
         return f"{base_doc.name}_unital", adjoin_unit(base_doc.to_algebra())
     raise PipelineUsageError(f"unknown generator family {family!r}")

@@ -316,15 +316,10 @@ def derivation_space(a: FinAlgebra) -> MapSpace:
 def inner_derivation_space(a: FinAlgebra) -> MapSpace:
     """The span of the maps ad_{b_k} : x -> [x, b_k] = x b_k - b_k x."""
     d = a.dim
-    rows = []
-    for k in range(d):
-        m = [[_ZERO] * d for _ in range(d)]
-        for j in range(d):
-            for t, coef in a.product_terms(j, k):
-                m[t][j] += coef
-            for t, coef in a.product_terms(k, j):
-                m[t][j] -= coef
-        rows.append([x for r in m for x in r])
+    rows = [
+        flatten_map(a.mult_operator(b, "right") - a.mult_operator(b, "left"))
+        for b in Mat.identity(d).data
+    ]
     return MapSpace(d, Subspace.from_rows(d * d, rows))
 
 

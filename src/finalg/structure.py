@@ -143,11 +143,7 @@ def radical(a: FinAlgebra) -> Subspace:
         )
         inside = rad1 & embedded
         return Subspace.from_rows(d, [row[1:] for row in inside.basis])
-    # trace of left multiplication by b_t: the b_k-coefficients of b_t b_k
-    left_traces = [
-        sum((coef for k in range(d) for s, coef in a.product_terms(t, k) if s == k), _ZERO)
-        for t in range(d)
-    ]
+    left_traces = [sum((a.product(t, k)[k] for k in range(d)), _ZERO) for t in range(d)]
 
     def rows():
         for j in range(d):
