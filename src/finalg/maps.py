@@ -269,7 +269,9 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
             lhs, rhs = tuple(sides[1]), tuple(sides[-1])
             residual = tuple(x - y for x, y in zip(lhs, rhs))
             if not modulus.contains_vector(residual):
-                return {key: tup, "value": residual} if modulo else {key: tup, "lhs": lhs, "rhs": rhs}
+                if modulo:
+                    return {key: tup, "value": residual}
+                return {key: tup, "lhs": lhs, "rhs": rhs}
     return None
 
 
