@@ -113,8 +113,10 @@ class MapSpace:
 # pointwise check that finds the first basis tuple where a given map T fails
 # it.  "lhs = rhs" is stated at a tuple (i, j, ...) of basis indices: a side
 # is a sum of terms joined by "+" ("0" for none), a term is a product of
-# factors separated by spaces, and a factor is a basis letter i, j or k, or
-# the map applied to one or two letters, as in D(ij) for D(b_i b_j).
+# factors separated by spaces, and a factor is a word in the letters i, j,
+# k, as in jk for b_j b_k, or the map applied to a word, as in D(ij) for
+# D(b_i b_j).  For rows, the word in the map has at most two letters, and so
+# has the rest of the term; outside [A, A] the rest has one letter at most.
 
 
 class _Identity:
@@ -157,7 +159,7 @@ _JORDAN_DERIVATION = _Identity("D(ij) + D(ji) = D(i) j + j D(i) + D(j) i + i D(j
 # D(x) x and D(x) x^2 in [A, A]
 _CRITERION = (
     _Identity("D(i) j + D(j) i = 0", symmetric=True, modulo_commutators=True),
-    _Identity(_symmetrized("D(i) j k") + " = 0", symmetric=True, modulo_commutators=True),
+    _Identity(_symmetrized("D(i) jk") + " = 0", symmetric=True, modulo_commutators=True),
 )
 # T(x^2) = T(x)^2
 _JORDAN_HOMOMORPHISM = _Identity("T(ij) + T(ji) = T(i) T(j) + T(j) T(i)", symmetric=True)
@@ -167,7 +169,7 @@ _MULTIPLICATIVITY = {
 }
 # T(x)^3 - x^3 in [A, A]
 _CUBIC = _Identity(
-    _symmetrized("T(i) T(j) T(k)") + " = " + _symmetrized("i j k"),
+    _symmetrized("T(i) T(j) T(k)") + " = " + _symmetrized("ijk"),
     symmetric=True,
     modulo_commutators=True,
 )
@@ -247,10 +249,14 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
 
     def value(factors) -> Vec:
         *head, (mapped, word) = factors
-        if len(word) == 2:
-            last = t.apply(a.product(*word)) if mapped else a.product(*word)
+        if mapped and len(word) == 1:
+            last = images[word[0]]
         else:
-            last = images[word[0]] if mapped else basis[word[0]]
+            last = basis[word[0]]
+            for letter in word[1:]:
+                last = a.mul_basis(letter, last, "right")
+            if mapped:
+                last = t.apply(last)
         if not head:
             return last
         head = tuple(head)
