@@ -94,17 +94,20 @@ def _cap_check(dim: int, options: dict) -> None:
         )
 
 
+def _read_text(path, what: str = "") -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"cannot read {what}{path}: {exc}") from exc
+
+
 def _load_document(options: dict, key: str = "path") -> AlgebraDocument:
     """Parse the document at options[key] and check its dimension against
     the cap; nothing is built yet."""
     path = options.get(key)
     if not path:
         raise PipelineUsageError("this command needs an algebra document path")
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
-    doc = parse_document(text)
+    doc = parse_document(_read_text(path))
     _cap_check(doc.dim, options)
     return doc
 
@@ -122,11 +125,7 @@ def _load_map(spec: str, algebra: FinAlgebra):
                 "the transpose map needs a matrix-unit algebra (square dimension)"
             )
         return maps.transpose_map(n)
-    try:
-        text = Path(spec).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"cannot read map file {spec}: {exc}") from exc
-    return parse_map_file(text, expected_dim=algebra.dim)
+    return parse_map_file(_read_text(spec, "map file "), expected_dim=algebra.dim)
 
 
 def _new_report(command: str, doc: AlgebraDocument | None = None) -> Report:
@@ -174,12 +173,7 @@ def _gen_build(options: dict) -> tuple[str, FinAlgebra]:
         _cap_check(n * (n + 1) // 2, options)
         return f"T{n}", build_upper_triangular(n)
     if family == "group":
-        path = options["cayley"]
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DocumentError(f"cannot read Cayley table {path}: {exc}") from exc
-        group = parse_cayley_table(text)
+        group = parse_cayley_table(_read_text(options["cayley"], "Cayley table "))
         _cap_check(group.order, options)
         name = options.get("name") or f"QG{group.order}"
         return name, build_group_algebra(group)

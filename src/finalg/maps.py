@@ -107,23 +107,23 @@ class MapSpace:
 
 
 # -- polarized identities ------------------------------------------------------
-#
-# Each identity is written once, as text, and read two ways: as sparse
-# constraint rows on an unknown map D when it is linear in D, and as a
-# pointwise check that finds the first basis tuple where a given map T fails
-# it.  "lhs = rhs" is stated at a tuple (i, j, ...) of basis indices: a side
-# is a sum of terms joined by "+" ("0" for none), a term is a product of
-# factors separated by spaces, and a factor is a word in the letters i, j,
-# k, as in jk for b_j b_k, or the map applied to a word, as in D(ij) for
-# D(b_i b_j).  For rows, the word in the map has at most two letters, and so
-# has the rest of the term; outside [A, A] the rest has one letter at most.
 
 
 class _Identity:
-    """An identity at every basis tuple of its arity, or only at the sorted
-    tuples i <= j <= ... when it is symmetric, optionally modulo [A, A].
-    Terms are (sign, factors): +1 on the left, -1 on the right, and each
-    factor is (mapped, positions in the tuple)."""
+    """A polarized identity, written once and read two ways: as sparse
+    constraint rows on an unknown map D when it is linear in D, and as a
+    pointwise check that finds the first basis tuple where a map T fails it.
+
+    The text "lhs = rhs" holds at every basis tuple (i, j, ...), or only at
+    the sorted ones i <= j <= ... when it is symmetric, optionally modulo
+    [A, A].  A side is a sum of terms joined by "+" ("0" for none), a term a
+    product of factors separated by spaces, and a factor a word in the
+    letters i, j, k, as in jk for b_j b_k, or the map applied to a word, as
+    in D(ij).  For rows, the word in the map has at most two letters, and so
+    has the rest of the term; outside [A, A] the rest has one letter at most.
+    Parsed terms are (sign, factors): +1 on the left, -1 on the right, and
+    each factor is (mapped, positions in the tuple).
+    """
 
     def __init__(self, text: str, symmetric: bool, modulo_commutators: bool = False):
         self.terms = []
@@ -463,19 +463,13 @@ def local_derivation_test(a: FinAlgebra, d_map: Mat, seed: int, samples: int) ->
         points.append(a.unit_element())
     points.extend(a.basis_element(i) for i in range(a.dim))
     points.extend(random_element(a, rng) for _ in range(samples))
-    tested = 0
-    for x in points:
-        tested += 1
-        target = d_map.apply(x.coeffs)
-        columns = [e.apply(x.coeffs) for e in basis_maps]
-        system = Mat(
-            [[col[k] for col in columns] for k in range(a.dim)], cols=len(columns)
-        )
+    for tested, x in enumerate(points, 1):
+        system = Mat([e.apply(x.coeffs) for e in basis_maps], cols=a.dim).transpose()
         try:
-            solve_affine(system, target)
+            solve_affine(system, d_map.apply(x.coeffs))
         except Infeasible:
             return LocalDerivationResult(False, x, tested)
-    return LocalDerivationResult(True, None, tested)
+    return LocalDerivationResult(True, None, len(points))
 
 
 @dataclass(frozen=True)
