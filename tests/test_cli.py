@@ -106,7 +106,7 @@ class TestGenerators:
             main, ["gen", family, *args, "-o", "out.alg", "--max-dim", "16"], catch_exceptions=False
         )
         assert result.exit_code == EXIT_PARSE
-        assert "exceeds the cap" in result.stderr
+        assert "exceeds the cap" in result.output
         assert not (tmp_path / "out.alg").exists()
 
     def test_input_documents_are_capped(self, tmp_path):
@@ -118,13 +118,13 @@ class TestGenerators:
                 main, ["gen", *map(str, args), "-o", str(tmp_path / "out.alg"), "--max-dim", "8"]
             )
             assert result.exit_code == EXIT_PARSE
-            assert "dimension 9 exceeds the cap 8" in result.stderr
+            assert "dimension 9 exceeds the cap 8" in result.output
 
     def test_nonpositive_size_is_rejected_before_the_cap(self, tmp_path):
         out = str(tmp_path / "x.alg")
         result = CliRunner().invoke(main, ["gen", "matrix", "--n", "-5", "-o", out])
         assert result.exit_code == EXIT_PARSE
-        assert "matrix size must be at least 1" in result.stderr
+        assert "matrix size must be at least 1" in result.output
 
     def test_dimension_cap(self, tmp_path):
         runner = CliRunner()
@@ -322,8 +322,8 @@ class TestUsageAndErrors:
         monkeypatch.setattr("finalg.structure.largest_ideal_within", lambda a, v: not_an_ideal)
         result = CliRunner().invoke(main, ["analyze", str(out)])
         assert result.exit_code == EXIT_REFUTATION
-        assert result.stderr.startswith("error: internal ")
-        assert result.stdout == ""
+        assert result.output.startswith("error: internal ")
+        assert "verdict" not in result.output
 
     def test_run_pipeline_report_round_trip(self, tmp_path):
         out = tmp_path / "m2.alg"
