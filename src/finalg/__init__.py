@@ -97,4 +97,3 @@ from .document import (
     serialize_document,
 )
 from .report import Report, Section, emit_report
-from .cli import run_pipeline

@@ -158,11 +158,6 @@ class FinAlgebra:
             raise ValueError("algebra has no unit")
         return Element(self, self.unit)
 
-    def multiply(self, x: "Element", y: "Element") -> "Element":
-        self._element_check(x)
-        self._element_check(y)
-        return Element(self, self.mul(x.coeffs, y.coeffs))
-
     def mult_operator(self, x, side: str = "left") -> Mat:
         """Matrix of y -> xy (left) or y -> yx (right) on coefficient columns."""
         if side not in ("left", "right"):
@@ -347,10 +342,6 @@ class FiniteGroup:
 
     def inverse(self, i: int) -> int:
         return self._inverse[i]
-
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.cayley[i][j] == self.cayley[j][i] for i in range(n) for j in range(n))
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         n = self.order

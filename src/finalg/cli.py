@@ -31,6 +31,7 @@ from .algebras import adjoin_unit, direct_product, tensor_product
 from .document import (
     AlgebraDocument,
     DocumentError,
+    cayley_order,
     document_fingerprint,
     document_from_algebra,
     parse_cayley_table,
@@ -69,14 +70,9 @@ DEFAULT_MAX_DIM = 24
 MAX_DIM_ENV = "FINALG_MAX_DIM"
 
 
-class PipelineUsageError(ValueError):
-    """An unknown pipeline command or malformed option set."""
-
-
-def _max_dim(options: dict) -> int:
-    value = options.get("max_dim")
-    if value is not None:
-        return int(value)
+def _max_dim(max_dim: int | None) -> int:
+    if max_dim is not None:
+        return max_dim
     env = os.environ.get(MAX_DIM_ENV)
     if env is not None:
         try:
@@ -86,8 +82,8 @@ def _max_dim(options: dict) -> int:
     return DEFAULT_MAX_DIM
 
 
-def _cap_check(dim: int, options: dict) -> None:
-    cap = _max_dim(options)
+def _cap_check(dim: int, max_dim: int | None) -> None:
+    cap = _max_dim(max_dim)
     if dim > cap:
         raise DocumentError(
             f"dimension {dim} exceeds the cap {cap}; raise --max-dim or {MAX_DIM_ENV}"
@@ -101,19 +97,16 @@ def _read_text(path, what: str = "") -> str:
         raise DocumentError(f"cannot read {what}{path}: {exc}") from exc
 
 
-def _load_document(options: dict, key: str = "path") -> AlgebraDocument:
-    """Parse the document at options[key] and check its dimension against
-    the cap; nothing is built yet."""
-    path = options.get(key)
-    if not path:
-        raise PipelineUsageError("this command needs an algebra document path")
+def _load_document(path: str, max_dim: int | None) -> AlgebraDocument:
+    """Parse the document at path and check its dimension against the cap;
+    nothing is built yet."""
     doc = parse_document(_read_text(path))
-    _cap_check(doc.dim, options)
+    _cap_check(doc.dim, max_dim)
     return doc
 
 
-def _load_algebra(options: dict) -> tuple[AlgebraDocument, FinAlgebra]:
-    doc = _load_document(options)
+def _load_algebra(path: str, max_dim: int | None) -> tuple[AlgebraDocument, FinAlgebra]:
+    doc = _load_document(path, max_dim)
     return doc, doc.to_algebra()
 
 
@@ -136,95 +129,43 @@ def _new_report(command: str, doc: AlgebraDocument | None = None) -> Report:
     return rep
 
 
-def run_pipeline(command: str, options: dict) -> Report:
-    """Run one batch command and return its Report.
-
-    Commands: gen, analyze, derivations, verify-derivation-criterion,
-    verify-jordan-criterion, local-test, trace.
-    """
-    handlers = {
-        "gen": _run_gen,
-        "analyze": _run_analyze,
-        "derivations": _run_derivations,
-        "verify-derivation-criterion": _run_verify_derivation_criterion,
-        "verify-jordan-criterion": _run_verify_jordan_criterion,
-        "local-test": _run_local_test,
-        "trace": _run_trace,
-    }
-    handler = handlers.get(command)
-    if handler is None:
-        raise PipelineUsageError(f"unknown command {command!r}")
-    return handler(dict(options))
-
-
 # -- gen ----------------------------------------------------------------------
 
-def _gen_build(options: dict) -> tuple[str, FinAlgebra]:
-    """Name and build the requested algebra.  Its dimension is computed from
-    the options and the parsed inputs and checked against the cap first."""
-    family = options.get("family")
-    if family in ("matrix", "triangular"):
-        n = int(options["n"])
-        if n < 1:
-            raise DocumentError("matrix size must be at least 1")
-        if family == "matrix":
-            _cap_check(n * n, options)
-            return f"M{n}", build_matrix_algebra(n)
-        _cap_check(n * (n + 1) // 2, options)
-        return f"T{n}", build_upper_triangular(n)
-    if family == "group":
-        group = parse_cayley_table(_read_text(options["cayley"], "Cayley table "))
-        _cap_check(group.order, options)
-        name = options.get("name") or f"QG{group.order}"
-        return name, build_group_algebra(group)
-    if family in ("direct", "tensor"):
-        left_doc = _load_document(options, "a")
-        right_doc = _load_document(options, "b")
-        if family == "direct":
-            _cap_check(left_doc.dim + right_doc.dim, options)
-            product, name = direct_product, f"{left_doc.name}_times_{right_doc.name}"
-        else:
-            _cap_check(left_doc.dim * right_doc.dim, options)
-            product, name = tensor_product, f"{left_doc.name}_tensor_{right_doc.name}"
-        return name, product(left_doc.to_algebra(), right_doc.to_algebra())
-    if family == "adjoin-unit":
-        base_doc = _load_document(options, "a")
-        _cap_check(base_doc.dim + 1, options)
-        return f"{base_doc.name}_unital", adjoin_unit(base_doc.to_algebra())
-    raise PipelineUsageError(f"unknown generator family {family!r}")
-
-
-def _run_gen(options: dict) -> Report:
-    name, algebra = _gen_build(options)
+def _run_gen(family: str, out: str, build) -> Report:
+    """Write the document of build() -> (name, algebra) to out.  Each build
+    computes the dimension from its arguments and parsed inputs and checks
+    it against the cap before it builds anything."""
+    name, algebra = build()
     doc = document_from_algebra(name, algebra)
-    text = serialize_document(doc)
-    out = options.get("out")
-    if not out:
-        raise PipelineUsageError("gen needs an output path")
-    Path(out).write_text(text, encoding="utf-8")
+    Path(out).write_text(serialize_document(doc), encoding="utf-8")
     rep = _new_report("gen", doc)
     sec = rep.section("generated")
-    sec.add("family", options.get("family"))
+    sec.add("family", family)
     sec.add("dim", algebra.dim)
     sec.add("unital", algebra.is_unital)
     sec.add("output", str(out))
     return rep
 
 
+def _check_size(n: int, dim: int, max_dim: int | None) -> None:
+    if n < 1:
+        raise DocumentError("matrix size must be at least 1")
+    _cap_check(dim, max_dim)
+
+
 # -- analyze -------------------------------------------------------------------
 
-def _run_analyze(options: dict) -> Report:
-    doc, algebra = _load_algebra(options)
+def _run_analyze(path: str, max_dim: int | None) -> Report:
+    doc, algebra = _load_algebra(path, max_dim)
     rep = _new_report("analyze", doc)
     info = rep.section("algebra")
     info.add("dim", algebra.dim)
     info.add("unital", algebra.is_unital)
 
-    commutators = structure.commutator_subspace(algebra)
     simplicity = structure.is_commutator_simple(algebra)
     sec = rep.section("commutator")
     sec.add("dim-products", structure.product_span(algebra).dim)
-    sec.add("dim-commutators", commutators.dim)
+    sec.add("dim-commutators", simplicity.commutators.dim)
     sec.add("commutator-simple", bool(simplicity))
     if not simplicity:
         sec.add("witness-ideal-dim", simplicity.witness.ideal.dim)
@@ -256,8 +197,8 @@ def _run_analyze(options: dict) -> Report:
     return rep
 
 
-def _run_derivations(options: dict) -> Report:
-    doc, algebra = _load_algebra(options)
+def _run_derivations(path: str, max_dim: int | None) -> Report:
+    doc, algebra = _load_algebra(path, max_dim)
     rep = _new_report("derivations", doc)
     sec = rep.section("map-spaces")
     sec.add("inner-derivations", maps.inner_derivation_space(algebra).dim)
@@ -285,18 +226,15 @@ def _verdict_from_verification(rep: Report, result: maps.VerificationReport) -> 
         rep.section("refutation").add("witness", result.witness)
 
 
-def _run_verify_derivation_criterion(options: dict) -> Report:
-    doc, algebra = _load_algebra(options)
+def _run_verify_derivation_criterion(path: str, max_dim: int | None) -> Report:
+    doc, algebra = _load_algebra(path, max_dim)
     rep = _new_report("verify-derivation-criterion", doc)
     _verdict_from_verification(rep, maps.verify_derivation_criterion(algebra))
     return rep
 
 
-def _run_verify_jordan_criterion(options: dict) -> Report:
-    doc, algebra = _load_algebra(options)
-    spec = options.get("map")
-    if not spec:
-        raise PipelineUsageError("verify-jordan-criterion needs --map")
+def _run_verify_jordan_criterion(path: str, spec: str, max_dim: int | None) -> Report:
+    doc, algebra = _load_algebra(path, max_dim)
     t = _load_map(spec, algebra)
     rep = _new_report("verify-jordan-criterion", doc)
     rep.section("map").add("map", spec)
@@ -304,31 +242,24 @@ def _run_verify_jordan_criterion(options: dict) -> Report:
     return rep
 
 
-def _run_local_test(options: dict) -> Report:
-    doc, algebra = _load_algebra(options)
-    spec = options.get("map")
-    kind = options.get("kind")
-    seed = options.get("seed")
-    samples = options.get("samples")
-    if not spec or kind not in ("derivation", "inner-auto") or seed is None or samples is None:
-        raise PipelineUsageError(
-            "local-test needs --map, --kind derivation|inner-auto, --seed, and --samples"
-        )
+def _run_local_test(
+    path: str, spec: str, kind: str, seed: int, samples: int, trials: int, max_dim: int | None
+) -> Report:
+    doc, algebra = _load_algebra(path, max_dim)
     t = _load_map(spec, algebra)
     rep = _new_report("local-test", doc)
-    rep.seeds = {"seed": int(seed), "samples": int(samples)}
+    rep.seeds = {"seed": seed, "samples": samples}
     rep.caveats.append(maps.LOCAL_TEST_CAVEAT)
     if kind == "derivation":
-        result = maps.local_derivation_test(algebra, t, int(seed), int(samples))
+        result = maps.local_derivation_test(algebra, t, seed, samples)
         sec = rep.section("local-derivation")
         sec.add("passed", result.passed)
         sec.add("points-tested", result.points_tested)
         sec.add("counterexample", result.counterexample)
         rep.verdict = VERDICT_OK if result.passed else VERDICT_PROPERTY_FALSE
         return rep
-    trials = int(options.get("trials") or 20)
     rep.seeds["trials"] = trials
-    outcomes = maps.local_inner_automorphism_test(algebra, t, int(seed), int(samples), trials)
+    outcomes = maps.local_inner_automorphism_test(algebra, t, seed, samples, trials)
     sec = rep.section("local-inner-automorphism")
     statuses = set()
     for sample in outcomes:
@@ -346,18 +277,13 @@ def _run_local_test(options: dict) -> Report:
     return rep
 
 
-def _run_trace(options: dict) -> Report:
-    doc, algebra = _load_algebra(options)
-    seed = options.get("seed")
-    if seed is None:
-        raise PipelineUsageError("trace needs --seed")
-    trials = int(options.get("trials") or 50)
+def _run_trace(path: str, seed: int, trials: int, max_dim: int | None) -> Report:
+    doc, algebra = _load_algebra(path, max_dim)
     rep = _new_report("trace", doc)
-    rep.seeds = {"seed": int(seed), "trials": trials}
-    basis = structure.trace_functional_space(algebra)
-    result = structure.has_nondegenerate_trace(algebra, int(seed), trials)
+    rep.seeds = {"seed": seed, "trials": trials}
+    result = structure.has_nondegenerate_trace(algebra, seed, trials)
     sec = rep.section("trace")
-    sec.add("trace-space-dim", len(basis))
+    sec.add("trace-space-dim", result.space_dim)
     sec.add("found", result.found)
     sec.add("definite-negative", result.definite_negative)
     sec.add("trials-used", result.trials_used)
@@ -377,11 +303,10 @@ def _run_trace(options: dict) -> Report:
 
 # -- click wiring ---------------------------------------------------------------
 
-def _finish(command: str, options: dict, fmt: str) -> None:
+def _finish(handler, fmt: str, *args) -> None:
+    """Run handler(*args), print its Report and exit with its verdict's status."""
     try:
-        rep = run_pipeline(command, options)
-    except PipelineUsageError as exc:
-        raise click.UsageError(str(exc)) from exc
+        rep = handler(*args)
     except (DocumentError, OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PARSE)
@@ -393,11 +318,14 @@ def _finish(command: str, options: dict, fmt: str) -> None:
     sys.exit(EXIT_FOR_VERDICT[rep.verdict])
 
 
-def _format_option(f):
-    return click.option(
-        "--format", "fmt", type=click.Choice(["text", "structured"]), default="text",
-        help="Report rendering.",
-    )(f)
+def _nonempty(ctx, param, value):
+    """An empty file name is a usage error (click.Path accepts it)."""
+    if value == "":
+        raise click.BadParameter("must not be empty", ctx, param)
+    return value
+
+
+_FILE = {"type": click.Path(dir_okay=False), "callback": _nonempty}
 
 
 def _max_dim_option(f):
@@ -405,6 +333,19 @@ def _max_dim_option(f):
         "--max-dim", type=int, default=None,
         help=f"Override the dimension cap (default {DEFAULT_MAX_DIM}, env {MAX_DIM_ENV}).",
     )(f)
+
+
+def _report_options(f):
+    f = _max_dim_option(f)
+    return click.option(
+        "--format", "fmt", type=click.Choice(["text", "structured"]), default="text",
+        help="Report rendering.",
+    )(f)
+
+
+def _document_command(name: str):
+    """A main command whose argument is the algebra document PATH."""
+    return lambda f: main.command(name)(click.argument("path", **_FILE)(f))
 
 
 @click.group()
@@ -419,7 +360,7 @@ def gen():
 
 
 def _gen_common(f):
-    f = click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))(f)
+    f = click.option("-o", "--out", required=True, **_FILE)(f)
     f = _max_dim_option(f)
     return f
 
@@ -429,7 +370,10 @@ def _gen_common(f):
 @_gen_common
 def gen_matrix(n, out, max_dim):
     """Full matrix algebra M_n (dimension n^2)."""
-    _finish("gen", {"family": "matrix", "n": n, "out": out, "max_dim": max_dim}, "text")
+    def build():
+        _check_size(n, n * n, max_dim)
+        return f"M{n}", build_matrix_algebra(n)
+    _finish(_run_gen, "text", "matrix", out, build)
 
 
 @gen.command("triangular")
@@ -437,7 +381,10 @@ def gen_matrix(n, out, max_dim):
 @_gen_common
 def gen_triangular(n, out, max_dim):
     """Upper-triangular n x n matrices (dimension n(n+1)/2)."""
-    _finish("gen", {"family": "triangular", "n": n, "out": out, "max_dim": max_dim}, "text")
+    def build():
+        _check_size(n, n * (n + 1) // 2, max_dim)
+        return f"T{n}", build_upper_triangular(n)
+    _finish(_run_gen, "text", "triangular", out, build)
 
 
 @gen.command("group")
@@ -446,122 +393,105 @@ def gen_triangular(n, out, max_dim):
 @_gen_common
 def gen_group(cayley, name, out, max_dim):
     """Rational group algebra from a Cayley table file."""
-    _finish(
-        "gen",
-        {"family": "group", "cayley": cayley, "name": name, "out": out, "max_dim": max_dim},
-        "text",
-    )
+    def build():
+        text = _read_text(cayley, "Cayley table ")
+        _cap_check(cayley_order(text), max_dim)
+        group = parse_cayley_table(text)
+        return name or f"QG{group.order}", build_group_algebra(group)
+    _finish(_run_gen, "text", "group", out, build)
 
 
 @gen.command("direct")
-@click.argument("a", type=click.Path(dir_okay=False))
-@click.argument("b", type=click.Path(dir_okay=False))
+@click.argument("a", **_FILE)
+@click.argument("b", **_FILE)
 @_gen_common
 def gen_direct(a, b, out, max_dim):
     """Direct product of two algebra documents."""
-    _finish("gen", {"family": "direct", "a": a, "b": b, "out": out, "max_dim": max_dim}, "text")
+    def build():
+        left, right = _load_document(a, max_dim), _load_document(b, max_dim)
+        _cap_check(left.dim + right.dim, max_dim)
+        return (f"{left.name}_times_{right.name}",
+                direct_product(left.to_algebra(), right.to_algebra()))
+    _finish(_run_gen, "text", "direct", out, build)
 
 
 @gen.command("tensor")
-@click.argument("a", type=click.Path(dir_okay=False))
-@click.argument("b", type=click.Path(dir_okay=False))
+@click.argument("a", **_FILE)
+@click.argument("b", **_FILE)
 @_gen_common
 def gen_tensor(a, b, out, max_dim):
     """Tensor product of two algebra documents."""
-    _finish("gen", {"family": "tensor", "a": a, "b": b, "out": out, "max_dim": max_dim}, "text")
+    def build():
+        left, right = _load_document(a, max_dim), _load_document(b, max_dim)
+        _cap_check(left.dim * right.dim, max_dim)
+        return (f"{left.name}_tensor_{right.name}",
+                tensor_product(left.to_algebra(), right.to_algebra()))
+    _finish(_run_gen, "text", "tensor", out, build)
 
 
 @gen.command("adjoin-unit")
-@click.argument("a", type=click.Path(dir_okay=False))
+@click.argument("a", **_FILE)
 @_gen_common
 def gen_adjoin_unit(a, out, max_dim):
     """Adjoin a fresh unit to an algebra document."""
-    _finish("gen", {"family": "adjoin-unit", "a": a, "out": out, "max_dim": max_dim}, "text")
+    def build():
+        base = _load_document(a, max_dim)
+        _cap_check(base.dim + 1, max_dim)
+        return f"{base.name}_unital", adjoin_unit(base.to_algebra())
+    _finish(_run_gen, "text", "adjoin-unit", out, build)
 
 
-@main.command()
-@click.argument("path", type=click.Path(dir_okay=False))
-@_format_option
-@_max_dim_option
+@_document_command("analyze")
+@_report_options
 def analyze(path, fmt, max_dim):
     """Commutator structure, radical, and trace facts of an algebra."""
-    _finish("analyze", {"path": path, "max_dim": max_dim}, fmt)
+    _finish(_run_analyze, fmt, path, max_dim)
 
 
-@main.command()
-@click.argument("path", type=click.Path(dir_okay=False))
-@_format_option
-@_max_dim_option
+@_document_command("derivations")
+@_report_options
 def derivations(path, fmt, max_dim):
     """Dimensions of the four derivation-type map spaces."""
-    _finish("derivations", {"path": path, "max_dim": max_dim}, fmt)
+    _finish(_run_derivations, fmt, path, max_dim)
 
 
-@main.command("verify-derivation-criterion")
-@click.argument("path", type=click.Path(dir_okay=False))
-@_format_option
-@_max_dim_option
+@_document_command("verify-derivation-criterion")
+@_report_options
 def verify_derivation_criterion_cmd(path, fmt, max_dim):
     """Check that maps with D(x)x, D(x)x^2 in [A,A] are exactly the derivations."""
-    _finish("verify-derivation-criterion", {"path": path, "max_dim": max_dim}, fmt)
+    _finish(_run_verify_derivation_criterion, fmt, path, max_dim)
 
 
-@main.command("verify-jordan-criterion")
-@click.argument("path", type=click.Path(dir_okay=False))
-@click.option("--map", "map_spec", required=True,
+@_document_command("verify-jordan-criterion")
+@click.option("--map", "map_spec", required=True, callback=_nonempty,
               help="'transpose' or a map file (dim then dim^2 rationals row-major).")
-@_format_option
-@_max_dim_option
+@_report_options
 def verify_jordan_criterion_cmd(path, map_spec, fmt, max_dim):
     """Check the cubic criterion: T(1)=1 and T(x)^3 - x^3 in [A,A] force a
     Jordan homomorphism."""
-    _finish(
-        "verify-jordan-criterion",
-        {"path": path, "map": map_spec, "max_dim": max_dim},
-        fmt,
-    )
+    _finish(_run_verify_jordan_criterion, fmt, path, map_spec, max_dim)
 
 
-@main.command("local-test")
-@click.argument("path", type=click.Path(dir_okay=False))
-@click.option("--map", "map_spec", required=True)
+@_document_command("local-test")
+@click.option("--map", "map_spec", required=True, callback=_nonempty)
 @click.option("--kind", type=click.Choice(["derivation", "inner-auto"]), required=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--samples", type=int, required=True)
 @click.option("--trials", type=int, default=20,
               help="Invertibility trials per point (inner-auto only).")
-@_format_option
-@_max_dim_option
+@_report_options
 def local_test(path, map_spec, kind, seed, samples, trials, fmt, max_dim):
     """Sampling tests of local-derivation / local-inner-automorphism behavior."""
-    _finish(
-        "local-test",
-        {
-            "path": path,
-            "map": map_spec,
-            "kind": kind,
-            "seed": seed,
-            "samples": samples,
-            "trials": trials,
-            "max_dim": max_dim,
-        },
-        fmt,
-    )
+    _finish(_run_local_test, fmt, path, map_spec, kind, seed, samples, trials, max_dim)
 
 
-@main.command()
-@click.argument("path", type=click.Path(dir_okay=False))
+@_document_command("trace")
 @click.option("--seed", type=int, required=True)
 @click.option("--trials", type=int, default=50)
-@_format_option
-@_max_dim_option
+@_report_options
 def trace(path, seed, trials, fmt, max_dim):
     """Search for a nondegenerate trace functional on A^2."""
-    _finish(
-        "trace",
-        {"path": path, "seed": seed, "trials": trials, "max_dim": max_dim},
-        fmt,
-    )
+    _finish(_run_trace, fmt, path, seed, trials, max_dim)
 
 
 if __name__ == "__main__":

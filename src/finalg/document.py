@@ -69,6 +69,13 @@ def _tokens(line: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
+def _stream_tokens(text: str):
+    """(token, line, column) of a token-stream file, lazily; '#' starts a comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        for tok, col in _tokens(raw.split("#", 1)[0]):
+            yield tok, lineno, col
+
+
 def _parse_int(token: str, lineno: int, col: int) -> int:
     try:
         return int(token)
@@ -198,11 +205,15 @@ def document_fingerprint(doc: AlgebraDocument) -> str:
 # Token stream (comments with '#'): group order, identity index, then
 # order*order table entries row-major.
 
+def cayley_order(text: str) -> int:
+    """The group order at the head of a Cayley table, read without the body."""
+    for tok, lineno, col in _stream_tokens(text):
+        return _parse_int(tok, lineno, col)
+    raise DocumentError("Cayley table needs an order and an identity index")
+
+
 def parse_cayley_table(text: str) -> FiniteGroup:
-    toks: list[tuple[str, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        toks.extend((tok, lineno, col) for tok, col in _tokens(line))
+    toks = list(_stream_tokens(text))
     if len(toks) < 2:
         raise DocumentError("Cayley table needs an order and an identity index")
     order = _parse_int(toks[0][0], toks[0][1], toks[0][2])
@@ -234,10 +245,7 @@ def format_cayley_table(g: FiniteGroup) -> str:
 # matrix acting on coefficient columns.
 
 def parse_map_file(text: str, expected_dim: int | None = None) -> Mat:
-    toks: list[tuple[str, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        toks.extend((tok, lineno, col) for tok, col in _tokens(line))
+    toks = list(_stream_tokens(text))
     if not toks:
         raise DocumentError("empty map file")
     dim = _parse_int(toks[0][0], toks[0][1], toks[0][2])

@@ -94,11 +94,6 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat([self.column(j) for j in range(self.cols)], cols=self.rows)
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented

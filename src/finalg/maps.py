@@ -538,7 +538,7 @@ def verify_jordan_criterion(a: FinAlgebra, t: Mat) -> VerificationReport:
             "" if cubic.ok else f"fails at basis triple {cubic.witness['triple']}",
         ),
     ]
-    spaces = {"commutators": commutator_subspace(a).dim, "rank": rank}
+    spaces = {"commutators": simplicity.commutators.dim, "rank": rank}
     if not (unital and simplicity and surjective and unit_preserved and cubic.ok):
         return VerificationReport(tuple(checks), spaces, VERDICT_HYPOTHESES_NOT_MET)
     homo = multiplicativity_check(a, t, "homomorphism")
@@ -619,6 +619,8 @@ def local_inner_automorphism_test(
         raise ValueError("local inner-automorphism testing needs a unital algebra")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if invertibility_trials < 0:
+        raise ValueError("trials must be nonnegative")
     _square_check(a, t)
     rng = Random(seed)
     points: list[tuple[str, Element]] = [("unit", a.unit_element())]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .algebras import Element, FinAlgebra, adjoin_unit
+from .algebras import Element, FinAlgebra
 from .linalg import Mat, Subspace, Vec, as_vector, dot, kernel_from_constraints
 
 _ZERO = Fraction(0)
@@ -93,8 +93,11 @@ class IdealWitness:
 
 @dataclass(frozen=True)
 class SimplicityVerdict:
+    """The verdict, its witness ideal when negative, and the [A, A] tested."""
+
     commutator_simple: bool
     witness: IdealWitness | None
+    commutators: Subspace
 
     def __bool__(self) -> bool:
         return self.commutator_simple
@@ -109,7 +112,7 @@ def is_commutator_simple(a: FinAlgebra) -> SimplicityVerdict:
     commutators = commutator_subspace(a)
     ideal = largest_ideal_within(a, commutators)
     if ideal.dim == 0:
-        return SimplicityVerdict(True, None)
+        return SimplicityVerdict(True, None, commutators)
     for u in ideal.basis:
         for i in range(a.dim):
             if not ideal.contains_vector(a.mul_basis(i, u, "left")):
@@ -121,31 +124,25 @@ def is_commutator_simple(a: FinAlgebra) -> SimplicityVerdict:
     certificate = (
         f"verified A*I <= I, I*A <= I, and I <= [A,A] for dim-{ideal.dim} ideal I"
     )
-    return SimplicityVerdict(False, IdealWitness(ideal, certificate))
+    return SimplicityVerdict(False, IdealWitness(ideal, certificate), commutators)
 
 
 def radical(a: FinAlgebra) -> Subspace:
     """The largest nilpotent ideal (char-0 trace criterion).
 
-    For unital A: rad = {x : trace(L_{x b_j}) = 0 for all j}, the radical of
-    the trace form of the left regular representation.  Non-unital input is
-    handled by adjoining a unit and intersecting with the embedded copy.
+    rad = {x : trace(L_x) = 0 and trace(L_{x b_j}) = 0 for all j}, traces of
+    left multiplication on A.  This is the radical of the trace form of A
+    with a unit adjoined, intersected with A: for z in A, L_z has the same
+    trace there as on A.  For unital A the first condition follows from the
+    others.
     """
     d = a.dim
-    if d == 0:
-        return Subspace.zero(0)
-    if a.unit is None:
-        extended = adjoin_unit(a)
-        rad1 = radical(extended)
-        embedded = Subspace.from_rows(
-            d + 1, [tuple(_ZERO if t != i + 1 else Fraction(1) for t in range(d + 1))
-                    for i in range(d)]
-        )
-        inside = rad1 & embedded
-        return Subspace.from_rows(d, [row[1:] for row in inside.basis])
     left_traces = [sum((a.product(t, k)[k] for k in range(d)), _ZERO) for t in range(d)]
 
     def rows():
+        row = [(i, lt) for i, lt in enumerate(left_traces) if lt]
+        if row:
+            yield row
         for j in range(d):
             row = []
             for i in range(d):
@@ -280,10 +277,13 @@ def _common_gram_radical(a: FinAlgebra, functionals) -> Subspace:
 
 @dataclass(frozen=True)
 class TraceSearchResult:
+    """The search outcome and the dimension of the functional space searched."""
+
     functional: TraceFunctional | None
     definite_negative: bool
     degenerate_witness: Vec | None
     trials_used: int
+    space_dim: int
 
     @property
     def found(self) -> bool:
@@ -305,13 +305,13 @@ def has_nondegenerate_trace(a: FinAlgebra, seed: int, trials: int) -> TraceSearc
     basis = trace_functional_space(a)
     common = _common_gram_radical(a, basis)
     if common.dim > 0:
-        return TraceSearchResult(None, True, common.basis[0], 0)
+        return TraceSearchResult(None, True, common.basis[0], 0, len(basis))
     for tf in basis:
         if is_nondegenerate_trace(a, tf):
-            return TraceSearchResult(tf, False, None, 0)
+            return TraceSearchResult(tf, False, None, 0, len(basis))
     if not basis:
         # Only reachable at dimension zero, where there is nothing to search.
-        return TraceSearchResult(None, False, None, 0)
+        return TraceSearchResult(None, False, None, 0, 0)
     rng = Random(seed)
     domain = basis[0].domain
     s = domain.dim
@@ -329,5 +329,5 @@ def has_nondegenerate_trace(a: FinAlgebra, seed: int, trials: int) -> TraceSearc
                         coeffs[t] += w * x
         candidate = TraceFunctional(a.dim, domain, tuple(coeffs))
         if is_nondegenerate_trace(a, candidate):
-            return TraceSearchResult(candidate, False, None, trial)
-    return TraceSearchResult(None, False, None, trials)
+            return TraceSearchResult(candidate, False, None, trial, len(basis))
+    return TraceSearchResult(None, False, None, trials, len(basis))

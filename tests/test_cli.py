@@ -9,9 +9,8 @@ from finalg.cli import (
     EXIT_PARSE,
     EXIT_PROPERTY_FALSE,
     EXIT_REFUTATION,
-    PipelineUsageError,
+    EXIT_USAGE,
     main,
-    run_pipeline,
 )
 from finalg.document import format_cayley_table, format_map_file, parse_algebra_document
 
@@ -108,6 +107,15 @@ class TestGenerators:
         assert result.exit_code == EXIT_PARSE
         assert "exceeds the cap" in result.output
         assert not (tmp_path / "out.alg").exists()
+
+    def test_group_order_is_capped_before_the_table_is_read(self, tmp_path):
+        table = tmp_path / "big.tbl"
+        table.write_text("25 0\n0 1 x\n")
+        result = CliRunner().invoke(
+            main, ["gen", "group", "--cayley", str(table), "-o", str(tmp_path / "out.alg")]
+        )
+        assert result.exit_code == EXIT_PARSE
+        assert "dimension 25 exceeds the cap 24" in result.output
 
     def test_input_documents_are_capped(self, tmp_path):
         m3 = tmp_path / "m3.alg"
@@ -268,6 +276,34 @@ class TestLocalTests:
         )
         assert result.exit_code == EXIT_PROPERTY_FALSE
 
+    def test_inner_auto_zero_trials_runs_no_random_combination(self, workdir, monkeypatch):
+        tmp_path, cli = workdir
+        map_path = tmp_path / "tr.map"
+        map_path.write_text(format_map_file(fa.transpose_map(2)))
+        budgets = []
+        search = fa.inner_similarity_witness
+
+        def recording(a, x, target, rng, trials):
+            budgets.append(trials)
+            return search(a, x, target, rng, trials)
+
+        monkeypatch.setattr("finalg.maps.inner_similarity_witness", recording)
+        result = cli(
+            "local-test", tmp_path / "m2.alg", "--map", map_path, "--kind", "inner-auto",
+            "--seed", "7", "--samples", "2", "--trials", "0", "--format", "structured",
+        )
+        assert json.loads(result.output)["seeds"]["trials"] == 0
+        assert budgets and set(budgets) == {0}
+
+    def test_inner_auto_negative_trials_exits_3(self, workdir):
+        tmp_path, cli = workdir
+        result = cli(
+            "local-test", tmp_path / "m2.alg", "--map", "transpose", "--kind", "inner-auto",
+            "--seed", "7", "--samples", "2", "--trials", "-3",
+        )
+        assert result.exit_code == EXIT_PARSE
+        assert "trials must be nonnegative" in result.output
+
     def test_seeded_reruns_are_byte_identical(self, workdir):
         tmp_path, cli = workdir
         map_path = tmp_path / "tr.map"
@@ -293,15 +329,50 @@ class TestTraceCommand:
         assert result.exit_code == EXIT_PROPERTY_FALSE
         assert "definite-negative = true" in result.output
 
+    def test_zero_trials_exits_3(self, workdir):
+        tmp_path, cli = workdir
+        result = cli("trace", tmp_path / "m2.alg", "--seed", "1", "--trials", "0")
+        assert result.exit_code == EXIT_PARSE
+        assert "trials must be at least 1" in result.output
+
 
 class TestUsageAndErrors:
-    def test_unknown_pipeline_command(self):
-        with pytest.raises(PipelineUsageError):
-            run_pipeline("frobnicate", {})
-
     def test_unknown_cli_command_exits_2(self):
         result = CliRunner().invoke(main, ["frobnicate"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", ""],
+        ["derivations", ""],
+        ["verify-derivation-criterion", ""],
+        ["verify-jordan-criterion", "", "--map", "transpose"],
+        ["verify-jordan-criterion", "m2.alg", "--map", ""],
+        ["local-test", "", "--map", "transpose", "--kind", "derivation",
+         "--seed", "1", "--samples", "1"],
+        ["local-test", "m2.alg", "--map", "", "--kind", "derivation",
+         "--seed", "1", "--samples", "1"],
+        ["trace", "", "--seed", "1"],
+        ["gen", "matrix", "--n", "2", "-o", ""],
+        ["gen", "triangular", "--n", "2", "-o", ""],
+        ["gen", "group", "--cayley", "c2.tbl", "-o", ""],
+        ["gen", "direct", "", "m2.alg", "-o", "out.alg"],
+        ["gen", "direct", "m2.alg", "", "-o", "out.alg"],
+        ["gen", "direct", "m2.alg", "m2.alg", "-o", ""],
+        ["gen", "tensor", "", "m2.alg", "-o", "out.alg"],
+        ["gen", "tensor", "m2.alg", "", "-o", "out.alg"],
+        ["gen", "tensor", "m2.alg", "m2.alg", "-o", ""],
+        ["gen", "adjoin-unit", "", "-o", "out.alg"],
+        ["gen", "adjoin-unit", "m2.alg", "-o", ""],
+    ])
+    def test_empty_file_name_is_a_usage_error(self, args, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c2.tbl").write_text(format_cayley_table(fa.cyclic_group(2)))
+        doc = fa.document_from_algebra("M2", fa.build_matrix_algebra(2))
+        (tmp_path / "m2.alg").write_text(fa.serialize_document(doc))
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "must not be empty" in result.output
+        assert not (tmp_path / "out.alg").exists()
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.alg"
@@ -325,9 +396,45 @@ class TestUsageAndErrors:
         assert result.output.startswith("error: internal ")
         assert "verdict" not in result.output
 
-    def test_run_pipeline_report_round_trip(self, tmp_path):
-        out = tmp_path / "m2.alg"
-        CliRunner().invoke(main, ["gen", "matrix", "--n", "2", "-o", str(out)])
-        report = run_pipeline("analyze", {"path": str(out)})
-        payload = json.loads(fa.emit_report(report, "structured"))
-        assert payload == report.to_jsonable()
+
+class TestSharedSubspaces:
+    """Each command computes [A, A] and the trace-functional space as few
+    times as its checks need; maps imports commutator_subspace by name, so
+    the counter is installed in both modules."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        import finalg.maps
+        import finalg.structure
+
+        calls = {"commutators": 0, "trace-space": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        commutators = counting("commutators", finalg.structure.commutator_subspace)
+        monkeypatch.setattr(finalg.structure, "commutator_subspace", commutators)
+        monkeypatch.setattr(finalg.maps, "commutator_subspace", commutators)
+        monkeypatch.setattr(
+            finalg.structure, "trace_functional_space",
+            counting("trace-space", finalg.structure.trace_functional_space),
+        )
+        return calls
+
+    def test_analyze(self, workdir, counted):
+        tmp_path, cli = workdir
+        assert cli("analyze", tmp_path / "m3.alg").exit_code == 0
+        assert counted == {"commutators": 1, "trace-space": 1}
+
+    def test_verify_jordan_criterion(self, workdir, counted):
+        tmp_path, cli = workdir
+        assert cli("verify-jordan-criterion", tmp_path / "m3.alg", "--map", "transpose").exit_code == 0
+        assert counted["commutators"] <= 2
+
+    def test_trace(self, workdir, counted):
+        tmp_path, cli = workdir
+        assert cli("trace", tmp_path / "qs3.alg", "--seed", "5").exit_code == 0
+        assert counted["trace-space"] == 1

@@ -19,6 +19,14 @@ from helpers import (
 F = Fraction
 
 
+def _n3():
+    """Strictly upper-triangular 3x3 matrices, basis e12, e13, e23: the only
+    nonzero basis product is e12 e23 = e13."""
+    c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][2] = [F(0), F(1), F(0)]
+    return fa.FinAlgebra(c)
+
+
 class TestCommutatorSubspace:
     def test_commutative_algebra_has_none(self):
         a = fa.build_group_algebra(fa.cyclic_group(4))
@@ -140,6 +148,25 @@ class TestRadical:
         a = zero_product_algebra(2)
         assert fa.radical(a) == fa.Subspace.full(2)
         assert not fa.is_semiprime(a)
+
+    # Hand-derived oracles on non-unital algebras, where the trace row of
+    # the adjoined unit joins the rows of the basis products.
+    def test_strictly_upper_triangular_n3_is_its_own_radical(self):
+        assert fa.radical(_n3()) == fa.Subspace.full(3)
+
+    def test_e11_e12_span_has_radical_e12(self):
+        # Basis e11, e12 of a subalgebra of M2: e11 e11 = e11, e11 e12 = e12,
+        # the rest vanish.  <e12> is a square-zero ideal with a field quotient.
+        c = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
+        c[0][0] = [F(1), F(0)]
+        c[0][1] = [F(0), F(1)]
+        assert fa.radical(fa.FinAlgebra(c)) == fa.Subspace.from_rows(2, [(0, 1)])
+
+    def test_radical_of_m2_times_n3_is_the_n3_block(self):
+        p = fa.direct_product(fa.build_matrix_algebra(2), _n3())
+        assert p.unit is None
+        block = [tuple(F(int(t == s)) for t in range(7)) for s in (4, 5, 6)]
+        assert fa.radical(p) == fa.Subspace.from_rows(7, block)
 
     def test_group_algebras_are_semiprime(self):
         # Oracle: Maschke's theorem in characteristic zero.
