@@ -164,7 +164,8 @@ def _run_analyze(path: str, max_dim: int | None) -> Report:
 
     simplicity = structure.is_commutator_simple(algebra)
     sec = rep.section("commutator")
-    sec.add("dim-products", structure.product_span(algebra).dim)
+    products = structure.product_span(algebra)
+    sec.add("dim-products", products.dim)
     sec.add("dim-commutators", simplicity.commutators.dim)
     sec.add("commutator-simple", bool(simplicity))
     if not simplicity:
@@ -177,11 +178,11 @@ def _run_analyze(path: str, max_dim: int | None) -> Report:
     sec.add("dim-radical", rad.dim)
     sec.add("semiprime", rad.dim == 0)
 
-    basis = structure.trace_functional_space(algebra)
-    common = structure._common_gram_radical(algebra, basis)
+    basis = structure.trace_functional_space(algebra, products)
+    common, kernels = structure._common_gram_radical(algebra, basis)
     sec = rep.section("trace")
     sec.add("trace-space-dim", len(basis))
-    nondeg = [structure.is_nondegenerate_trace(algebra, tf) for tf in basis]
+    nondeg = list(structure._nondegenerate_flags(algebra, basis, kernels))
     sec.add("basis-functionals-nondegenerate", nondeg)
     sec.add("definite-negative", common.dim > 0)
     if common.dim > 0:
@@ -388,7 +389,7 @@ def gen_triangular(n, out, max_dim):
 
 
 @gen.command("group")
-@click.option("--cayley", required=True, type=click.Path(dir_okay=False))
+@click.option("--cayley", required=True, **_FILE)
 @click.option("--name", default=None, help="Algebra name (default QG<order>).")
 @_gen_common
 def gen_group(cayley, name, out, max_dim):

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Scalars are `fractions.Fraction` throughout; there is no floating-point
-path anywhere.  Rationals serialize as ``p/q`` (or just ``p`` when the
-denominator is 1) with the sign on the numerator.
+Scalars are `fractions.Fraction` throughout; nothing is ever rounded.
+Rationals serialize as ``p/q`` (or just ``p`` when the denominator is 1)
+with the sign on the numerator.
 
 Subspaces of Q^n are stored by their reduced-row-echelon basis.  That
 basis is unique, so two equal subspaces have identical representations
@@ -365,52 +365,72 @@ def kernel_from_constraints(
     """Common null space of a stream of sparse constraint rows on Q^n.
 
     Each row is an iterable of (index, coefficient) pairs.  The current
-    null space is maintained as an explicit basis and shrunk one dimension
-    per independent constraint, so redundant rows only cost a sparse dot
-    product per surviving basis vector.  Intended for the long,
-    highly redundant systems produced by polarized identities.
+    null space is kept as an explicit basis, shrunk by one vector per
+    independent constraint; intended for the long, highly redundant
+    systems produced by polarized identities.
+
+    The basis vectors are sparse, and a column index lists, for each
+    coordinate, the vectors that are nonzero there.  A row's values on the
+    whole basis therefore cost the nonzeros of the columns the row
+    touches, which is all a redundant row costs; an independent row also
+    updates the vectors it hits, each by the pivot vector's nonzeros.  The
+    pivot is the first hit vector whose value is +-1, else the first hit
+    one, and the survivors keep their order.  Values are held exactly,
+    integral ones as ``int`` and the rest as ``Fraction``, never as
+    rounded binary numbers (a true division of two ints would give one);
+    the result is built from ``Fraction`` vectors.
     """
-    basis: list[list[Fraction]] = []
-    for i in range(n):
-        v = [_ZERO] * n
-        v[i] = _ONE
-        basis.append(v)
+    # vectors[k] maps coordinate -> nonzero value; columns[j] maps vector
+    # key -> its nonzero value at j.  Keys follow the original order, and
+    # deleting keeps the order of the rest.
+    vectors: dict[int, dict[int, int | Fraction]] = {k: {k: 1} for k in range(n)}
+    columns: list[dict[int, int | Fraction]] = [{k: 1} for k in range(n)]
     for row in rows:
-        if not basis:
+        if not vectors:
             break
-        entries = [(i, c) for i, c in row if c]
-        if not entries:
-            continue
-        vals = []
-        hit = False
-        for v in basis:
-            s = _ZERO
-            for idx, coef in entries:
-                x = v[idx]
-                if x:
-                    s += coef * x
-            vals.append(s)
-            if s:
-                hit = True
-        if not hit:
-            continue
-        pivot = -1
-        for i, val in enumerate(vals):
-            if val:
-                if pivot < 0:
-                    pivot = i
-                if val == 1 or val == -1:
-                    pivot = i
-                    break
-        pvec = basis[pivot]
-        pval = vals[pivot]
-        new_basis = []
-        for i, (v, val) in enumerate(zip(basis, vals)):
-            if i == pivot:
+        values: dict[int, int | Fraction] = {}
+        for j, c in row:
+            if c.denominator == 1:
+                c = c.numerator
+            if not c:
                 continue
-            if val:
-                f = val / pval
-                v = [a - f * b if b else a for a, b in zip(v, pvec)]
-            new_basis.append(v)
-        basis = new_basis
+            for k, x in columns[j].items():
+                values[k] = values.get(k, 0) + c * x
+        hits = [k for k, s in values.items() if s]
+        if not hits:
+            continue
+        units = [k for k in hits if values[k] == 1 or values[k] == -1]
+        pivot = min(units) if units else min(hits)
+        pvec = vectors.pop(pivot)
+        pval = values[pivot]
+        for j in pvec:
+            del columns[j][pivot]
+        for k in hits:
+            if k == pivot:
+                continue
+            f = _exact_quotient(values[k], pval)
+            v = vectors[k]
+            for j, b in pvec.items():
+                x = v.get(j, 0) - f * b
+                if x:
+                    if x.denominator == 1:
+                        x = x.numerator
+                    v[j] = columns[j][k] = x
+                else:
+                    del v[j], columns[j][k]
+    basis = []
+    for v in vectors.values():
+        dense = [_ZERO] * n
+        for j, x in v.items():
+            # keep the Fractions: copies would add to the peak memory
+            dense[j] = Fraction(x) if type(x) is int else x
+        basis.append(dense)
     return Subspace.from_rows(n, basis)
+
+
+def _exact_quotient(p: int | Fraction, q: int | Fraction) -> int | Fraction:
+    """The exact quotient of p by q: an ``int`` when integral, else a ``Fraction``."""
+    if type(p) is int and type(q) is int and p % q == 0:
+        return p // q
+    r = Fraction(p, q)
+    return r.numerator if r.denominator == 1 else r

@@ -229,13 +229,17 @@ def _validate_trace(a: FinAlgebra, tf: TraceFunctional) -> None:
                 )
 
 
-def trace_functional_space(a: FinAlgebra) -> tuple[TraceFunctional, ...]:
+def trace_functional_space(
+    a: FinAlgebra, domain: Subspace | None = None
+) -> tuple[TraceFunctional, ...]:
     """A basis of all functionals on A^2 with t(b_i b_j) = t(b_j b_i).
 
     Equivalently, the functionals on A^2 vanishing on [A,A] (intersected
-    with A^2), computed as a kernel.
+    with A^2), computed as a kernel.  ``domain`` is A^2 (``product_span``)
+    when the caller has it already.
     """
-    domain = product_span(a)
+    if domain is None:
+        domain = product_span(a)
     s = domain.dim
 
     def rows():
@@ -264,15 +268,31 @@ def is_nondegenerate_trace(a: FinAlgebra, tf: TraceFunctional) -> bool:
     return len(gram_matrix(a, tf).kernel()) == 0
 
 
-def _common_gram_radical(a: FinAlgebra, functionals) -> Subspace:
+def _gram_kernel(a: FinAlgebra, tf: TraceFunctional) -> Subspace:
+    return Subspace.from_rows(a.dim, gram_matrix(a, tf).kernel())
+
+
+def _common_gram_radical(a: FinAlgebra, functionals) -> tuple[Subspace, list[Subspace]]:
     """Vectors annihilated by every functional's Gram form (the whole space
-    when there are no functionals)."""
+    when there are no functionals), and the Gram kernels computed for it:
+    those of the leading functionals, up to the first that leaves zero."""
     common = Subspace.full(a.dim)
+    kernels = []
     for tf in functionals:
-        common = common & Subspace.from_rows(a.dim, gram_matrix(a, tf).kernel())
+        kernels.append(_gram_kernel(a, tf))
+        common = common & kernels[-1]
         if common.dim == 0:
             break
-    return common
+    return common, kernels
+
+
+def _nondegenerate_flags(a: FinAlgebra, functionals, kernels):
+    """Lazily, whether each functional is nondegenerate, reusing the Gram
+    kernels already known for the leading ones.  The functionals must be
+    trace functionals already (no re-validation)."""
+    for i, tf in enumerate(functionals):
+        kernel = kernels[i] if i < len(kernels) else _gram_kernel(a, tf)
+        yield kernel.dim == 0
 
 
 @dataclass(frozen=True)
@@ -303,11 +323,11 @@ def has_nondegenerate_trace(a: FinAlgebra, seed: int, trials: int) -> TraceSearc
     if trials < 1:
         raise ValueError("trials must be at least 1")
     basis = trace_functional_space(a)
-    common = _common_gram_radical(a, basis)
+    common, kernels = _common_gram_radical(a, basis)
     if common.dim > 0:
         return TraceSearchResult(None, True, common.basis[0], 0, len(basis))
-    for tf in basis:
-        if is_nondegenerate_trace(a, tf):
+    for tf, nondegenerate in zip(basis, _nondegenerate_flags(a, basis, kernels)):
+        if nondegenerate:
             return TraceSearchResult(tf, False, None, 0, len(basis))
     if not basis:
         # Only reachable at dimension zero, where there is nothing to search.
@@ -327,7 +347,8 @@ def has_nondegenerate_trace(a: FinAlgebra, seed: int, trials: int) -> TraceSearc
                 for t, x in enumerate(tf.coeffs):
                     if x:
                         coeffs[t] += w * x
+        # a combination of trace functionals is one: no re-validation
         candidate = TraceFunctional(a.dim, domain, tuple(coeffs))
-        if is_nondegenerate_trace(a, candidate):
+        if not gram_matrix(a, candidate).kernel():
             return TraceSearchResult(candidate, False, None, trial, len(basis))
     return TraceSearchResult(None, False, None, trials, len(basis))

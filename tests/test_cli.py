@@ -363,6 +363,7 @@ class TestUsageAndErrors:
         ["gen", "tensor", "m2.alg", "m2.alg", "-o", ""],
         ["gen", "adjoin-unit", "", "-o", "out.alg"],
         ["gen", "adjoin-unit", "m2.alg", "-o", ""],
+        ["gen", "group", "--cayley", "", "-o", "out.alg"],
     ])
     def test_empty_file_name_is_a_usage_error(self, args, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -438,3 +439,37 @@ class TestSharedSubspaces:
         tmp_path, cli = workdir
         assert cli("trace", tmp_path / "qs3.alg", "--seed", "5").exit_code == 0
         assert counted["trace-space"] == 1
+
+
+class TestSharedTraceWork:
+    """Each command builds A^2 once and each functional's Gram matrix at
+    most once; Q[S3] has three basis functionals and the first one is
+    nondegenerate."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        import finalg.structure
+
+        calls = {"gram": 0, "products": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(finalg.structure, "gram_matrix",
+                            counting("gram", finalg.structure.gram_matrix))
+        monkeypatch.setattr(finalg.structure, "product_span",
+                            counting("products", finalg.structure.product_span))
+        return calls
+
+    def test_analyze(self, workdir, counted):
+        tmp_path, cli = workdir
+        assert cli("analyze", tmp_path / "qs3.alg").exit_code == 0
+        assert counted == {"gram": 3, "products": 1}
+
+    def test_trace(self, workdir, counted):
+        tmp_path, cli = workdir
+        assert cli("trace", tmp_path / "qs3.alg", "--seed", "5").exit_code == 0
+        assert counted == {"gram": 1, "products": 1}

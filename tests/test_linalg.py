@@ -201,3 +201,51 @@ class TestKernelFromConstraints:
 
     def test_no_constraints_gives_full_space(self):
         assert kernel_from_constraints(3, []) == Subspace.full(3)
+
+
+# Coefficients that are mostly not +-1, so that pivots are rarely units and
+# quotients rarely integral; plain ints mixed with Fractions, some of them
+# with denominator 1.
+coefficients = st.one_of(
+    st.sampled_from([0, 2, -2, 3, -3, 5, 7, -7]),
+    st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 1, 2, 3])),
+)
+
+
+@st.composite
+def sparse_systems(draw, max_rows=12, max_unknowns=8):
+    """n unknowns and rows of (index, coefficient) pairs, with repeated
+    indices, explicit zero coefficients and empty rows allowed."""
+    n = draw(st.integers(1, max_unknowns))
+    entry = st.tuples(st.integers(0, n - 1), coefficients)
+    rows = draw(st.lists(st.lists(entry, max_size=6), max_size=max_rows))
+    return n, rows
+
+
+def _dense(n, row):
+    out = [Fraction(0)] * n
+    for j, c in row:
+        out[j] += c
+    return out
+
+
+class TestKernelFromConstraintsExact:
+    """The streamed kernel against the dense RREF kernel, on exact integer
+    and rational inputs whose quotients are not integral."""
+
+    @given(sparse_systems())
+    @settings(max_examples=200)
+    def test_agrees_with_dense_kernel(self, system):
+        n, rows = system
+        streamed = kernel_from_constraints(n, rows)
+        dense = [_dense(n, row) for row in rows]
+        expected = Subspace.from_rows(n, Mat(dense, cols=n).kernel())
+        assert streamed == expected
+        assert all(type(x) is Fraction for v in streamed.basis for x in v)
+
+    def test_non_dyadic_quotient_stays_exact(self):
+        # No +-1 pivot: eliminating needs 2/3, which a float division
+        # would round.
+        kernel = kernel_from_constraints(2, [[(0, 3), (1, 2)]])
+        assert kernel.basis == ((F(1), F(-3, 2)),)
+        assert all(type(x) is Fraction for x in kernel.basis[0])

@@ -413,3 +413,45 @@ class TestInnerSimilarity:
         a = zero_product_algebra(2)
         with pytest.raises(ValueError, match="unital"):
             fa.local_inner_automorphism_test(a, fa.Mat.identity(2), 1, 1)
+
+
+class TestCapSize:
+    """The map spaces at the dimension cap (d = 24) and near it, against
+    independent oracles.  On a semisimple algebra, inner = derivations =
+    Jordan derivations = criterion maps = d - dim(center), and dim(center)
+    is the number of simple blocks."""
+
+    @pytest.mark.parametrize("build, blocks", [
+        # Q[S4]: one block per conjugacy class (the 5 partitions of 4),
+        # because every irreducible representation of S_n is rational.
+        (lambda: fa.build_group_algebra(fa.symmetric_group(4)), 5),
+        # Q[S3] = Q + Q + M2(Q); tensoring with M2 keeps three blocks.
+        (lambda: fa.tensor_product(
+            fa.build_group_algebra(fa.symmetric_group(3)), fa.build_matrix_algebra(2)), 3),
+        (lambda: fa.build_matrix_algebra(4), 1),
+    ], ids=["QS4", "QS3tM2", "M4"])
+    def test_semisimple_spaces_agree(self, build, blocks):
+        a = build()
+        expected = a.dim - blocks
+        report = fa.verify_derivation_criterion(a)
+        assert report.verdict == "verified"
+        assert report.spaces == {
+            "inner-derivations": expected,
+            "derivations": expected,
+            "criterion-maps": expected,
+        }
+        assert fa.jordan_derivation_space(a).dim == expected
+
+    def test_s4_class_count(self):
+        assert len(fa.symmetric_group(4).conjugacy_classes()) == 5
+
+    def test_t5(self):
+        # Every derivation of T_n is inner and the center is the scalars:
+        # n(n+1)/2 - 1 = 14; Jordan derivations of T_n are derivations.
+        # T5 has a radical, so the criterion's hypotheses fail.
+        a = fa.build_upper_triangular(5)
+        report = fa.verify_derivation_criterion(a)
+        assert report.verdict == "hypotheses-not-met"
+        assert {c.name: c.passed for c in report.checks}["semiprime"] is False
+        assert report.spaces["inner-derivations"] == report.spaces["derivations"] == 14
+        assert fa.jordan_derivation_space(a).dim == 14
