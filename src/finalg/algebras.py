@@ -6,7 +6,7 @@ are stored sparsely, as the nonzero (k, c[i][j][k]) pairs of each basis
 product, and read through the product API of `FinAlgebra`: `product`,
 `product_terms`, `mul` and `mul_basis`.  Associativity (and the unit law,
 when a unit is declared) is checked at construction; instances are
-immutable afterwards.
+immutable afterwards, apart from the cache behind `FinAlgebra.derived`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
@@ -45,7 +46,7 @@ class FinAlgebra:
     entries are kept.
     """
 
-    __slots__ = ("dim", "unit", "labels", "_pairs")
+    __slots__ = ("dim", "unit", "labels", "_pairs", "_derived")
 
     def __init__(self, c, unit=None, labels=None):
         planes = [[as_vector(row) for row in plane] for plane in c]
@@ -64,24 +65,39 @@ class FinAlgebra:
         self.labels = None if labels is None else tuple(str(s) for s in labels)
         if self.labels is not None and len(self.labels) != dim:
             raise ValueError("label list has wrong length")
+        self._derived = {}
         self._validate()
 
     def _validate(self) -> None:
-        d, pairs = self.dim, self._pairs
+        # Associativity is checked on the constants times their common
+        # denominator L, in exact int arithmetic: both sides are homogeneous
+        # of degree 2 in the constants, so they agree exactly when the
+        # rational sides, the integer sides divided by L^2, agree.
+        d = self.dim
+        scale = lcm(*[c.denominator for plane in self._pairs for row in plane for _, c in row])
+        pairs = [
+            [[(k, c.numerator * (scale // c.denominator)) for k, c in row] for row in plane]
+            for plane in self._pairs
+        ]
         for i in range(d):
             for j in range(d):
                 pij = pairs[i][j]
                 for k in range(d):
-                    left = [_ZERO] * d
+                    left = [0] * d
                     for t, a in pij:
                         for s, x in pairs[t][k]:
                             left[s] += a * x
-                    right = [_ZERO] * d
+                    right = [0] * d
                     for t, b in pairs[j][k]:
                         for s, x in pairs[i][t]:
                             right[s] += b * x
                     if left != right:
-                        raise AssociativityError((i, j, k), tuple(left), tuple(right))
+                        square = scale * scale
+                        raise AssociativityError(
+                            (i, j, k),
+                            tuple(Fraction(x, square) for x in left),
+                            tuple(Fraction(x, square) for x in right),
+                        )
         if self.unit is not None:
             for i in range(d):
                 e = tuple(_ONE if s == i else _ZERO for s in range(d))
@@ -180,6 +196,14 @@ class FinAlgebra:
                 for k, coef in row_pairs:
                     m[k][j] += xi * coef
         return Mat(m)
+
+    def derived(self, build):
+        """build(self), computed on the first call with this build function
+        and kept on the algebra, so that an invariant which several checks
+        of one command need, such as [A, A], is built once."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
     def _element_check(self, x: "Element") -> None:
         if x.algebra is not self and x.algebra != self:

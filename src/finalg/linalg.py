@@ -1,6 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Scalars are `fractions.Fraction` throughout; nothing is ever rounded.
+Scalars, results and verdicts are `fractions.Fraction`; nothing is ever
+rounded.  The hot loop of `kernel_from_constraints` clears denominators
+once and then runs in exact ``int`` arithmetic, converting back to
+`Fraction` only for its result.
 Rationals serialize as ``p/q`` (or just ``p`` when the denominator is 1)
 with the sign on the numerator.
 
@@ -15,6 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -364,43 +368,57 @@ def kernel_from_constraints(
 ) -> Subspace:
     """Common null space of a stream of sparse constraint rows on Q^n.
 
-    Each row is an iterable of (index, coefficient) pairs.  The current
-    null space is kept as an explicit basis, shrunk by one vector per
-    independent constraint; intended for the long, highly redundant
-    systems produced by polarized identities.
+    Each row is an iterable of (index, coefficient) pairs, the coefficients
+    ``int`` or ``Fraction``.  The current null space is kept as an explicit
+    basis, shrunk by one vector per independent constraint; intended for
+    the long, highly redundant systems produced by polarized identities.
 
-    The basis vectors are sparse, and a column index lists, for each
-    coordinate, the vectors that are nonzero there.  A row's values on the
-    whole basis therefore cost the nonzeros of the columns the row
-    touches, which is all a redundant row costs; an independent row also
-    updates the vectors it hits, each by the pivot vector's nonzeros.  The
-    pivot is the first hit vector whose value is +-1, else the first hit
-    one, and the survivors keep their order.  Values are held exactly,
-    integral ones as ``int`` and the rest as ``Fraction``, never as
-    rounded binary numbers (a true division of two ints would give one);
-    the result is built from ``Fraction`` vectors.
+    The loop runs in exact ``int`` arithmetic.  Each row is scaled by the
+    lcm of its denominators, which leaves its kernel unchanged (the lcm
+    grows as the row is read, and the values found so far are lifted to
+    it), and the basis vectors are integer vectors.  They are sparse, and
+    a column index lists, for each coordinate, the vectors that are nonzero
+    there.  A row's values on the whole basis therefore cost the nonzeros
+    of the columns the row touches, which is all a redundant row costs.  An
+    independent row takes as pivot p a hit vector whose value pval is
+    smallest in absolute value and updates only the other hit vectors: v
+    with value val becomes v - (val/pval) p when pval divides val, else
+    (pval/g) v - (val/g) p divided by its content, g = gcd(pval, val).
+    Either keeps the span, and the division keeps v primitive, so its
+    entries stay small.  The result is the canonical `Subspace` of the
+    surviving vectors as ``Fraction`` vectors; nothing is ever rounded.
     """
-    # vectors[k] maps coordinate -> nonzero value; columns[j] maps vector
-    # key -> its nonzero value at j.  Keys follow the original order, and
+    # vectors[k] maps coordinate -> nonzero int; columns[j] maps vector key
+    # -> its nonzero value at j.  Keys follow the original order, and
     # deleting keeps the order of the rest.
-    vectors: dict[int, dict[int, int | Fraction]] = {k: {k: 1} for k in range(n)}
-    columns: list[dict[int, int | Fraction]] = [{k: 1} for k in range(n)]
+    vectors: dict[int, dict[int, int]] = {k: {k: 1} for k in range(n)}
+    columns: list[dict[int, int]] = [{k: 1} for k in range(n)]
     for row in rows:
         if not vectors:
             break
-        values: dict[int, int | Fraction] = {}
+        values: dict[int, int] = {}
+        scale = 1
         for j, c in row:
-            if c.denominator == 1:
-                c = c.numerator
-            if not c:
+            p = c.numerator
+            if not p:
                 continue
+            q = c.denominator
+            if q != 1:
+                if scale % q:
+                    # a new factor of the lcm: lift the values found so far
+                    m = q // gcd(scale, q)
+                    scale *= m
+                    for k in values:
+                        values[k] *= m
+                p *= scale // q
+            elif scale != 1:
+                p *= scale
             for k, x in columns[j].items():
-                values[k] = values.get(k, 0) + c * x
+                values[k] = values.get(k, 0) + p * x
         hits = [k for k, s in values.items() if s]
         if not hits:
             continue
-        units = [k for k in hits if values[k] == 1 or values[k] == -1]
-        pivot = min(units) if units else min(hits)
+        pivot = min(hits, key=lambda k: abs(values[k]))
         pvec = vectors.pop(pivot)
         pval = values[pivot]
         for j in pvec:
@@ -408,29 +426,36 @@ def kernel_from_constraints(
         for k in hits:
             if k == pivot:
                 continue
-            f = _exact_quotient(values[k], pval)
+            val = values[k]
             v = vectors[k]
+            if val % pval == 0:
+                f = val // pval
+                for j, b in pvec.items():
+                    x = v.get(j, 0) - f * b
+                    if x:
+                        v[j] = columns[j][k] = x
+                    else:
+                        del v[j], columns[j][k]
+                continue
+            g = gcd(pval, val)
+            a, f = pval // g, val // g
+            v = {j: a * x for j, x in v.items()}
             for j, b in pvec.items():
                 x = v.get(j, 0) - f * b
                 if x:
-                    if x.denominator == 1:
-                        x = x.numerator
-                    v[j] = columns[j][k] = x
+                    v[j] = x
                 else:
                     del v[j], columns[j][k]
+            content = gcd(*v.values())
+            if content != 1:
+                v = {j: x // content for j, x in v.items()}
+            vectors[k] = v
+            for j, x in v.items():
+                columns[j][k] = x
     basis = []
     for v in vectors.values():
         dense = [_ZERO] * n
         for j, x in v.items():
-            # keep the Fractions: copies would add to the peak memory
-            dense[j] = Fraction(x) if type(x) is int else x
+            dense[j] = Fraction(x)
         basis.append(dense)
     return Subspace.from_rows(n, basis)
-
-
-def _exact_quotient(p: int | Fraction, q: int | Fraction) -> int | Fraction:
-    """The exact quotient of p by q: an ``int`` when integral, else a ``Fraction``."""
-    if type(p) is int and type(q) is int and p % q == 0:
-        return p // q
-    r = Fraction(p, q)
-    return r.numerator if r.denominator == 1 else r

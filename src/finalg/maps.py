@@ -190,7 +190,7 @@ def _constraint_rows(a: FinAlgebra, identities):
             (k, r, v) for k in range(d) for r, v in _terms(a, left + (k,) + right)
         ])
         return
-    for f in commutator_subspace(a).annihilator().basis:
+    for f in a.derived(commutator_subspace).annihilator().basis:
         # columns[r][k] = f(b_k b_r)
         columns = [
             tuple(
@@ -244,7 +244,7 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
     basis = Mat.identity(d).data
     images = [t.column(j) for j in range(d)]
     modulo = identities[0].modulo_commutators
-    modulus = commutator_subspace(a) if modulo else Subspace.zero(d)
+    modulus = a.derived(commutator_subspace) if modulo else Subspace.zero(d)
     prefixes: dict[tuple, Vec] = {}
 
     def value(factors) -> Vec:

@@ -109,7 +109,7 @@ def is_commutator_simple(a: FinAlgebra) -> SimplicityVerdict:
     A negative verdict carries the largest such ideal as a re-verified
     witness.
     """
-    commutators = commutator_subspace(a)
+    commutators = a.derived(commutator_subspace)
     ideal = largest_ideal_within(a, commutators)
     if ideal.dim == 0:
         return SimplicityVerdict(True, None, commutators)

@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 import finalg as fa
-from helpers import corpus, random_algebra, zero_product_algebra
+from helpers import corpus, corpus_algebra, dense_copy, random_algebra, zero_product_algebra
 
 F = Fraction
 
@@ -181,6 +182,61 @@ class TestAssociativityValidation:
         assert tuple(left) == excinfo.value.left
         assert tuple(right) == excinfo.value.right
         assert left != right
+
+    @staticmethod
+    def _rescaled(a, scales):
+        """The constants and unit of a on the basis s_i b_i."""
+        d = a.dim
+        c = [[[a.product(i, j)[k] * scales[i] * scales[j] / scales[k] for k in range(d)]
+              for j in range(d)] for i in range(d)]
+        unit = None if a.unit is None else [a.unit[k] / scales[k] for k in range(d)]
+        return c, unit
+
+    @staticmethod
+    def _sides(c, i, j, k):
+        d = len(c)
+        left = [F(0)] * d
+        right = [F(0)] * d
+        for t in range(d):
+            for s in range(d):
+                left[s] += c[i][j][t] * c[t][k][s]
+                right[s] += c[j][k][t] * c[i][t][s]
+        return tuple(left), tuple(right)
+
+    def test_rational_failure_reports_the_fraction_sides(self):
+        # Constants with denominators 2, 3 and 5 (and their products), then
+        # one of them corrupted: the error must carry the first failing
+        # triple and both sides exactly as the Fraction formula gives them.
+        c, _ = self._rescaled(fa.build_matrix_algebra(2), (F(1, 2), F(1, 3), F(1), F(1, 5)))
+        assert {x.denominator for plane in c for row in plane for x in row} == {1, 2, 3, 5}
+        c[1][2][3] += F(7, 30)
+        with pytest.raises(fa.AssociativityError) as excinfo:
+            fa.FinAlgebra(c)
+        for first in itertools.product(range(4), repeat=3):
+            left, right = self._sides(c, *first)
+            if left != right:
+                break
+        error = excinfo.value
+        assert error.triple == first
+        assert error.left == left and error.right == right
+        assert all(type(x) is Fraction for x in error.left + error.right)
+        i, j, k = first
+        assert str(error) == (
+            f"associativity fails at basis triple ({i},{j},{k}): "
+            f"(b{i}*b{j})*b{k} = {[str(x) for x in left]} but "
+            f"b{i}*(b{j}*b{k}) = {[str(x) for x in right]}"
+        )
+
+    def test_dense_copy_with_non_dyadic_denominators_validates(self):
+        a = dense_copy(corpus_algebra("QS3"), Random(3))
+        c, unit = self._rescaled(a, (F(1), F(3), F(1, 5), F(7, 11), F(13), F(1, 9)))
+        denominators = {x.denominator for plane in c for row in plane for x in row}
+        assert all(any(q % p == 0 for q in denominators) for p in (3, 5, 7, 11))
+        b = fa.FinAlgebra(c, unit)
+        assert b.unit == tuple(unit)
+        for i in range(6):
+            for j in range(6):
+                assert b.product(i, j) == tuple(c[i][j])
 
     def test_bad_unit_rejected(self):
         a = fa.build_matrix_algebra(2)

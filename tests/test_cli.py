@@ -150,6 +150,19 @@ class TestGenerators:
         )
         assert result.exit_code == 0
 
+    def test_derivations_above_the_cap_need_max_dim(self, tmp_path):
+        runner = CliRunner()
+        m5 = str(tmp_path / "m5.alg")
+        result = runner.invoke(main, ["gen", "matrix", "--n", "5", "-o", m5, "--max-dim", "25"])
+        assert result.exit_code == 0
+        result = runner.invoke(main, ["derivations", m5])
+        assert result.exit_code == EXIT_PARSE
+        assert "dimension 25 exceeds the cap 24" in result.output
+        result = runner.invoke(main, ["derivations", m5, "--max-dim", "25"])
+        assert result.exit_code == 0, result.output
+        for name in ("inner-derivations", "derivations", "jordan-derivations", "criterion-maps"):
+            assert f"\n{name} = 24\n" in result.output
+
 
 class TestAnalyze:
     def test_m2_report_facts(self, workdir):
@@ -399,9 +412,9 @@ class TestUsageAndErrors:
 
 
 class TestSharedSubspaces:
-    """Each command computes [A, A] and the trace-functional space as few
-    times as its checks need; maps imports commutator_subspace by name, so
-    the counter is installed in both modules."""
+    """Each command computes [A, A] and the trace-functional space once;
+    maps imports commutator_subspace by name, so the counter is installed
+    in both modules."""
 
     @pytest.fixture()
     def counted(self, monkeypatch):
@@ -433,7 +446,12 @@ class TestSharedSubspaces:
     def test_verify_jordan_criterion(self, workdir, counted):
         tmp_path, cli = workdir
         assert cli("verify-jordan-criterion", tmp_path / "m3.alg", "--map", "transpose").exit_code == 0
-        assert counted["commutators"] <= 2
+        assert counted["commutators"] == 1
+
+    def test_verify_derivation_criterion(self, workdir, counted):
+        tmp_path, cli = workdir
+        assert cli("verify-derivation-criterion", tmp_path / "m3.alg").exit_code == 0
+        assert counted["commutators"] == 1
 
     def test_trace(self, workdir, counted):
         tmp_path, cli = workdir

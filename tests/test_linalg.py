@@ -212,13 +212,37 @@ coefficients = st.one_of(
 )
 
 
+# Large numerators over large coprime denominators, so that rows need a
+# real lcm scaling and eliminated vectors a real content division.
+wide_coefficients = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.builds(
+        Fraction,
+        st.integers(-(10**12), 10**12),
+        st.sampled_from([7, 11, 77, 10**6 + 3, 7 * (10**6 + 3), 11 * (10**6 + 3)]),
+    ),
+)
+
+
 @st.composite
-def sparse_systems(draw, max_rows=12, max_unknowns=8):
+def sparse_systems(draw, max_rows=12, max_unknowns=8, values=coefficients):
     """n unknowns and rows of (index, coefficient) pairs, with repeated
     indices, explicit zero coefficients and empty rows allowed."""
     n = draw(st.integers(1, max_unknowns))
-    entry = st.tuples(st.integers(0, n - 1), coefficients)
+    entry = st.tuples(st.integers(0, n - 1), values)
     rows = draw(st.lists(st.lists(entry, max_size=6), max_size=max_rows))
+    return n, rows
+
+
+@st.composite
+def wide_systems(draw):
+    """Sparse systems on wide coefficients, plus dependent rows: one row
+    plus a wide multiple of another."""
+    n, rows = draw(sparse_systems(max_rows=8, values=wide_coefficients))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        first, second = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        factor = draw(wide_coefficients)
+        rows.append(first + [(j, factor * c) for j, c in second])
     return n, rows
 
 
@@ -236,6 +260,15 @@ class TestKernelFromConstraintsExact:
     @given(sparse_systems())
     @settings(max_examples=200)
     def test_agrees_with_dense_kernel(self, system):
+        self._check(system)
+
+    @given(wide_systems())
+    @settings(max_examples=150)
+    def test_agrees_with_dense_kernel_on_wide_coefficients(self, system):
+        self._check(system)
+
+    @staticmethod
+    def _check(system):
         n, rows = system
         streamed = kernel_from_constraints(n, rows)
         dense = [_dense(n, row) for row in rows]

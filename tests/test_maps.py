@@ -416,10 +416,10 @@ class TestInnerSimilarity:
 
 
 class TestCapSize:
-    """The map spaces at the dimension cap (d = 24) and near it, against
-    independent oracles.  On a semisimple algebra, inner = derivations =
-    Jordan derivations = criterion maps = d - dim(center), and dim(center)
-    is the number of simple blocks."""
+    """The map spaces at the dimension cap (d = 24), near it and just above
+    it, against independent oracles.  On a semisimple algebra, inner =
+    derivations = Jordan derivations = criterion maps = d - dim(center), and
+    dim(center) is the number of simple blocks."""
 
     @pytest.mark.parametrize("build, blocks", [
         # Q[S4]: one block per conjugacy class (the 5 partitions of 4),
@@ -429,7 +429,9 @@ class TestCapSize:
         (lambda: fa.tensor_product(
             fa.build_group_algebra(fa.symmetric_group(3)), fa.build_matrix_algebra(2)), 3),
         (lambda: fa.build_matrix_algebra(4), 1),
-    ], ids=["QS4", "QS3tM2", "M4"])
+        # M5: d = 25, above the cap, which only the CLI enforces.
+        (lambda: fa.build_matrix_algebra(5), 1),
+    ], ids=["QS4", "QS3tM2", "M4", "M5"])
     def test_semisimple_spaces_agree(self, build, blocks):
         a = build()
         expected = a.dim - blocks
