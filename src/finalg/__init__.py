@@ -76,10 +76,8 @@ from .maps import (
     local_inner_automorphism_test,
     map_from_basis_images,
     multiplicativity_check,
-    pointwise_inner_witness,
     scaled_identity_map,
     transpose_map,
-    unflatten_map,
     verify_derivation_criterion,
     verify_jordan_criterion,
 )

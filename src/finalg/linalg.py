@@ -15,9 +15,8 @@ and ``==`` decides set equality structurally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -60,7 +59,7 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 class Mat:
     """Immutable dense matrix of rationals, row-major."""
 
-    __slots__ = ("rows", "cols", "data", "_rref_cache")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
         rows = tuple(as_vector(r) for r in data)
@@ -77,7 +76,6 @@ class Mat:
         self.data = rows
         self.rows = len(rows)
         self.cols = width
-        self._rref_cache = None
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
@@ -167,42 +165,40 @@ class Mat:
     def rref(self) -> tuple["Mat", tuple[int, ...], int]:
         """Reduced row echelon form, pivot columns, and rank.
 
-        The result is the unique RREF of the matrix; it is cached.
+        The result is the unique RREF of the matrix.
         """
-        if self._rref_cache is None:
-            work = [list(r) for r in self.data]
-            pivots: list[int] = []
-            r = 0
-            for c in range(self.cols):
-                if r == self.rows:
-                    break
-                choice = -1
-                for i in range(r, self.rows):
-                    e = work[i][c]
-                    if e:
-                        if choice < 0:
-                            choice = i
-                        if e == 1 or e == -1:
-                            choice = i
-                            break
-                if choice < 0:
+        work = [list(r) for r in self.data]
+        pivots: list[int] = []
+        r = 0
+        for c in range(self.cols):
+            if r == self.rows:
+                break
+            choice = -1
+            for i in range(r, self.rows):
+                e = work[i][c]
+                if e:
+                    if choice < 0:
+                        choice = i
+                    if e == 1 or e == -1:
+                        choice = i
+                        break
+            if choice < 0:
+                continue
+            work[r], work[choice] = work[choice], work[r]
+            lead = work[r][c]
+            if lead != 1:
+                inv = _ONE / lead
+                work[r] = [x * inv for x in work[r]]
+            prow = work[r]
+            for i in range(self.rows):
+                if i == r:
                     continue
-                work[r], work[choice] = work[choice], work[r]
-                lead = work[r][c]
-                if lead != 1:
-                    inv = _ONE / lead
-                    work[r] = [x * inv for x in work[r]]
-                prow = work[r]
-                for i in range(self.rows):
-                    if i == r:
-                        continue
-                    f = work[i][c]
-                    if f:
-                        work[i] = [a - f * b if b else a for a, b in zip(work[i], prow)]
-                pivots.append(c)
-                r += 1
-            self._rref_cache = (Mat(work, cols=self.cols), tuple(pivots), r)
-        return self._rref_cache
+                f = work[i][c]
+                if f:
+                    work[i] = [a - f * b if b else a for a, b in zip(work[i], prow)]
+            pivots.append(c)
+            r += 1
+        return Mat(work, cols=self.cols), tuple(pivots), r
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -210,17 +206,24 @@ class Mat:
     def kernel(self) -> tuple[Vec, ...]:
         """A basis of the null space {x : Mx = 0} (one vector per free column)."""
         reduced, pivots, _ = self.rref()
-        pivot_set = set(pivots)
-        vectors = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [_ZERO] * self.cols
-            v[free] = _ONE
-            for i, p in enumerate(pivots):
-                v[p] = -reduced.data[i][free]
-            vectors.append(tuple(v))
-        return tuple(vectors)
+        return _null_vectors(reduced.data, pivots, self.cols)
+
+
+def _null_vectors(reduced: Sequence[Vec], pivots: Sequence[int], cols: int) -> tuple[Vec, ...]:
+    """A basis of {x in Q^cols : R x = 0}, one vector per free column, for
+    rows R in reduced row echelon form with these pivot columns; entries of
+    R beyond ``cols`` are ignored."""
+    pivot_set = set(pivots)
+    vectors = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = [_ZERO] * cols
+        v[free] = _ONE
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free]
+        vectors.append(tuple(v))
+    return tuple(vectors)
 
 
 @dataclass(frozen=True)
@@ -240,9 +243,10 @@ def solve_affine(m: Mat, rhs: Sequence) -> AffineSolution:
     if pivots and pivots[-1] == m.cols:
         raise Infeasible("inconsistent linear system")
     x = [_ZERO] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = reduced.data[i][m.cols]
-    return AffineSolution(tuple(x), Subspace.from_rows(m.cols, m.kernel()))
+    for row, p in zip(reduced.data, pivots):
+        x[p] = row[m.cols]
+    kernel = _null_vectors(reduced.data, pivots, m.cols)
+    return AffineSolution(tuple(x), Subspace.from_rows(m.cols, kernel))
 
 
 @dataclass(frozen=True)
@@ -251,38 +255,36 @@ class Subspace:
 
     Invariants (checked at construction): basis rows are nonzero, each
     leading entry is 1, pivot columns are strictly increasing and are zero
-    in every other basis row.  Construct via :meth:`from_rows` unless the
-    rows are already canonical.
+    in every other basis row.  ``pivots`` lists the pivot columns.
+    Construct via :meth:`from_rows` unless the rows are already canonical
+    ``Fraction`` vectors.
     """
 
     ambient_dim: int
     basis: tuple[Vec, ...]
+    pivots: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(as_vector(r) for r in self.basis))
-        last = -1
-        for row in self.basis:
+        pivots: list[int] = []
+        for i, row in enumerate(self.basis):
             if len(row) != self.ambient_dim:
                 raise ValueError("basis row has wrong length")
-            lead = next((i for i, x in enumerate(row) if x), None)
+            lead = next((j for j, x in enumerate(row) if x), None)
             if lead is None:
                 raise ValueError("zero basis row")
-            if lead <= last:
+            if pivots and lead <= pivots[-1]:
                 raise ValueError("pivot columns must increase strictly")
             if row[lead] != 1:
                 raise ValueError("pivot entries must be 1")
-            last = lead
-        pivots = tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
-        for i, row in enumerate(self.basis):
-            for j, p in enumerate(pivots):
-                if i != j and row[p]:
-                    raise ValueError("pivot columns must be zero in other rows")
+            # Later rows are zero left of their leads, so at the pivots
+            # found so far; only the earlier rows remain to check here.
+            if any(earlier[lead] for earlier in self.basis[:i]):
+                raise ValueError("pivot columns must be zero in other rows")
+            pivots.append(lead)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
-        rows = [as_vector(r) for r in rows]
-        if not rows:
-            return cls(ambient_dim, ())
         reduced, _, rank = Mat(rows, cols=ambient_dim).rref()
         return cls(ambient_dim, reduced.data[:rank])
 
@@ -298,29 +300,12 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
-
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def reduce_vector(self, v: Sequence) -> Vec:
-        """Residual of v after eliminating along the basis; zero iff v is a member."""
-        r = list(as_vector(v))
-        if len(r) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        for row, p in zip(self.basis, self.pivots):
-            c = r[p]
-            if c:
-                r = [a - c * b if b else a for a, b in zip(r, row)]
-        return tuple(r)
-
-    def contains_vector(self, v: Sequence) -> bool:
-        return not any(self.reduce_vector(v))
-
-    def coordinates(self, v: Sequence) -> Vec | None:
-        """Coordinates of v in the canonical basis, or None when v is outside."""
+    def _reduce(self, v: Sequence) -> tuple[list[Fraction], list[Fraction]]:
+        """The residual of v after eliminating along the basis, and the
+        multiple of each basis row taken away."""
         r = list(as_vector(v))
         if len(r) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
@@ -330,7 +315,19 @@ class Subspace:
             coords.append(c)
             if c:
                 r = [a - c * b if b else a for a, b in zip(r, row)]
-        if any(r):
+        return r, coords
+
+    def reduce_vector(self, v: Sequence) -> Vec:
+        """Residual of v after eliminating along the basis; zero iff v is a member."""
+        return tuple(self._reduce(v)[0])
+
+    def contains_vector(self, v: Sequence) -> bool:
+        return not any(self._reduce(v)[0])
+
+    def coordinates(self, v: Sequence) -> Vec | None:
+        """Coordinates of v in the canonical basis, or None when v is outside."""
+        residual, coords = self._reduce(v)
+        if any(residual):
             return None
         return tuple(coords)
 
@@ -356,7 +353,8 @@ class Subspace:
         """Covectors vanishing on this subspace (kernel of the stacked basis)."""
         if not self.basis:
             return Subspace.full(self.ambient_dim)
-        return Subspace.from_rows(self.ambient_dim, Mat(self.basis).kernel())
+        n = self.ambient_dim
+        return Subspace.from_rows(n, _null_vectors(self.basis, self.pivots, n))
 
     def _ambient_check(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

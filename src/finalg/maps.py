@@ -22,7 +22,7 @@ from fractions import Fraction
 from random import Random
 
 from .algebras import Element, FinAlgebra, random_element
-from .linalg import Infeasible, Mat, Subspace, Vec, kernel_from_constraints, solve_affine
+from .linalg import Mat, Subspace, Vec, kernel_from_constraints
 from .structure import commutator_subspace, is_commutator_simple, is_semiprime
 
 _ZERO = Fraction(0)
@@ -399,39 +399,28 @@ def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
         return VerificationReport(checks, spaces, VERDICT_HYPOTHESES_NOT_MET)
     if criterion.space == derivations.space:
         return VerificationReport(checks, spaces, VERDICT_VERIFIED)
-    witness: dict | None = None
-    for m in criterion.basis_maps():
-        if not derivations.contains_map(m):
-            witness = {
-                "direction": "criterion map is not a derivation",
-                "map": [list(row) for row in m.data],
-                **(
-                    _first_violation(a, (_LEIBNIZ,), m, "pair")
-                    or {"pair": None, "lhs": None, "rhs": None}
-                ),
-            }
-            break
-    if witness is None:
-        for m in derivations.basis_maps():
-            if not criterion.contains_map(m):
-                violation = _first_violation(a, _CRITERION, m, "tuple")
-                if violation:
-                    violation["degree"] = len(violation["tuple"])
-                witness = {
-                    "direction": "derivation fails a polarized membership",
-                    "map": [list(row) for row in m.data],
-                    "violation": violation,
-                }
-                break
-    return VerificationReport(checks, spaces, VERDICT_REFUTATION, witness)
 
+    def leibniz_violation(m: Mat) -> dict:
+        no_pair = {"pair": None, "lhs": None, "rhs": None}
+        return _first_violation(a, (_LEIBNIZ,), m, "pair") or no_pair
 
-def pointwise_inner_witness(a: FinAlgebra, d_map: Mat, x: Element) -> Element:
-    """Some m with [x, m] = d(x), or Infeasible when no such m exists."""
-    _square_check(a, d_map)
-    system = a.mult_operator(x, "left") - a.mult_operator(x, "right")
-    solution = solve_affine(system, d_map.apply(x.coeffs))
-    return a.element(solution.particular)
+    def membership_violation(m: Mat) -> dict:
+        violation = _first_violation(a, _CRITERION, m, "tuple")
+        if violation:
+            violation["degree"] = len(violation["tuple"])
+        return {"violation": violation}
+
+    directions = (
+        (criterion, derivations, "criterion map is not a derivation", leibniz_violation),
+        (derivations, criterion, "derivation fails a polarized membership", membership_violation),
+    )
+    for source, target, direction, violation in directions:
+        for m in source.basis_maps():
+            if not target.contains_map(m):
+                witness = {"direction": direction, "map": [list(row) for row in m.data]}
+                witness.update(violation(m))
+                return VerificationReport(checks, spaces, VERDICT_REFUTATION, witness)
+    return VerificationReport(checks, spaces, VERDICT_REFUTATION)
 
 
 @dataclass(frozen=True)
@@ -464,10 +453,8 @@ def local_derivation_test(a: FinAlgebra, d_map: Mat, seed: int, samples: int) ->
     points.extend(a.basis_element(i) for i in range(a.dim))
     points.extend(random_element(a, rng) for _ in range(samples))
     for tested, x in enumerate(points, 1):
-        system = Mat([e.apply(x.coeffs) for e in basis_maps], cols=a.dim).transpose()
-        try:
-            solve_affine(system, d_map.apply(x.coeffs))
-        except Infeasible:
+        values = Subspace.from_rows(a.dim, [e.apply(x.coeffs) for e in basis_maps])
+        if not values.contains_vector(d_map.apply(x.coeffs)):
             return LocalDerivationResult(False, x, tested)
     return LocalDerivationResult(True, None, len(points))
 
@@ -576,13 +563,12 @@ def inner_similarity_witness(
     kernel = system.kernel()
     if not kernel:
         return SimilaritySearch("infeasible")
-    span = Subspace.from_rows(a.dim, kernel)
 
     def invertible(u: Vec) -> bool:
         return any(u) and a.mult_operator(u, "left").rank() == a.dim
 
     candidates: list[Vec] = []
-    if span.contains_vector(a.unit):
+    if not any(system.apply(a.unit)):
         candidates.append(a.unit)
     candidates.extend(kernel)
     for u in candidates:

@@ -208,17 +208,6 @@ class TraceFunctional:
             raise ValueError("value requested outside the functional's domain A^2")
         return dot(self.coeffs, coords)
 
-    @classmethod
-    def from_covector(cls, a: FinAlgebra, covector) -> "TraceFunctional":
-        """Restrict a covector on A to A^2 and validate the trace identity."""
-        cov = as_vector(covector)
-        if len(cov) != a.dim:
-            raise ValueError("covector has wrong length")
-        domain = product_span(a)
-        tf = cls(a.dim, domain, tuple(dot(cov, u) for u in domain.basis))
-        _validate_trace(a, tf)
-        return tf
-
 
 def _validate_trace(a: FinAlgebra, tf: TraceFunctional) -> None:
     for i in range(a.dim):
@@ -256,10 +245,18 @@ def trace_functional_space(
 
 
 def gram_matrix(a: FinAlgebra, tf: TraceFunctional) -> Mat:
-    """The dim x dim matrix G[i][j] = t(b_i b_j)."""
+    """The dim x dim matrix G[i][j] = t(b_i b_j).
+
+    Every product lies in A^2, so its coordinates on the canonical basis of
+    A^2 are its entries at the pivot columns.
+    """
     if tf.algebra_dim != a.dim:
         raise ValueError("functional belongs to a different algebra")
-    return Mat([[tf(a.product(i, j)) for j in range(a.dim)] for i in range(a.dim)])
+    pivots = tf.domain.pivots
+    return Mat([
+        [dot(tf.coeffs, [a.product(i, j)[p] for p in pivots]) for j in range(a.dim)]
+        for i in range(a.dim)
+    ])
 
 
 def is_nondegenerate_trace(a: FinAlgebra, tf: TraceFunctional) -> bool:

@@ -122,6 +122,20 @@ def conjugation_map(a: fa.FinAlgebra, group: fa.FiniteGroup, g: int) -> fa.Mat:
     return fa.map_from_basis_images(a, images)
 
 
+def trace_functional_from_covector(a: fa.FinAlgebra, covector) -> fa.TraceFunctional:
+    """A covector on A restricted to A^2, after checking the trace identity
+    cov(b_i b_j) = cov(b_j b_i) on every basis pair with the covector itself."""
+    cov = tuple(F(c) for c in covector)
+    if len(cov) != a.dim:
+        raise ValueError("covector has wrong length")
+    for i in range(a.dim):
+        for j in range(i + 1, a.dim):
+            if fa.dot(cov, a.product(i, j)) != fa.dot(cov, a.product(j, i)):
+                raise ValueError(f"functional violates t(xy) = t(yx) at basis pair ({i},{j})")
+    domain = fa.product_span(a)
+    return fa.TraceFunctional(a.dim, domain, tuple(fa.dot(cov, u) for u in domain.basis))
+
+
 def random_invertible(a: fa.FinAlgebra, rng: Random) -> fa.Element:
     while True:
         u = fa.random_element(a, rng)

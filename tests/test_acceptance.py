@@ -19,6 +19,7 @@ from helpers import (
     power_chain_dims,
     random_algebra,
     random_subspace,
+    trace_functional_from_covector,
 )
 
 F = Fraction
@@ -57,7 +58,7 @@ def test_trace_route_witnesses_and_rank_nullity():
         a = fa.build_group_algebra(group)
         cov = [F(0)] * group.order
         cov[group.identity_index] = F(1)
-        tf = fa.TraceFunctional.from_covector(a, cov)
+        tf = trace_functional_from_covector(a, cov)
         assert fa.is_nondegenerate_trace(a, tf)
     t2 = corpus_algebra("T2")
     result = fa.has_nondegenerate_trace(t2, seed=11, trials=25)

@@ -172,6 +172,12 @@ class TestSubspaceLattice:
             Subspace(2, ((F(2), F(0)),))  # pivot entry is not 1
         with pytest.raises(ValueError):
             Subspace(2, ((F(0), F(1)), (F(1), F(0))))  # pivots not increasing
+        with pytest.raises(ValueError, match="wrong length"):
+            Subspace(2, ((F(1), F(0), F(0)),))
+        with pytest.raises(ValueError, match="zero basis row"):
+            Subspace(2, ((F(1), F(0)), (F(0), F(0))))
+        with pytest.raises(ValueError, match="zero in other rows"):
+            Subspace(3, ((F(1), F(2), F(0)), (F(0), F(1), F(1))))  # row 0 at pivot 1
 
     @given(subspaces(), st.data())
     @settings(max_examples=40)

@@ -4,11 +4,13 @@ from random import Random
 import pytest
 
 import finalg as fa
+from finalg.maps import unflatten_map
 from helpers import (
     SEMIPRIME_NAMES,
     conjugation_map,
     corpus,
     corpus_algebra,
+    dense_copy,
     inner_automorphism_map,
     matrix_trace,
     random_algebra,
@@ -16,18 +18,6 @@ from helpers import (
 )
 
 F = Fraction
-
-
-def projection_to_traceless(a, n):
-    """x -> x - (tr x / n) 1 on the matrix algebra M_n."""
-    images = []
-    for j in range(a.dim):
-        e = a.basis_element(j).coeffs
-        t = matrix_trace(n, e)
-        images.append(
-            a.element([e[k] - t * a.unit[k] / n for k in range(a.dim)])
-        )
-    return fa.map_from_basis_images(a, images)
 
 
 class TestDerivationSpaces:
@@ -189,32 +179,7 @@ class TestMapSpaceStructure:
 
     def test_flatten_round_trip(self):
         m = fa.transpose_map(2)
-        assert fa.unflatten_map(fa.flatten_map(m), 4) == m
-
-
-class TestPointwiseInnerWitness:
-    def test_inner_derivations_are_pointwise_inner(self):
-        rng = Random(67)
-        for _, a in corpus():
-            m = fa.random_element(a, rng)
-            ad = a.mult_operator(m, "right") - a.mult_operator(m, "left")
-            x = fa.random_element(a, rng)
-            found = fa.pointwise_inner_witness(a, ad, x)
-            assert x * found - found * x == fa.apply_map(ad, x)
-
-    def test_identity_map_fails_at_the_unit(self):
-        a = corpus_algebra("M2")
-        with pytest.raises(fa.Infeasible):
-            fa.pointwise_inner_witness(a, fa.Mat.identity(4), a.unit_element())
-
-    def test_traceless_projection_fails_at_e11(self):
-        # Oracle: [e11, m] always has zero diagonal, while the projection sends
-        # e11 to diag(1/2, -1/2).
-        a = corpus_algebra("M2")
-        d = projection_to_traceless(a, 2)
-        assert fa.apply_map(d, a.basis_element(0)).coeffs == (F(1, 2), F(0), F(0), F(-1, 2))
-        with pytest.raises(fa.Infeasible):
-            fa.pointwise_inner_witness(a, d, a.basis_element(0))
+        assert unflatten_map(fa.flatten_map(m), 4) == m
 
 
 class TestLocalDerivationTest:
@@ -239,6 +204,49 @@ class TestLocalDerivationTest:
     def test_samples_must_be_positive(self):
         with pytest.raises(ValueError):
             fa.local_derivation_test(corpus_algebra("M2"), fa.Mat.identity(4), 0, 0)
+
+    @staticmethod
+    def _solvable_oracle(a, d_map, seed, samples):
+        """(passed, points tested, counterexample) by the affine-system
+        route: d(x) = sum_E c_E E(x) is solved for the c_E at each point, in
+        the point order of local_derivation_test."""
+        basis_maps = fa.derivation_space(a).basis_maps()
+        rng = Random(seed)
+        points = [a.unit_element()] if a.unit is not None else []
+        points += [a.basis_element(i) for i in range(a.dim)]
+        points += [fa.random_element(a, rng) for _ in range(samples)]
+        for tested, x in enumerate(points, 1):
+            system = fa.Mat([e.apply(x.coeffs) for e in basis_maps], cols=a.dim).transpose()
+            try:
+                fa.solve_affine(system, d_map.apply(x.coeffs))
+            except fa.Infeasible:
+                return False, tested, x
+        return True, len(points), None
+
+    @pytest.mark.parametrize("name", ["M2", "QS3", "T3", "dense-T3"])
+    def test_agrees_with_affine_feasibility(self, name):
+        if name == "dense-T3":
+            a = dense_copy(corpus_algebra("T3"), Random(23))
+        else:
+            a = corpus_algebra(name)
+        rng = Random(29)
+        derivations = fa.derivation_space(a).basis_maps()
+        maps = list(derivations)
+        for _ in range(4):
+            combo = fa.Mat.zeros(a.dim, a.dim)
+            for e in derivations:
+                combo = combo + e.scaled(F(rng.randint(-3, 3), rng.randint(1, 2)))
+            maps.append(combo)
+            bump = [[F(0)] * a.dim for _ in range(a.dim)]
+            bump[rng.randrange(a.dim)][rng.randrange(a.dim)] = F(rng.choice((-1, 1, 2)))
+            maps.append(combo + fa.Mat(bump))
+        verdicts = set()
+        for seed, d_map in enumerate(maps):
+            result = fa.local_derivation_test(a, d_map, seed=seed, samples=3)
+            expected = self._solvable_oracle(a, d_map, seed, 3)
+            assert (result.passed, result.points_tested, result.counterexample) == expected
+            verdicts.add(result.passed)
+        assert verdicts == {True, False}
 
 
 class TestJordanHomomorphismCheck:
