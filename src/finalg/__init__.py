@@ -10,15 +10,12 @@ takes an explicit seed.
 
 from .version import __version__
 from .linalg import (
-    AffineSolution,
-    Infeasible,
     Mat,
     Subspace,
     as_vector,
     dot,
     kernel_from_constraints,
     parse_rational,
-    solve_affine,
 )
 from .algebras import (
     AssociativityError,

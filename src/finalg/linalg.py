@@ -28,10 +28,6 @@ _ONE = Fraction(1)
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/(\d+))?\Z")
 
 
-class Infeasible(Exception):
-    """A linear system with no exact solution."""
-
-
 def parse_rational(token: str) -> Fraction:
     """Parse ``p`` or ``p/q`` with integer numerator and positive denominator."""
     match = _RATIONAL_RE.match(token)
@@ -146,17 +142,12 @@ class Mat:
         return Mat(out, cols=other.cols)
 
     def apply(self, v: Sequence) -> Vec:
-        """Matrix-vector action on a coefficient column."""
+        """Matrix-vector action on a coefficient column, read at its nonzeros."""
         x = as_vector(v)
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(dot(r, x) for r in self.data)
-
-    def augment(self, column: Sequence) -> "Mat":
-        col = as_vector(column)
-        if len(col) != self.rows:
-            raise ValueError("augment column has wrong length")
-        return Mat([r + (c,) for r, c in zip(self.data, col)], cols=self.cols + 1)
+        nonzero = [(j, c) for j, c in enumerate(x) if c]
+        return tuple(sum([r[j] * c for j, c in nonzero if r[j]], _ZERO) for r in self.data)
 
     def _shape_check(self, other: "Mat") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -211,8 +202,7 @@ class Mat:
 
 def _null_vectors(reduced: Sequence[Vec], pivots: Sequence[int], cols: int) -> tuple[Vec, ...]:
     """A basis of {x in Q^cols : R x = 0}, one vector per free column, for
-    rows R in reduced row echelon form with these pivot columns; entries of
-    R beyond ``cols`` are ignored."""
+    rows R in reduced row echelon form with these pivot columns."""
     pivot_set = set(pivots)
     vectors = []
     for free in range(cols):
@@ -224,29 +214,6 @@ def _null_vectors(reduced: Sequence[Vec], pivots: Sequence[int], cols: int) -> t
             v[p] = -row[free]
         vectors.append(tuple(v))
     return tuple(vectors)
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """Full solution set of M x = b: one particular solution plus the kernel."""
-
-    particular: Vec
-    kernel: "Subspace"
-
-
-def solve_affine(m: Mat, rhs: Sequence) -> AffineSolution:
-    """Solve M x = b exactly; raises Infeasible when rank(M) < rank([M|b])."""
-    b = as_vector(rhs)
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length does not match row count")
-    reduced, pivots, _ = m.augment(b).rref()
-    if pivots and pivots[-1] == m.cols:
-        raise Infeasible("inconsistent linear system")
-    x = [_ZERO] * m.cols
-    for row, p in zip(reduced.data, pivots):
-        x[p] = row[m.cols]
-    kernel = _null_vectors(reduced.data, pivots, m.cols)
-    return AffineSolution(tuple(x), Subspace.from_rows(m.cols, kernel))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ polarized identity is written once, and the same description yields both
 the linear constraint rows of a map space and the first violating basis
 tuple of a concrete map.  Products are read only through the public
 product API of `FinAlgebra`.
+
+Membership in [A, A] is decided exactly through the covectors f that vanish
+on [A, A]: r lies in [A, A] iff f(r) = 0 for each f of a basis.  Such an f
+has f(xy) = f(yx), so terms that are rotations of each other are merged
+first, and a term H L is read as H . G_f L through the Gram form
+G_f[u][v] = f(b_u b_v), built once per algebra.
 """
 
 from __future__ import annotations
@@ -119,26 +125,34 @@ class _Identity:
     [A, A].  A side is a sum of terms joined by "+" ("0" for none), a term a
     product of factors separated by spaces, and a factor a word in the
     letters i, j, k, as in jk for b_j b_k, or the map applied to a word, as
-    in D(ij).  For rows, the word in the map has at most two letters, and so
-    has the rest of the term; outside [A, A] the rest has one letter at most.
+    in D(ij); a word outside the map is parsed as one factor per letter.
+    The word in the map has at most two letters, and for rows so has the
+    rest of the term; outside [A, A] the rest has one letter at most.
     Parsed terms are (sign, factors): +1 on the left, -1 on the right, and
-    each factor is (mapped, positions in the tuple).
+    each factor is (mapped, positions in the tuple).  Modulo [A, A] the
+    check reads ``cyclic``, the (weight, factors) left when rotations merge.
     """
 
     def __init__(self, text: str, symmetric: bool, modulo_commutators: bool = False):
         self.terms = []
         for sign, side in zip((1, -1), text.split("=")):
             for term in side.split("+"):
-                factors = tuple(
-                    (token.endswith(")"), tuple("ijk".index(c) for c in token if c in "ijk"))
-                    for token in term.split()
-                    if token != "0"
-                )
+                factors = []
+                for token in term.split():
+                    word = tuple("ijk".index(c) for c in token if c in "ijk")
+                    factors += [(True, word)] if token.endswith(")") else [(False, (p,)) for p in word]
                 if factors:
-                    self.terms.append((sign, factors))
+                    self.terms.append((sign, tuple(factors)))
         self.arity = 1 + max(p for _, factors in self.terms for _, word in factors for p in word)
         self.symmetric = symmetric
         self.modulo_commutators = modulo_commutators
+        # Every f vanishing on [A, A] has f(xy) = f(yx), so it reads a term
+        # and its rotations alike: merge terms by their least rotation.
+        weights: dict[tuple, int] = {}
+        for sign, factors in self.terms:
+            least = min(factors[n:] + factors[:n] for n in range(len(factors)))
+            weights[least] = weights.get(least, 0) + sign
+        self.cyclic = [(weight, factors) for factors, weight in weights.items() if weight]
 
     def tuples(self, d: int):
         if self.symmetric:
@@ -175,6 +189,19 @@ _CUBIC = _Identity(
 )
 
 
+def _commutator_forms(a: FinAlgebra) -> tuple[Mat, ...]:
+    """The Gram form G[u][v] = f(b_u b_v) of each f in the canonical basis of
+    the covectors vanishing on [A, A]: r is in [A, A] iff every f(r) = 0."""
+    d = a.dim
+    return tuple(
+        Mat([
+            [sum((c * f[s] for s, c in a.product_terms(u, v) if f[s]), _ZERO) for v in range(d)]
+            for u in range(d)
+        ])
+        for f in a.derived(commutator_subspace).annihilator().basis
+    )
+
+
 def _constraint_rows(a: FinAlgebra, identities):
     """Sparse rows, over the row-major entries D[k][t] of D, of identities
     linear in D: a term L D(M) R puts M_t (L b_k R)_r on D[k][t] in the row
@@ -190,22 +217,14 @@ def _constraint_rows(a: FinAlgebra, identities):
             (k, r, v) for k in range(d) for r, v in _terms(a, left + (k,) + right)
         ])
         return
-    for f in a.derived(commutator_subspace).annihilator().basis:
-        # columns[r][k] = f(b_k b_r)
-        columns = [
-            tuple(
-                sum((coef * f[s] for s, coef in a.product_terms(k, r) if f[s]), _ZERO)
-                for k in range(d)
-            )
-            for r in range(d)
-        ]
+    for gram in a.derived(_commutator_forms):
 
-        def projected(left, right, columns=columns):
+        def projected(left, right, gram=gram):
             w = _terms(a, right + left)
             return [
                 (k, 0, v)
-                for k in range(d)
-                if (v := sum((c * columns[r][k] for r, c in w if columns[r][k]), _ZERO))
+                for k, form in enumerate(gram.data)
+                if (v := sum((c * form[r] for r, c in w if form[r]), _ZERO))
             ]
 
         yield from _rows(a, identities, 1, projected)
@@ -239,33 +258,46 @@ def _rows(a: FinAlgebra, identities, outputs: int, context):
 def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None:
     """The first basis tuple, under `key`, at which the map t fails one of
     the identities, with both evaluated sides, or with the residual lhs - rhs
-    for identities modulo [A, A]; None when t satisfies them all."""
+    for identities modulo [A, A]; None when t satisfies them all.
+
+    Modulo [A, A] the check reads the cyclic terms through
+    `_commutator_forms`, and the residual is built only on failure."""
     d = a.dim
     basis = Mat.identity(d).data
     images = [t.column(j) for j in range(d)]
-    modulo = identities[0].modulo_commutators
-    modulus = a.derived(commutator_subspace) if modulo else Subspace.zero(d)
-    prefixes: dict[tuple, Vec] = {}
 
     def value(factors) -> Vec:
         *head, (mapped, word) = factors
-        if mapped and len(word) == 1:
-            last = images[word[0]]
+        if len(word) == 1:
+            last = images[word[0]] if mapped else basis[word[0]]
         else:
-            last = basis[word[0]]
-            for letter in word[1:]:
-                last = a.mul_basis(letter, last, "right")
-            if mapped:
-                last = t.apply(last)
-        if not head:
-            return last
-        head = tuple(head)
-        if head not in prefixes:
-            prefixes[head] = value(head)
-        return a.mul(prefixes[head], last)
+            last = t.apply(a.product(*word))
+        return a.mul(value(head), last) if head else last
+
+    modulo = identities[0].modulo_commutators
+    forms = a.derived(_commutator_forms) if modulo else ()
+    heads, projected = {}, {}
+
+    def term(weight: int, factors) -> tuple:
+        """The nonzero entries of weight * H, and G_f L for every f."""
+        head, last = factors[:-1], factors[-1]
+        if (weight, head) not in heads:
+            heads[weight, head] = [(u, _exact(weight * x)) for u, x in enumerate(value(head)) if x]
+        if last not in projected:
+            projected[last] = [tuple(map(_exact, gram.apply(value((last,))))) for gram in forms]
+        return heads[weight, head], projected[last]
+
+    def holds_modulo(identity, tup) -> bool:
+        terms = [term(w, tuple((m, _at(tup, p)) for m, p in fs)) for w, fs in identity.cyclic]
+        return not any(
+            sum(x * c for entries, columns in terms for u, x in entries if (c := columns[n][u]))
+            for n in range(len(forms))
+        )
 
     for identity in identities:
         for tup in identity.tuples(d):
+            if modulo and holds_modulo(identity, tup):
+                continue
             sides = {1: [_ZERO] * d, -1: [_ZERO] * d}
             for sign, factors in identity.terms:
                 total = sides[sign]
@@ -273,10 +305,9 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
                     if x:
                         total[r] += x
             lhs, rhs = tuple(sides[1]), tuple(sides[-1])
-            residual = tuple(x - y for x, y in zip(lhs, rhs))
-            if not modulus.contains_vector(residual):
-                if modulo:
-                    return {key: tup, "value": residual}
+            if modulo:
+                return {key: tup, "value": tuple(x - y for x, y in zip(lhs, rhs))}
+            if lhs != rhs:
                 return {key: tup, "lhs": lhs, "rhs": rhs}
     return None
 
@@ -289,6 +320,11 @@ def _solve(a: FinAlgebra, *identities: _Identity) -> MapSpace:
 def _terms(a: FinAlgebra, word: tuple[int, ...]):
     """b_w, or the product b_v b_w, as sparse (index, coefficient) pairs."""
     return ((word[0], _ONE),) if len(word) == 1 else a.product_terms(*word)
+
+
+def _exact(x: Fraction) -> Fraction | int:
+    """x, as an int when integral: exact, and much cheaper to multiply."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _scaler(c: Fraction):

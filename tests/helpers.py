@@ -1,6 +1,8 @@
 """Shared fixtures: the standard algebra corpus, random generators, and
 independent closure/nilpotency checks used as oracles."""
 
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -136,6 +138,33 @@ def trace_functional_from_covector(a: fa.FinAlgebra, covector) -> fa.TraceFuncti
     return fa.TraceFunctional(a.dim, domain, tuple(fa.dot(cov, u) for u in domain.basis))
 
 
+class Infeasible(Exception):
+    """A linear system with no exact solution."""
+
+
+@dataclass(frozen=True)
+class AffineSolution:
+    """Full solution set of M x = b: one particular solution plus the kernel."""
+
+    particular: tuple
+    kernel: fa.Subspace
+
+
+def solve_affine(m: fa.Mat, rhs) -> AffineSolution:
+    """Solve M x = b exactly; raises Infeasible when rank(M) < rank([M|b])."""
+    b = fa.as_vector(rhs)
+    if len(b) != m.rows:
+        raise ValueError("right-hand side length does not match row count")
+    augmented = fa.Mat([row + (c,) for row, c in zip(m.data, b)], cols=m.cols + 1)
+    reduced, pivots, _ = augmented.rref()
+    if pivots and pivots[-1] == m.cols:
+        raise Infeasible("inconsistent linear system")
+    x = [F0] * m.cols
+    for row, p in zip(reduced.data, pivots):
+        x[p] = row[m.cols]
+    return AffineSolution(tuple(x), fa.Subspace.from_rows(m.cols, m.kernel()))
+
+
 def random_invertible(a: fa.FinAlgebra, rng: Random) -> fa.Element:
     while True:
         u = fa.random_element(a, rng)
@@ -146,7 +175,7 @@ def random_invertible(a: fa.FinAlgebra, rng: Random) -> fa.Element:
 def inner_automorphism_map(a: fa.FinAlgebra, u: fa.Element) -> fa.Mat:
     """x -> u x u^{-1} for invertible u."""
     left = a.mult_operator(u, "left")
-    inv = fa.solve_affine(left, a.unit).particular
+    inv = solve_affine(left, a.unit).particular
     return left * a.mult_operator(inv, "right")
 
 
@@ -161,10 +190,27 @@ def dense_copy(a: fa.FinAlgebra, rng: Random) -> fa.FinAlgebra:
               for c in range(d)] for r in range(d)]
     p = fa.Mat(lower) * fa.Mat(upper)
     inverse = fa.Mat([
-        fa.solve_affine(p, [F1 if r == c else F0 for r in range(d)]).particular
+        solve_affine(p, [F1 if r == c else F0 for r in range(d)]).particular
         for c in range(d)
     ]).transpose()
     new_basis = [a.element(p.column(i)) for i in range(d)]
     c = [[inverse.apply((x * y).coeffs) for y in new_basis] for x in new_basis]
     unit = None if a.unit is None else inverse.apply(a.unit)
     return fa.FinAlgebra(c, unit)
+
+
+def cubic_condition_oracle(a: fa.FinAlgebra, t: fa.Mat):
+    """The cubic check T(x)^3 - x^3 in [A, A] by the full procedure: at each
+    sorted basis triple, the residual summed over the six orderings of
+    T(b_p) T(b_q) T(b_r) - b_p b_q b_r, reduced against [A, A].  Returns the
+    first failing triple with its residual, as the check's witness, or None."""
+    commutators = fa.commutator_subspace(a)
+    images = [a.element(t.column(j)) for j in range(a.dim)]
+    basis = [a.basis_element(j) for j in range(a.dim)]
+    for triple in itertools.combinations_with_replacement(range(a.dim), 3):
+        residual = a.zero()
+        for p, q, r in itertools.permutations(triple):
+            residual = residual + images[p] * images[q] * images[r] - basis[p] * basis[q] * basis[r]
+        if not commutators.contains_vector(residual.coeffs):
+            return {"triple": triple, "value": residual.coeffs}
+    return None

@@ -3,14 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg.linalg import (
-    Infeasible,
-    Mat,
-    Subspace,
-    kernel_from_constraints,
-    parse_rational,
-    solve_affine,
-)
+from finalg.linalg import Mat, Subspace, kernel_from_constraints, parse_rational
+from helpers import Infeasible, solve_affine
 
 F = Fraction
 
@@ -104,6 +98,45 @@ class TestRref:
     def test_kernel_vectors_annihilate(self, m):
         for v in m.kernel():
             assert not any(m.apply(v))
+
+
+# Mostly zero entries, mixing int and Fraction.
+sparse_entries = st.one_of(st.just(0), st.just(F(0)), st.just(0), st.integers(-3, 3), rationals)
+
+
+class TestMatApply:
+    """Mat.apply reads only the nonzero entries of the vector; the result
+    must equal the row-dot definition, entry for entry, as Fractions."""
+
+    @staticmethod
+    def _row_dots(m, v):
+        return tuple(sum((F(a) * F(b) for a, b in zip(row, v)), F(0)) for row in m.data)
+
+    @given(matrices(max_rows=6, max_cols=6), st.data())
+    @settings(max_examples=100)
+    def test_matches_row_dots(self, m, data):
+        v = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
+        result = m.apply(v)
+        assert result == self._row_dots(m, v)
+        assert all(type(x) is Fraction for x in result)
+
+    @given(matrices(max_rows=6, max_cols=6), st.data())
+    @settings(max_examples=60)
+    def test_basis_vector_reads_a_column(self, m, data):
+        j = data.draw(st.integers(0, m.cols - 1))
+        one = data.draw(st.sampled_from([1, F(1)]))
+        v = [0] * m.cols
+        v[j] = one
+        assert m.apply(v) == m.column(j) == self._row_dots(m, v)
+
+    def test_zero_vector(self):
+        m = Mat([[1, F(1, 2)], [3, 4]])
+        assert m.apply((0, F(0))) == (F(0), F(0))
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_length_rejected(self, length):
+        with pytest.raises(ValueError, match="column count"):
+            Mat.identity(2).apply([1] * length)
 
 
 class TestSolveAffine:

@@ -7,14 +7,18 @@ import finalg as fa
 from finalg.maps import unflatten_map
 from helpers import (
     SEMIPRIME_NAMES,
+    Infeasible,
     conjugation_map,
     corpus,
     corpus_algebra,
+    cubic_condition_oracle,
     dense_copy,
     inner_automorphism_map,
     matrix_trace,
     random_algebra,
     random_invertible,
+    solve_affine,
+    zero_product_algebra,
 )
 
 F = Fraction
@@ -218,8 +222,8 @@ class TestLocalDerivationTest:
         for tested, x in enumerate(points, 1):
             system = fa.Mat([e.apply(x.coeffs) for e in basis_maps], cols=a.dim).transpose()
             try:
-                fa.solve_affine(system, d_map.apply(x.coeffs))
-            except fa.Infeasible:
+                solve_affine(system, d_map.apply(x.coeffs))
+            except Infeasible:
                 return False, tested, x
         return True, len(points), None
 
@@ -328,6 +332,60 @@ class TestCubicConditionCheck:
                 tx = fa.apply_map(t, x)
                 diff = (tx * tx * tx - x * x * x).coeffs
                 assert commutators.contains_vector(diff)
+
+
+def _oracle_member(name):
+    """An algebra by name: a corpus member, T4, the non-unital M2 x Z (Z one
+    dimension with zero product), or a dense copy of a corpus member."""
+    if name == "T4":
+        return fa.build_upper_triangular(4)
+    if name == "M2xZ":
+        return fa.direct_product(corpus_algebra("M2"), zero_product_algebra(1))
+    if name.startswith("dense-"):
+        return dense_copy(corpus_algebra(name[len("dense-"):]), Random(len(name)))
+    return corpus_algebra(name)
+
+
+class TestCubicOracle:
+    """cubic_condition_check against the full residual reduced against
+    [A, A] at every sorted triple: both pass, or both fail at the same
+    triple with the same residual."""
+
+    GROUPS = {"QS3": lambda: fa.symmetric_group(3), "QD4": lambda: fa.dihedral_group(4)}
+
+    def _maps(self, name, a, rng):
+        d = a.dim
+        maps = [fa.Mat.identity(d), fa.scaled_identity_map(d, 2)]
+        if name in ("M2", "M3"):
+            maps.append(fa.transpose_map(int(name[1])))
+        if name in self.GROUPS:
+            group = self.GROUPS[name]()
+            maps += [conjugation_map(a, group, g) for g in (1, group.order - 1)]
+        if a.is_unital:
+            maps.append(inner_automorphism_map(a, random_invertible(a, rng)))
+        for _ in range(2):
+            perturbed = [[F(int(r == c)) for c in range(d)] for r in range(d)]
+            perturbed[rng.randrange(d)][rng.randrange(d)] += F(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+            maps.append(fa.Mat(perturbed))
+            maps.append(fa.Mat([
+                [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.25 else F(0)
+                 for _ in range(d)]
+                for _ in range(d)
+            ]))
+        return maps
+
+    @pytest.mark.parametrize("name", [
+        "M2", "M3", "QS3", "QD4", "T3", "T4", "M2xZ", "dense-QS3", "dense-T3", "dense-M2",
+    ])
+    def test_agrees_with_full_residual(self, name):
+        a = _oracle_member(name)
+        verdicts = set()
+        for t in self._maps(name, a, Random(101)):
+            result = fa.cubic_condition_check(a, t)
+            expected = cubic_condition_oracle(a, t)
+            assert (result.ok, result.witness) == (expected is None, expected)
+            verdicts.add(result.ok)
+        assert verdicts == {True, False}
 
 
 class TestVerifyJordanCriterion:
@@ -451,6 +509,21 @@ class TestCapSize:
             "criterion-maps": expected,
         }
         assert fa.jordan_derivation_space(a).dim == expected
+
+    def test_m5_transpose_jordan_criterion(self):
+        report = fa.verify_jordan_criterion(fa.build_matrix_algebra(5), fa.transpose_map(5))
+        assert report.verdict == "verified"
+        checks = {c.name: c.passed for c in report.checks}
+        assert checks["cubic-condition"] and checks["antihomomorphism"]
+        assert checks["homomorphism"] is False
+
+    def test_qs4_conjugation_jordan_criterion(self):
+        group = fa.symmetric_group(4)
+        a = fa.build_group_algebra(group)
+        report = fa.verify_jordan_criterion(a, conjugation_map(a, group, 1))
+        assert report.verdict == "verified"
+        checks = {c.name: c.passed for c in report.checks}
+        assert checks["cubic-condition"] and checks["homomorphism"]
 
     def test_s4_class_count(self):
         assert len(fa.symmetric_group(4).conjugacy_classes()) == 5
