@@ -10,6 +10,7 @@ takes an explicit seed.
 
 from .version import __version__
 from .linalg import (
+    InternalError,
     Mat,
     Subspace,
     as_vector,

@@ -121,13 +121,12 @@ class FinAlgebra:
         """The product of two coefficient vectors."""
         out = [_ZERO] * self.dim
         pairs = self._pairs
+        y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
             row_pairs = pairs[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+            for j, yj in y_nonzero:
                 f = xi * yj
                 for k, coef in row_pairs[j]:
                     out[k] += f * coef

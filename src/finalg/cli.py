@@ -39,6 +39,7 @@ from .document import (
     parse_map_file,
     serialize_document,
 )
+from .linalg import InternalError
 from .report import (
     Report,
     VERDICT_HYPOTHESES_NOT_MET,
@@ -308,13 +309,13 @@ def _finish(handler, fmt: str, *args) -> None:
     """Run handler(*args), print its Report and exit with its verdict's status."""
     try:
         rep = handler(*args)
-    except (DocumentError, OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-    except RuntimeError as exc:
+    except (InternalError, RuntimeError) as exc:
         # an internal consistency check failed: a program fault, not bad input
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_REFUTATION)
+    except (DocumentError, OSError, ValueError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_PARSE)
     click.echo(emit_report(rep, fmt), nl=False)
     sys.exit(EXIT_FOR_VERDICT[rep.verdict])
 

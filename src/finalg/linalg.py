@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Scalars, results and verdicts are `fractions.Fraction`; nothing is ever
-rounded.  The hot loop of `kernel_from_constraints` clears denominators
-once and then runs in exact ``int`` arithmetic, converting back to
-`Fraction` only for its result.
+rounded.  Both eliminations, `Mat.rref` and `kernel_from_constraints`,
+clear denominators once and then run in exact ``int`` arithmetic,
+converting back to `Fraction` only for their results.  Every canonical
+basis, including the kernel's, comes out of the one integer core of
+`Mat.rref`.
 Rationals serialize as ``p/q`` (or just ``p`` when the denominator is 1)
 with the sign on the numerator.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -26,6 +28,11 @@ Vec = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/(\d+))?\Z")
+
+
+class InternalError(ValueError):
+    """A consistency check on the program's own result failed: a fault in
+    the program, not in its input."""
 
 
 def parse_rational(token: str) -> Fraction:
@@ -156,40 +163,70 @@ class Mat:
     def rref(self) -> tuple["Mat", tuple[int, ...], int]:
         """Reduced row echelon form, pivot columns, and rank.
 
-        The result is the unique RREF of the matrix.
+        The result is the unique RREF of the matrix, every entry a
+        `Fraction`.  It is found by Gauss-Jordan elimination in exact
+        ``int`` arithmetic (integer-preserving, after Bareiss 1968): each
+        row is scaled by the lcm of its denominators, which keeps the row
+        space.  At each column the pivot row is a hit row whose value p
+        there is smallest in absolute value (the first +-1, if any), and
+        every other row v with value f there becomes v - (f/p) prow when p
+        divides f, else (p/g) v - (f/g) prow divided by its content,
+        g = gcd(p, f).  Either keeps the row space, and the division keeps
+        the entries small.  Each pivot row is divided by its lead only at
+        the end, into `Fraction`s.
         """
-        work = [list(r) for r in self.data]
+        work = []
+        for row in self.data:
+            nonzero = [(j, x) for j, x in enumerate(row) if x]
+            scale = lcm(*{x.denominator for _, x in nonzero})
+            v = [0] * self.cols
+            for j, x in nonzero:
+                v[j] = x.numerator * (scale // x.denominator)
+            work.append(v)
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
             if r == self.rows:
                 break
-            choice = -1
+            choice, least = -1, 0
             for i in range(r, self.rows):
                 e = work[i][c]
-                if e:
-                    if choice < 0:
-                        choice = i
-                    if e == 1 or e == -1:
-                        choice = i
+                if e and (choice < 0 or abs(e) < least):
+                    choice, least = i, abs(e)
+                    if least == 1:
                         break
             if choice < 0:
                 continue
             work[r], work[choice] = work[choice], work[r]
-            lead = work[r][c]
-            if lead != 1:
-                inv = _ONE / lead
-                work[r] = [x * inv for x in work[r]]
             prow = work[r]
+            p = prow[c]
+            nonzero = [(j, b) for j, b in enumerate(prow) if b]
             for i in range(self.rows):
-                if i == r:
-                    continue
                 f = work[i][c]
-                if f:
-                    work[i] = [a - f * b if b else a for a, b in zip(work[i], prow)]
+                if not f or i == r:
+                    continue
+                v = work[i]
+                if f % p == 0:
+                    f //= p
+                    for j, b in nonzero:
+                        v[j] -= f * b
+                    continue
+                g = gcd(p, f)
+                a, f = p // g, f // g
+                v = [a * x for x in v]
+                for j, b in nonzero:
+                    v[j] -= f * b
+                content = gcd(*v)
+                work[i] = [x // content for x in v] if content > 1 else v
             pivots.append(c)
             r += 1
-        return Mat(work, cols=self.cols), tuple(pivots), r
+        out = []
+        for row, c in zip(work, pivots):
+            lead = row[c]
+            out.append([_ZERO if not x else _ONE if x == lead else Fraction(x, lead) for x in row])
+        zero = (_ZERO,) * self.cols
+        out += [zero] * (self.rows - r)
+        return Mat(out, cols=self.cols), tuple(pivots), r
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -253,7 +290,10 @@ class Subspace:
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
         reduced, _, rank = Mat(rows, cols=ambient_dim).rref()
-        return cls(ambient_dim, reduced.data[:rank])
+        try:
+            return cls(ambient_dim, reduced.data[:rank])
+        except ValueError as exc:
+            raise InternalError(f"internal error: reduced rows are not canonical: {exc}") from exc
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

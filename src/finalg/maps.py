@@ -214,7 +214,7 @@ def _constraint_rows(a: FinAlgebra, identities):
     d = a.dim
     if not identities[0].modulo_commutators:
         yield from _rows(a, identities, d, lambda left, right: [
-            (k, r, v) for k in range(d) for r, v in _terms(a, left + (k,) + right)
+            (k, r, _exact(v)) for k in range(d) for r, v in _terms(a, left + (k,) + right)
         ])
         return
     for gram in a.derived(_commutator_forms):
@@ -222,7 +222,7 @@ def _constraint_rows(a: FinAlgebra, identities):
         def projected(left, right, gram=gram):
             w = _terms(a, right + left)
             return [
-                (k, 0, v)
+                (k, 0, _exact(v))
                 for k, form in enumerate(gram.data)
                 if (v := sum((c * form[r] for r, c in w if form[r]), _ZERO))
             ]
@@ -328,11 +328,13 @@ def _exact(x: Fraction) -> Fraction | int:
 
 
 def _scaler(c: Fraction):
-    """v -> c v, without a Fraction multiplication by 1 or -1."""
+    """v -> c v, without a multiplication by 1 or -1, and with c as an int
+    when integral."""
     if c == 1:
         return lambda v: v
     if c == -1:
         return operator.neg
+    c = _exact(c)
     return lambda v: c if v == 1 else c * v
 
 

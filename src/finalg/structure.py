@@ -12,7 +12,7 @@ from fractions import Fraction
 from random import Random
 
 from .algebras import Element, FinAlgebra
-from .linalg import Mat, Subspace, Vec, as_vector, dot, kernel_from_constraints
+from .linalg import InternalError, Mat, Subspace, Vec, as_vector, dot, kernel_from_constraints
 
 _ZERO = Fraction(0)
 
@@ -116,11 +116,11 @@ def is_commutator_simple(a: FinAlgebra) -> SimplicityVerdict:
     for u in ideal.basis:
         for i in range(a.dim):
             if not ideal.contains_vector(a.mul_basis(i, u, "left")):
-                raise RuntimeError("internal error: witness is not a left ideal")
+                raise InternalError("internal error: witness is not a left ideal")
             if not ideal.contains_vector(a.mul_basis(i, u, "right")):
-                raise RuntimeError("internal error: witness is not a right ideal")
+                raise InternalError("internal error: witness is not a right ideal")
     if not commutators.contains(ideal):
-        raise RuntimeError("internal error: witness escapes the commutator subspace")
+        raise InternalError("internal error: witness escapes the commutator subspace")
     certificate = (
         f"verified A*I <= I, I*A <= I, and I <= [A,A] for dim-{ideal.dim} ideal I"
     )

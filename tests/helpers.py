@@ -138,6 +138,56 @@ def trace_functional_from_covector(a: fa.FinAlgebra, covector) -> fa.TraceFuncti
     return fa.TraceFunctional(a.dim, domain, tuple(fa.dot(cov, u) for u in domain.basis))
 
 
+def rref_oracle(m: fa.Mat):
+    """RREF, pivot columns and rank of m by Gauss-Jordan elimination in
+    `Fraction` arithmetic, preferring +-1 pivots: an oracle independent of
+    the integer core of `Mat.rref`."""
+    work = [list(r) for r in m.data]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        choice = -1
+        for i in range(r, m.rows):
+            e = work[i][c]
+            if e:
+                if choice < 0:
+                    choice = i
+                if e == 1 or e == -1:
+                    choice = i
+                    break
+        if choice < 0:
+            continue
+        work[r], work[choice] = work[choice], work[r]
+        lead = work[r][c]
+        work[r] = [x / lead for x in work[r]]
+        prow = work[r]
+        for i in range(m.rows):
+            f = work[i][c]
+            if i != r and f:
+                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+        pivots.append(c)
+        r += 1
+    return fa.Mat(work, cols=m.cols), tuple(pivots), r
+
+
+def null_space_oracle(m: fa.Mat) -> tuple:
+    """The canonical (RREF) basis of {x : m x = 0}, found with `rref_oracle`
+    alone: one null vector per free column, then their RREF."""
+    reduced, pivots, _ = rref_oracle(m)
+    vectors = []
+    for free in range(m.cols):
+        if free not in pivots:
+            v = [F0] * m.cols
+            v[free] = F1
+            for row, p in zip(reduced.data, pivots):
+                v[p] = -row[free]
+            vectors.append(v)
+    basis, _, rank = rref_oracle(fa.Mat(vectors, cols=m.cols))
+    return basis.data[:rank]
+
+
 class Infeasible(Exception):
     """A linear system with no exact solution."""
 

@@ -1,8 +1,10 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finalg as fa
 from helpers import corpus, corpus_algebra, dense_copy, random_algebra, zero_product_algebra
@@ -270,6 +272,44 @@ class TestElementArithmetic:
     def test_random_element_is_seed_deterministic(self):
         a = fa.build_matrix_algebra(2)
         assert fa.random_element(a, Random(5)) == fa.random_element(a, Random(5))
+
+
+@lru_cache(maxsize=1)
+def _mul_algebras():
+    return tuple(a for _, a in corpus()) + (dense_copy(corpus_algebra("QS3"), Random(4)),)
+
+
+_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+# Mostly zero, as a sparse coefficient vector is, or never zero.
+_sparse = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), _rationals)
+_dense = _rationals.filter(bool)
+
+
+@st.composite
+def _factor_pairs(draw):
+    a = draw(st.sampled_from(_mul_algebras()))
+    x, y = (
+        draw(st.lists(draw(st.sampled_from([_sparse, _dense])), min_size=a.dim, max_size=a.dim))
+        for _ in range(2)
+    )
+    return a, x, y
+
+
+class TestMul:
+    """FinAlgebra.mul against the definition x y = sum x_i y_j b_i b_j read
+    from product_terms, on sparse and dense vectors."""
+
+    @given(_factor_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_product_terms(self, case):
+        a, x, y = case
+        expected = [F(0)] * a.dim
+        for i, j in itertools.product(range(a.dim), repeat=2):
+            for k, coef in a.product_terms(i, j):
+                expected[k] += x[i] * y[j] * coef
+        product = a.mul(x, y)
+        assert product == tuple(expected)
+        assert all(type(c) is Fraction for c in product)
 
 
 class TestMultOperator:

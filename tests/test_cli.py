@@ -410,6 +410,22 @@ class TestUsageAndErrors:
         assert result.output.startswith("error: internal ")
         assert "verdict" not in result.output
 
+    def test_non_canonical_rref_exits_through_the_tripwire_code(self, tmp_path, monkeypatch):
+        out = tmp_path / "m2.alg"
+        CliRunner().invoke(main, ["gen", "matrix", "--n", "2", "-o", str(out)])
+        rref = fa.Mat.rref
+
+        def doubled(m):
+            # the right rows, but with every pivot entry 2
+            reduced, pivots, rank = rref(m)
+            return fa.Mat([[2 * x for x in row] for row in reduced.data], cols=m.cols), pivots, rank
+
+        monkeypatch.setattr(fa.Mat, "rref", doubled)
+        result = CliRunner().invoke(main, ["analyze", str(out)])
+        assert result.exit_code == EXIT_REFUTATION
+        assert result.output.startswith("error: internal ")
+        assert "verdict" not in result.output
+
 
 class TestSharedSubspaces:
     """Each command computes [A, A] and the trace-functional space once;

@@ -4,11 +4,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finalg.linalg import Mat, Subspace, kernel_from_constraints, parse_rational
-from helpers import Infeasible, solve_affine
+from helpers import Infeasible, null_space_oracle, rref_oracle, solve_affine
 
 F = Fraction
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+# Coefficients that are mostly not +-1, so that pivots are rarely units and
+# quotients rarely integral; plain ints mixed with Fractions, some of them
+# with denominator 1.
+coefficients = st.one_of(
+    st.sampled_from([0, 2, -2, 3, -3, 5, 7, -7]),
+    st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 1, 2, 3])),
+)
+
+
+# Large numerators over large coprime denominators, so that rows need a
+# real lcm scaling and eliminated vectors a real content division.
+wide_coefficients = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.builds(
+        Fraction,
+        st.integers(-(10**12), 10**12),
+        st.sampled_from([7, 11, 77, 10**6 + 3, 7 * (10**6 + 3), 11 * (10**6 + 3)]),
+    ),
+)
+
 
 
 @st.composite
@@ -64,6 +85,28 @@ class TestRationals:
         assert parse_rational(str(x)) == x
 
 
+# All entries multiples of 6, so that no pivot is +-1 at the start.
+non_unit_entries = st.one_of(
+    st.just(0),
+    st.builds(lambda k: 6 * k, st.integers(-3, 3)),
+    st.builds(Fraction, st.builds(lambda k: 6 * k, st.integers(-3, 3)), st.sampled_from([1, 5, 7])),
+)
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Matrices of one entry kind (small mixed int/Fraction, wide, or with no
+    +-1 pivot at the start), 0 to 9 rows, tall ones included, with zero
+    rows and duplicate rows mixed in."""
+    entries = draw(st.sampled_from([coefficients, wide_coefficients, non_unit_entries]))
+    cols = draw(st.integers(1, 6))
+    data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        extra = list(draw(st.sampled_from(data))) if data and draw(st.booleans()) else [0] * cols
+        data.insert(draw(st.integers(0, len(data))), extra)
+    return Mat(data, cols=cols)
+
+
 class TestRref:
     def test_identity_is_fixed(self):
         m = Mat.identity(3)
@@ -98,6 +141,21 @@ class TestRref:
     def test_kernel_vectors_annihilate(self, m):
         for v in m.kernel():
             assert not any(m.apply(v))
+
+    @given(oracle_matrices())
+    @settings(max_examples=300)
+    def test_agrees_with_fraction_oracle(self, m):
+        reduced, pivots, rank = m.rref()
+        expected, expected_pivots, expected_rank = rref_oracle(m)
+        assert reduced.data == expected.data
+        assert (pivots, rank) == (expected_pivots, expected_rank)
+        assert all(type(x) is Fraction for row in reduced.data for x in row)
+
+    def test_no_unit_pivot_needs_the_final_division(self):
+        # Every pivot is 2 or 3, and the quotient 2/3 is not integral.
+        m = Mat([[2, 4, 3], [3, 0, 2]])
+        assert m.rref() == rref_oracle(m)
+        assert m.rref()[0].data[0] == (F(1), F(0), F(2, 3))
 
 
 # Mostly zero entries, mixing int and Fraction.
@@ -242,27 +300,6 @@ class TestKernelFromConstraints:
         assert kernel_from_constraints(3, []) == Subspace.full(3)
 
 
-# Coefficients that are mostly not +-1, so that pivots are rarely units and
-# quotients rarely integral; plain ints mixed with Fractions, some of them
-# with denominator 1.
-coefficients = st.one_of(
-    st.sampled_from([0, 2, -2, 3, -3, 5, 7, -7]),
-    st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 1, 2, 3])),
-)
-
-
-# Large numerators over large coprime denominators, so that rows need a
-# real lcm scaling and eliminated vectors a real content division.
-wide_coefficients = st.one_of(
-    st.integers(-(10**12), 10**12),
-    st.builds(
-        Fraction,
-        st.integers(-(10**12), 10**12),
-        st.sampled_from([7, 11, 77, 10**6 + 3, 7 * (10**6 + 3), 11 * (10**6 + 3)]),
-    ),
-)
-
-
 @st.composite
 def sparse_systems(draw, max_rows=12, max_unknowns=8, values=coefficients):
     """n unknowns and rows of (index, coefficient) pairs, with repeated
@@ -313,6 +350,7 @@ class TestKernelFromConstraintsExact:
         dense = [_dense(n, row) for row in rows]
         expected = Subspace.from_rows(n, Mat(dense, cols=n).kernel())
         assert streamed == expected
+        assert streamed.basis == null_space_oracle(Mat(dense, cols=n))
         assert all(type(x) is Fraction for v in streamed.basis for x in v)
 
     def test_non_dyadic_quotient_stays_exact(self):
