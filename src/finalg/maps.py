@@ -28,7 +28,7 @@ from fractions import Fraction
 from random import Random
 
 from .algebras import Element, FinAlgebra, random_element
-from .linalg import Mat, Subspace, Vec, kernel_from_constraints
+from .linalg import InternalError, Mat, Subspace, Vec, kernel_from_constraints
 from .structure import commutator_subspace, is_commutator_simple, is_semiprime
 
 _ZERO = Fraction(0)
@@ -52,7 +52,7 @@ def unflatten_map(flat, dim: int) -> Mat:
     values = list(flat)
     if len(values) != dim * dim:
         raise ValueError("flattened map has wrong length")
-    return Mat([values[r * dim : (r + 1) * dim] for r in range(dim)])
+    return Mat([values[r * dim : (r + 1) * dim] for r in range(dim)], cols=dim)
 
 
 def apply_map(t: Mat, x: Element) -> Element:
@@ -64,7 +64,7 @@ def map_from_basis_images(a: FinAlgebra, images) -> Mat:
     cols = [img.coeffs if isinstance(img, Element) else tuple(img) for img in images]
     if len(cols) != a.dim or any(len(col) != a.dim for col in cols):
         raise ValueError("need one image of length dim per basis element")
-    return Mat([[cols[j][k] for j in range(a.dim)] for k in range(a.dim)])
+    return Mat([[cols[j][k] for j in range(a.dim)] for k in range(a.dim)], cols=a.dim)
 
 
 def scaled_identity_map(dim: int, factor) -> Mat:
@@ -78,7 +78,7 @@ def transpose_map(n: int) -> Mat:
     for p in range(n):
         for q in range(n):
             m[q * n + p][p * n + q] = _ONE
-    return Mat(m)
+    return Mat(m, cols=d)
 
 
 def _square_check(a: FinAlgebra, t: Mat) -> None:
@@ -414,7 +414,8 @@ def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
     """On a semiprime, commutator-simple algebra, the maps with
     D(x)x, D(x)x^2 in [A,A] are exactly the derivations; check that the two
     spaces agree.  A disagreement under the hypotheses is a refutation and
-    carries a witness map."""
+    carries a witness map; one without a witness is a fault of the program
+    and raises `InternalError`."""
     semiprime = is_semiprime(a)
     simplicity = is_commutator_simple(a)
     derivations = derivation_space(a)
@@ -438,15 +439,12 @@ def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
     if criterion.space == derivations.space:
         return VerificationReport(checks, spaces, VERDICT_VERIFIED)
 
-    def leibniz_violation(m: Mat) -> dict:
-        no_pair = {"pair": None, "lhs": None, "rhs": None}
-        return _first_violation(a, (_LEIBNIZ,), m, "pair") or no_pair
+    def leibniz_violation(m: Mat) -> dict | None:
+        return _first_violation(a, (_LEIBNIZ,), m, "pair")
 
-    def membership_violation(m: Mat) -> dict:
+    def membership_violation(m: Mat) -> dict | None:
         violation = _first_violation(a, _CRITERION, m, "tuple")
-        if violation:
-            violation["degree"] = len(violation["tuple"])
-        return {"violation": violation}
+        return violation and {"violation": {**violation, "degree": len(violation["tuple"])}}
 
     directions = (
         (criterion, derivations, "criterion map is not a derivation", leibniz_violation),
@@ -455,10 +453,13 @@ def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
     for source, target, direction, violation in directions:
         for m in source.basis_maps():
             if not target.contains_map(m):
+                found = violation(m)
+                if found is None:
+                    raise InternalError(f"internal error: {direction}, but breaks no identity")
                 witness = {"direction": direction, "map": [list(row) for row in m.data]}
-                witness.update(violation(m))
+                witness.update(found)
                 return VerificationReport(checks, spaces, VERDICT_REFUTATION, witness)
-    return VerificationReport(checks, spaces, VERDICT_REFUTATION)
+    raise InternalError("internal error: the map spaces differ but no basis map separates them")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Structural invariants of an algebra.
 
-Commutator subspace, the largest ideal inside a subspace, the
-commutator-simplicity decision, the radical and semiprimeness, and trace
-functionals on the span of products.  All decisions are exact.
+Commutator subspace, the largest ideal inside a subspace and the smallest
+one around it, the commutator-simplicity decision, the radical and
+semiprimeness, and trace functionals on the span of products.  All
+decisions are exact.  Each ideal is one side's closure after the other's,
+a kernel or a span each, so nothing iterates to a fixed point.
 """
 
 from __future__ import annotations
@@ -33,53 +35,39 @@ def commutator_subspace(a: FinAlgebra) -> Subspace:
     return Subspace.from_rows(a.dim, rows)
 
 
-def largest_ideal_within(a: FinAlgebra, v: Subspace) -> Subspace:
-    """The unique largest two-sided ideal of A contained in v.
+def _stable_part(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
+    """{x in v : b_u x in v for all u} (side "left"; x b_u for "right"), the
+    common kernel of the covectors f vanishing on v and of x -> f(b_u x),
+    whose entry at j is f(b_u b_j) (f(b_j b_u) on the right)."""
+    d = a.dim
+    covectors = v.annihilator().basis
+    terms = a.product_terms if side == "left" else lambda u, j: a.product_terms(j, u)
 
-    Decreasing fixed point: V_{t+1} = {x in V_t : b_i x in V_t and x b_i in V_t
-    for all basis i}.  The dimension strictly decreases until stable, so the
-    loop terminates within dim(A) rounds.
+    def rows():
+        for f in covectors:
+            yield [(k, x) for k, x in enumerate(f) if x]
+        for f in covectors:
+            for u in range(d):
+                yield [
+                    (j, coef) for j in range(d)
+                    if (coef := sum((c * f[k] for k, c in terms(u, j) if f[k]), _ZERO))
+                ]
+
+    return kernel_from_constraints(d, rows())
+
+
+def largest_ideal_within(a: FinAlgebra, v: Subspace) -> Subspace:
+    """The unique largest two-sided ideal of A contained in v, which is
+    {x : A1 x A1 <= v} for A1 the algebra A with a unit adjoined.
+
+    Two kernels find it.  J = {y in v : A y <= v} is a left ideal, since
+    A (b y) <= A y for b in A, and it holds every left ideal inside v.
+    I = {x in J : x A <= J} is then a right ideal by the same argument and
+    a left one because J is, and it holds every ideal inside v.
     """
     if v.ambient_dim != a.dim:
         raise ValueError("subspace lives in a different ambient space")
-    current = v
-    while current.dim:
-        annihilating = current.annihilator()
-        if annihilating.dim == 0:
-            return current
-        products = []
-        for u in current.basis:
-            for i in range(a.dim):
-                products.append(a.mul_basis(i, u, "left"))
-                products.append(a.mul_basis(i, u, "right"))
-        # products is indexed by (basis-of-current, i, side) in a fixed order;
-        # each covector f gives one constraint row per (i, side) over the
-        # coordinates s of current.
-        r = current.dim
-        rows = []
-        for f in annihilating.basis:
-            for block in range(2 * a.dim):
-                row = []
-                for s in range(r):
-                    coef = dot(f, products[s * 2 * a.dim + block])
-                    if coef:
-                        row.append((s, coef))
-                if row:
-                    rows.append(row)
-        coords = kernel_from_constraints(r, rows)
-        if coords.dim == r:
-            return current
-        new_rows = []
-        for alpha in coords.basis:
-            vec = [_ZERO] * a.dim
-            for s, coef in enumerate(alpha):
-                if coef:
-                    for t, x in enumerate(current.basis[s]):
-                        if x:
-                            vec[t] += coef * x
-            new_rows.append(vec)
-        current = Subspace.from_rows(a.dim, new_rows)
-    return current
+    return _stable_part(a, _stable_part(a, v, "left"), "right")
 
 
 @dataclass(frozen=True)
@@ -164,21 +152,23 @@ def is_semiprime(a: FinAlgebra) -> bool:
     return radical(a).dim == 0
 
 
+def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
+    """v + A v (side "left") or v + v A (side "right")."""
+    products = [a.mul_basis(i, u, side) for u in v.basis for i in range(a.dim)]
+    return Subspace.from_rows(a.dim, v.basis + tuple(products))
+
+
 def ideal_closure(a: FinAlgebra, v: Subspace) -> Subspace:
-    """The smallest two-sided ideal of A containing v (increasing closure)."""
+    """The smallest two-sided ideal of A containing v, which is A1 v A1
+    for A1 the algebra A with a unit adjoined.
+
+    Two spans find it.  L = v + A v is the smallest left ideal holding v,
+    since A (A v) <= A v, and L + L A is then a right ideal and a left one,
+    since A L A <= L A.
+    """
     if v.ambient_dim != a.dim:
         raise ValueError("subspace lives in a different ambient space")
-    current = v
-    while True:
-        rows = list(current.basis)
-        for u in current.basis:
-            for i in range(a.dim):
-                rows.append(a.mul_basis(i, u, "left"))
-                rows.append(a.mul_basis(i, u, "right"))
-        grown = Subspace.from_rows(a.dim, rows)
-        if grown == current:
-            return current
-        current = grown
+    return _with_products(a, _with_products(a, v, "left"), "right")
 
 
 @dataclass(frozen=True)
@@ -223,25 +213,19 @@ def trace_functional_space(
 ) -> tuple[TraceFunctional, ...]:
     """A basis of all functionals on A^2 with t(b_i b_j) = t(b_j b_i).
 
-    Equivalently, the functionals on A^2 vanishing on [A,A] (intersected
-    with A^2), computed as a kernel.  ``domain`` is A^2 (``product_span``)
-    when the caller has it already.
+    These are the functionals on A^2 vanishing on [A,A], which lies in
+    A^2.  Each extends to a covector on A vanishing on [A,A], so they are
+    the restrictions of those covectors to the canonical basis of A^2, and
+    the returned basis is the canonical one of that span of restrictions.
+    ``domain`` is A^2 (``product_span``) when the caller has it already.
     """
     if domain is None:
         domain = product_span(a)
-    s = domain.dim
-
-    def rows():
-        for i in range(a.dim):
-            for j in range(i + 1, a.dim):
-                w = tuple(x - y for x, y in zip(a.product(i, j), a.product(j, i)))
-                coords = domain.coordinates(w)
-                row = [(t, coef) for t, coef in enumerate(coords) if coef]
-                if row:
-                    yield row
-
-    kernel = kernel_from_constraints(s, rows())
-    return tuple(TraceFunctional(a.dim, domain, row) for row in kernel.basis)
+    covectors = a.derived(commutator_subspace).annihilator().basis
+    restricted = Subspace.from_rows(
+        domain.dim, [[dot(f, u) for u in domain.basis] for f in covectors]
+    )
+    return tuple(TraceFunctional(a.dim, domain, row) for row in restricted.basis)
 
 
 def gram_matrix(a: FinAlgebra, tf: TraceFunctional) -> Mat:

@@ -44,6 +44,44 @@ def zero_product_algebra(dim=1):
     return fa.FinAlgebra(c)
 
 
+def n3_algebra():
+    """Strictly upper-triangular 3x3 matrices, basis e12, e13, e23: the only
+    nonzero basis product is e12 e23 = e13."""
+    c = [[[F0] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][2] = [F0, F1, F0]
+    return fa.FinAlgebra(c)
+
+
+def row_algebra():
+    """span{e11, e12} in M_2: e11 e11 = e11, e11 e12 = e12, and every product
+    with e12 on the left is zero.  It has a left unit and no unit."""
+    c = [[[F0] * 2 for _ in range(2)] for _ in range(2)]
+    c[0][0] = [F1, F0]
+    c[0][1] = [F0, F1]
+    return fa.FinAlgebra(c)
+
+
+@lru_cache(maxsize=1)
+def non_unital_algebras():
+    """Named algebras without a unit: N3, span{e11, e12} and the zero-product
+    algebra, their direct and tensor products with M2, T2 and Q[S3], and
+    seeded dense copies of the three."""
+    bases = (("N3", n3_algebra()), ("R2", row_algebra()), ("Z2", zero_product_algebra(2)))
+    partners = (
+        ("M2", corpus_algebra("M2")),
+        ("T2", corpus_algebra("T2")),
+        ("QS3", corpus_algebra("QS3")),
+    )
+    out = list(bases)
+    for name, a in bases:
+        for partner, b in partners:
+            out.append((f"{name}x{partner}", fa.direct_product(a, b)))
+            out.append((f"{name}t{partner}", fa.tensor_product(a, b)))
+    for k, (name, a) in enumerate(bases):
+        out.append((f"dense-{name}", dense_copy(a, Random(k))))
+    return tuple(out)
+
+
 def random_algebra(rng: Random) -> fa.FinAlgebra:
     """A seeded random pick from the constructor families, dimension <= 9."""
     m2 = fa.build_matrix_algebra(2)
@@ -80,8 +118,8 @@ def random_subspace(a: fa.FinAlgebra, rng: Random, rank: int) -> fa.Subspace:
 
 
 def is_ideal_direct(a: fa.FinAlgebra, sub: fa.Subspace) -> bool:
-    """Closure check by direct multiplication, independent of the fixed-point
-    solver: b_i * u and u * b_i stay inside sub for every basis pair."""
+    """Closure check by direct multiplication, independent of the ideal
+    solvers: b_i * u and u * b_i stay inside sub for every basis pair."""
     for u in sub.basis:
         uel = a.element(u)
         for i in range(a.dim):
@@ -91,6 +129,59 @@ def is_ideal_direct(a: fa.FinAlgebra, sub: fa.Subspace) -> bool:
             if not sub.contains_vector((uel * b).coeffs):
                 return False
     return True
+
+
+def largest_ideal_oracle(a: fa.FinAlgebra, v: fa.Subspace) -> fa.Subspace:
+    """The largest ideal inside v as a decreasing fixed point:
+    V_{t+1} = {x in V_t : b_i x and x b_i in V_t for all i}, solved in the
+    coordinates of V_t until nothing is removed."""
+    current = v
+    while current.dim:
+        images = [
+            [a.mul_basis(i, u, side) for i in range(a.dim) for side in ("left", "right")]
+            for u in current.basis
+        ]
+        rows = []
+        for f in current.annihilator().basis:
+            for block in range(2 * a.dim):
+                rows.append([(s, fa.dot(f, images[s][block])) for s in range(current.dim)])
+        coords = fa.kernel_from_constraints(current.dim, rows)
+        if coords.dim == current.dim:
+            break
+        current = fa.Subspace.from_rows(a.dim, [
+            [sum((c * u[t] for c, u in zip(alpha, current.basis)), F0) for t in range(a.dim)]
+            for alpha in coords.basis
+        ])
+    return current
+
+
+def ideal_closure_oracle(a: fa.FinAlgebra, v: fa.Subspace) -> fa.Subspace:
+    """The smallest ideal holding v as an increasing fixed point: add
+    b_i u and u b_i for every basis vector u until the span stops growing."""
+    current = v
+    while True:
+        rows = list(current.basis)
+        for u in current.basis:
+            for i in range(a.dim):
+                rows.append(a.mul_basis(i, u, "left"))
+                rows.append(a.mul_basis(i, u, "right"))
+        grown = fa.Subspace.from_rows(a.dim, rows)
+        if grown == current:
+            return current
+        current = grown
+
+
+def trace_space_oracle(a: fa.FinAlgebra) -> tuple:
+    """The canonical basis of the functionals on A^2 with t(b_i b_j) =
+    t(b_j b_i), as the kernel of the commutators' coordinates on the
+    canonical basis of A^2."""
+    domain = fa.product_span(a)
+    rows = []
+    for i in range(a.dim):
+        for j in range(i + 1, a.dim):
+            w = tuple(x - y for x, y in zip(a.product(i, j), a.product(j, i)))
+            rows.append(domain.coordinates(w))
+    return null_space_oracle(fa.Mat(rows, cols=domain.dim))
 
 
 def power_chain_dims(a: fa.FinAlgebra, sub: fa.Subspace, limit: int) -> list[int]:

@@ -213,4 +213,4 @@ def test_structural_linear_algebra_properties():
             assert len(dims) - 1 <= a.dim
         quotient = fa.quotient_algebra(a, rad)
         assert fa.radical(quotient).dim == 0
-    _ok("ideal fixed point, radical nilpotency, and semiprime quotient properties")
+    _ok("largest ideal inside a subspace, radical nilpotency, and semiprime quotient properties")

@@ -426,6 +426,50 @@ class TestUsageAndErrors:
         assert result.output.startswith("error: internal ")
         assert "verdict" not in result.output
 
+    @pytest.mark.parametrize("criterion", ["full", "zero"])
+    def test_refutation_without_a_violation_is_an_internal_error(
+        self, tmp_path, monkeypatch, criterion
+    ):
+        # On M2 the criterion space is replaced by all maps (a map outside
+        # the derivations) or by none (a derivation outside it), and the
+        # pointwise check finds no violation for that map.
+        out = tmp_path / "m2.alg"
+        CliRunner().invoke(main, ["gen", "matrix", "--n", "2", "-o", str(out)])
+        space = getattr(fa.Subspace, criterion)(16)
+        monkeypatch.setattr("finalg.maps.derivation_criterion_space",
+                            lambda a: fa.MapSpace(a.dim, space))
+        monkeypatch.setattr("finalg.maps._first_violation", lambda *args: None)
+        result = CliRunner().invoke(main, ["verify-derivation-criterion", str(out)])
+        assert result.exit_code == EXIT_REFUTATION
+        assert result.output.startswith("error: internal ")
+        assert "verdict" not in result.output
+
+    def test_differing_spaces_without_a_separating_map_are_an_internal_error(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "m2.alg"
+        CliRunner().invoke(main, ["gen", "matrix", "--n", "2", "-o", str(out)])
+        monkeypatch.setattr("finalg.maps.derivation_criterion_space",
+                            lambda a: fa.MapSpace.full(a.dim))
+        monkeypatch.setattr(fa.MapSpace, "contains_map", lambda self, t: True)
+        result = CliRunner().invoke(main, ["verify-derivation-criterion", str(out)])
+        assert result.exit_code == EXIT_REFUTATION
+        assert result.output.startswith("error: internal ")
+        assert "verdict" not in result.output
+
+    def test_maps_on_a_dimension_zero_algebra(self, tmp_path):
+        doc = tmp_path / "zero.alg"
+        doc.write_text("algebra Z\ndim 0\n")
+        result = CliRunner().invoke(
+            main, ["verify-jordan-criterion", str(doc), "--map", "transpose"]
+        )
+        assert result.exit_code == EXIT_HYPOTHESES, result.output
+        result = CliRunner().invoke(
+            main, ["local-test", str(doc), "--map", "transpose", "--kind", "derivation",
+                   "--seed", "1", "--samples", "2"]
+        )
+        assert result.exit_code == 0, result.output
+
 
 class TestSharedSubspaces:
     """Each command computes [A, A] and the trace-functional space once;

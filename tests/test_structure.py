@@ -8,24 +8,22 @@ from helpers import (
     SEMIPRIME_NAMES,
     corpus,
     corpus_algebra,
+    ideal_closure_oracle,
     is_ideal_direct,
+    largest_ideal_oracle,
     matrix_trace,
+    n3_algebra,
+    non_unital_algebras,
     power_chain_dims,
     random_algebra,
     random_subspace,
+    row_algebra,
     trace_functional_from_covector,
+    trace_space_oracle,
     zero_product_algebra,
 )
 
 F = Fraction
-
-
-def _n3():
-    """Strictly upper-triangular 3x3 matrices, basis e12, e13, e23: the only
-    nonzero basis product is e12 e23 = e13."""
-    c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][2] = [F(0), F(1), F(0)]
-    return fa.FinAlgebra(c)
 
 
 class TestCommutatorSubspace:
@@ -153,18 +151,15 @@ class TestRadical:
     # Hand-derived oracles on non-unital algebras, where the trace row of
     # the adjoined unit joins the rows of the basis products.
     def test_strictly_upper_triangular_n3_is_its_own_radical(self):
-        assert fa.radical(_n3()) == fa.Subspace.full(3)
+        assert fa.radical(n3_algebra()) == fa.Subspace.full(3)
 
     def test_e11_e12_span_has_radical_e12(self):
         # Basis e11, e12 of a subalgebra of M2: e11 e11 = e11, e11 e12 = e12,
         # the rest vanish.  <e12> is a square-zero ideal with a field quotient.
-        c = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
-        c[0][0] = [F(1), F(0)]
-        c[0][1] = [F(0), F(1)]
-        assert fa.radical(fa.FinAlgebra(c)) == fa.Subspace.from_rows(2, [(0, 1)])
+        assert fa.radical(row_algebra()) == fa.Subspace.from_rows(2, [(0, 1)])
 
     def test_radical_of_m2_times_n3_is_the_n3_block(self):
-        p = fa.direct_product(fa.build_matrix_algebra(2), _n3())
+        p = fa.direct_product(fa.build_matrix_algebra(2), n3_algebra())
         assert p.unit is None
         block = [tuple(F(int(t == s)) for t in range(7)) for s in (4, 5, 6)]
         assert fa.radical(p) == fa.Subspace.from_rows(7, block)
@@ -338,3 +333,59 @@ class TestIdealClosure:
         a = fa.build_upper_triangular(2)
         rad = fa.radical(a)
         assert fa.ideal_closure(a, rad) == rad
+
+
+def _oracle_algebras():
+    """The corpus, seeded random algebras and the non-unital family."""
+    rng = Random(61)
+    return (
+        list(corpus())
+        + [(f"random-{k}", random_algebra(rng)) for k in range(30)]
+        + list(non_unital_algebras())
+    )
+
+
+def _test_subspaces(a, rng):
+    """[A, A], 0, A, random subspaces, and the one-sided ideals generated by
+    a random element, each alone and with a random line added."""
+    x = fa.random_element(a, rng).coeffs
+    out = [fa.commutator_subspace(a), fa.Subspace.zero(a.dim), fa.Subspace.full(a.dim)]
+    out += [random_subspace(a, rng, rank) for rank in (1, a.dim // 2, a.dim - 1)]
+    for side in ("left", "right"):
+        one_sided = fa.Subspace.from_rows(
+            a.dim, [x] + [a.mul_basis(i, x, side) for i in range(a.dim)]
+        )
+        out += [one_sided, one_sided + random_subspace(a, rng, 1)]
+    return out
+
+
+class TestClosedFormsAgainstOracles:
+    """The closed forms against the fixed-point loops they replaced, kept
+    in helpers as oracles, and the trace space against a kernel over the
+    commutators' coordinates on A^2.  The non-unital algebras matter: there
+    A^2 can be smaller than A, and x need not lie in A x."""
+
+    def test_largest_ideal_within_matches_the_fixed_point(self):
+        rng = Random(7)
+        for name, a in _oracle_algebras():
+            for v in _test_subspaces(a, rng):
+                assert fa.largest_ideal_within(a, v) == largest_ideal_oracle(a, v), name
+
+    def test_ideal_closure_matches_the_fixed_point(self):
+        rng = Random(8)
+        for name, a in _oracle_algebras():
+            for v in _test_subspaces(a, rng):
+                assert fa.ideal_closure(a, v) == ideal_closure_oracle(a, v), name
+
+    def test_trace_space_matches_the_commutator_kernel(self):
+        for name, a in list(corpus()) + list(non_unital_algebras()):
+            found = tuple(tf.coeffs for tf in fa.trace_functional_space(a))
+            assert found == trace_space_oracle(a), name
+
+    def test_commutator_simplicity_witness_matches_the_fixed_point(self):
+        for name, a in _oracle_algebras():
+            verdict = fa.is_commutator_simple(a)
+            expected = largest_ideal_oracle(a, fa.commutator_subspace(a))
+            assert bool(verdict) == (expected.dim == 0), name
+            if not verdict:
+                assert verdict.witness.ideal == expected, name
