@@ -83,18 +83,27 @@ def _parse_int(token: str, lineno: int, col: int) -> int:
         raise DocumentError(f"expected an integer, got {token!r}", lineno, col) from None
 
 
-def _parse_rat(token: str, lineno: int, col: int) -> Fraction:
-    try:
-        return parse_rational(token)
-    except ValueError as exc:
-        raise DocumentError(str(exc), lineno, col) from None
+def _parse_rat(token: str, lineno: int, col: int, seen: dict[str, Fraction]) -> Fraction:
+    """The rational a token spells, remembered in ``seen``, which one parse
+    keeps for its file: a file repeats few distinct tokens many times.  A
+    bad token is never remembered, so each occurrence raises at its own
+    place."""
+    value = seen.get(token)
+    if value is None:
+        try:
+            value = seen[token] = parse_rational(token)
+        except ValueError as exc:
+            raise DocumentError(str(exc), lineno, col) from None
+    return value
 
 
-def _parse_vector(toks: list[tuple[str, int]], dim: int, lineno: int, what: str) -> Vec:
+def _parse_vector(
+    toks: list[tuple[str, int]], dim: int, lineno: int, what: str, seen: dict[str, Fraction]
+) -> Vec:
     if len(toks) != dim:
         col = toks[0][1] if toks else 1
         raise DocumentError(f"{what} needs exactly {dim} rationals, got {len(toks)}", lineno, col)
-    return tuple(_parse_rat(tok, lineno, col) for tok, col in toks)
+    return tuple([_parse_rat(tok, lineno, col, seen) for tok, col in toks])
 
 
 def parse_document(text: str) -> AlgebraDocument:
@@ -105,6 +114,7 @@ def parse_document(text: str) -> AlgebraDocument:
     unit: Vec | None = None
     products: dict[tuple[int, int], Vec] = {}
     order: list[tuple[int, int]] = []
+    seen: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0]
         toks = _tokens(line)
@@ -139,7 +149,7 @@ def parse_document(text: str) -> AlgebraDocument:
                 raise DocumentError("'unit' must come after 'dim'", lineno, col)
             if unit is not None:
                 raise DocumentError("duplicate 'unit' line", lineno, col)
-            unit = _parse_vector(body, dim, lineno, "'unit'")
+            unit = _parse_vector(body, dim, lineno, "'unit'", seen)
         elif keyword == "product":
             if dim is None:
                 raise DocumentError("'product' must come after 'dim'", lineno, col)
@@ -151,7 +161,7 @@ def parse_document(text: str) -> AlgebraDocument:
                 raise DocumentError(f"basis pair ({i},{j}) out of range", lineno, body[0][1])
             if (i, j) in products:
                 raise DocumentError(f"duplicate product for basis pair ({i},{j})", lineno, col)
-            products[(i, j)] = _parse_vector(body[3:], dim, lineno, "'product'")
+            products[(i, j)] = _parse_vector(body[3:], dim, lineno, "'product'", seen)
             order.append((i, j))
         else:
             raise DocumentError(f"unknown keyword {keyword!r}", lineno, col)
@@ -258,7 +268,8 @@ def parse_map_file(text: str, expected_dim: int | None = None) -> Mat:
     body = toks[1:]
     if len(body) != dim * dim:
         raise DocumentError(f"expected {dim * dim} entries, got {len(body)}")
-    values = [_parse_rat(tok, lineno, col) for tok, lineno, col in body]
+    seen: dict[str, Fraction] = {}
+    values = [_parse_rat(tok, lineno, col, seen) for tok, lineno, col in body]
     return Mat([values[r * dim : (r + 1) * dim] for r in range(dim)])
 
 

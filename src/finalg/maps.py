@@ -12,6 +12,13 @@ the linear constraint rows of a map space and the first violating basis
 tuple of a concrete map.  Products are read only through the public
 product API of `FinAlgebra`.
 
+Rows come from one engine, which groups an identity's terms by the word in
+the map.  What a group adds to a tuple's rows depends only on the tuple's
+letters outside that word, so it is built once per such letters, with the
+column offsets folded in, and shifted into place for each tuple; when the
+tuple's mapped letters are distinct, nothing needs adding up.  The stream,
+its order and every value are those of reading the terms one by one.
+
 Membership in [A, A] is decided exactly through the covectors f that vanish
 on [A, A]: r lies in [A, A] iff f(r) = 0 for each f of a basis.  Such an f
 has f(xy) = f(yx), so terms that are rotations of each other are merged
@@ -208,51 +215,128 @@ def _constraint_rows(a: FinAlgebra, identities):
     of output coordinate r.
 
     Modulo [A, A], each functional f vanishing on [A, A] gives one row, and
-    f(L D(M) R) = f(D(M) R L).  f(b_k W) is found as sum_r W_r f(b_k b_r),
-    projecting before the product with W is expanded.
+    f(L D(M) R) = f(D(M) R L).  A sum of such terms with the same M is
+    f(D(M) W) for W the sum of the words R L, and f(b_k W) is found as
+    sum_r W_r f(b_k b_r), adding the sparse Gram columns r of f over the
+    nonzeros of W.
     """
     d = a.dim
     if not identities[0].modulo_commutators:
-        yield from _rows(a, identities, d, lambda left, right: [
-            (k, r, _exact(v)) for k in range(d) for r, v in _terms(a, left + (k,) + right)
-        ])
+
+        def context(terms, letters):
+            sums: dict[int, dict] = {}
+            for sign, left, right in terms:
+                left, right = _at(letters, left), _at(letters, right)
+                for k in range(d):
+                    for r, v in _terms(a, left + (k,) + right):
+                        v = _exact(v)
+                        _accumulate(sums.setdefault(r, {}), k * d, v if sign > 0 else -v)
+            return sums
+
+        yield from _rows(a, identities, d, context)
         return
     for gram in a.derived(_commutator_forms):
+        columns = [
+            [(k * d, _exact(g)) for k, form in enumerate(gram.data) if (g := form[r])]
+            for r in range(d)
+        ]
 
-        def projected(left, right, gram=gram):
-            w = _terms(a, right + left)
-            return [
-                (k, 0, _exact(v))
-                for k, form in enumerate(gram.data)
-                if (v := sum((c * form[r] for r, c in w if form[r]), _ZERO))
-            ]
+        def projected(terms, letters, columns=columns):
+            word: dict[int, Fraction | int] = {}
+            for sign, left, right in terms:
+                for r, c in _terms(a, _at(letters, right + left)):
+                    c = _exact(c)
+                    _accumulate(word, r, c if sign > 0 else -c)
+            totals: dict[int, Fraction | int] = {}
+            for r, c in word.items():
+                for offset, g in columns[r]:
+                    _accumulate(totals, offset, c * g)
+            return {0: totals}
 
         yield from _rows(a, identities, 1, projected)
 
 
 def _rows(a: FinAlgebra, identities, outputs: int, context):
-    """The rows of each basis tuple in turn; context(L, R) lists the nonzero
-    (k, r, coefficient) of L b_k R in output coordinate r, once per (L, R)."""
+    """The rows of each basis tuple in turn, by increasing output coordinate
+    r < outputs.
+
+    The terms of an identity are grouped by the word M in the map.  What a
+    group adds to a tuple's rows, with M left out, depends only on the
+    tuple's letters at the group's other positions.  context(terms, letters)
+    gives it as {r: {k d: coefficient}}, the sum of sign * L b_k R over the
+    terms (sign, L, R), their positions renumbered to index the letters.
+    It is built once per letters and shared by the groups whose renumbered
+    terms agree.  A tuple adds it at k d + t, times M_t, for each nonzero
+    M_t, adding up entries that meet.  Entries of the first group never
+    meet, and neither do any two when every M is one letter and the tuple's
+    letters there are distinct; then a group's entries for a single output
+    are stored at once, without being looked up.
+    """
     d = a.dim
-    contexts: dict[tuple, list[tuple[int, int, Fraction]]] = {}
+    caches: dict[tuple, dict] = {}
     for identity in identities:
-        terms = []
+        groups: dict[tuple, list] = {}
         for sign, factors in identity.terms:
             (n,) = [n for n, (mapped, _) in enumerate(factors) if mapped]
             words = [word for _, word in factors]
-            terms.append((sign, sum(words[:n], ()), words[n], sum(words[n + 1 :], ())))
+            groups.setdefault(words[n], []).append((sign, sum(words[:n], ()), sum(words[n + 1 :], ())))
+        plans = []
+        for word, terms in groups.items():
+            rest = sorted({p for _, left, right in terms for p in left + right})
+            place = {p: n for n, p in enumerate(rest)}
+            shape = tuple(sorted(
+                (sign, tuple(place[p] for p in left), tuple(place[p] for p in right))
+                for sign, left, right in terms
+            ))
+            plans.append((word, _letters_at(rest), shape, caches.setdefault(shape, {})))
+        # the positions of the one-letter words M, when every M is one letter
+        single = [word[0] for word in groups] if all(len(word) == 1 for word in groups) else []
+        mapped = _letters_at(single)
         for tup in identity.tuples(d):
+            distinct = len(single) > 1 and len(set(mapped(tup))) == len(single)
             rows = [{} for _ in range(outputs)]
-            for sign, left, word, right in terms:
-                key = _at(tup, left), _at(tup, right)
-                entries = contexts.get(key)
-                if entries is None:
-                    entries = contexts[key] = context(*key)
-                for t, m in _terms(a, _at(tup, word)):
-                    scale = _scaler(m if sign > 0 else -m)
-                    for k, r, v in entries:
-                        _accumulate(rows[r], k * d + t, scale(v))
-            yield from (row.items() for row in rows if row)
+            disjoint = True
+            for word, rest, shape, cache in plans:
+                letters = rest(tup)
+                summed = cache.get(letters)
+                if summed is None:
+                    summed = cache[letters] = _group_sum(context(shape, letters))
+                lone, entries = summed
+                if len(word) == 1:
+                    shifts = ((tup[word[0]], 1),)
+                else:
+                    shifts = [(t, _exact(m)) for t, m in a.product_terms(tup[word[0]], tup[word[1]])]
+                for t, m in shifts:
+                    if disjoint and lone:
+                        r, offsets, values = lone
+                        if m != 1:
+                            values = [m * v for v in values]
+                        rows[r].update(zip(map(t.__add__, offsets), values))
+                    else:
+                        for r, o, v in entries:
+                            _accumulate(rows[r], o + t, v if m == 1 else m * v)
+                disjoint = distinct
+            for row in rows:
+                if row:
+                    yield row.items()
+
+
+def _group_sum(sums: dict[int, dict]) -> tuple:
+    """{r: {k d: coefficient}} as its (r, k d, value) entries by increasing
+    r, integral values as `int`, and as (r, offsets, values) too when one
+    output r holds them all."""
+    entries = [(r, o, _exact(v)) for r in sorted(sums) for o, v in sums[r].items()]
+    if len({r for r, _, _ in entries}) != 1:
+        return None, entries
+    return (entries[0][0], tuple(o for _, o, _ in entries), tuple(v for _, _, v in entries)), entries
+
+
+def _letters_at(positions):
+    """tup -> the tuple of tup's letters at these positions."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    # a slice, so that one letter or none still comes as a tuple
+    return operator.itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None:
@@ -327,17 +411,6 @@ def _exact(x: Fraction) -> Fraction | int:
     return x.numerator if x.denominator == 1 else x
 
 
-def _scaler(c: Fraction):
-    """v -> c v, without a multiplication by 1 or -1, and with c as an int
-    when integral."""
-    if c == 1:
-        return lambda v: v
-    if c == -1:
-        return operator.neg
-    c = _exact(c)
-    return lambda v: c if v == 1 else c * v
-
-
 def _accumulate(row: dict[int, Fraction], idx: int, value: Fraction) -> None:
     total = row.get(idx)
     if total is None:
@@ -360,12 +433,18 @@ def derivation_space(a: FinAlgebra) -> MapSpace:
 
 
 def inner_derivation_space(a: FinAlgebra) -> MapSpace:
-    """The span of the maps ad_{b_k} : x -> [x, b_k] = x b_k - b_k x."""
+    """The span of the maps ad_{b_k} : x -> [x, b_k] = x b_k - b_k x.  The
+    row-major flattening of ad_{b_k} holds (b_j b_k - b_k b_j)_s at s d + j."""
     d = a.dim
-    rows = [
-        flatten_map(a.mult_operator(b, "right") - a.mult_operator(b, "left"))
-        for b in Mat.identity(d).data
-    ]
+    rows = []
+    for k in range(d):
+        row = [_ZERO] * (d * d)
+        for j in range(d):
+            for s, c in a.product_terms(j, k):
+                row[s * d + j] += c
+            for s, c in a.product_terms(k, j):
+                row[s * d + j] -= c
+        rows.append(row)
     return MapSpace(d, Subspace.from_rows(d * d, rows))
 
 

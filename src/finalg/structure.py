@@ -31,7 +31,12 @@ def commutator_subspace(a: FinAlgebra) -> Subspace:
     rows = []
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
-            rows.append(tuple(x - y for x, y in zip(a.product(i, j), a.product(j, i))))
+            row = [_ZERO] * a.dim
+            for k, c in a.product_terms(i, j):
+                row[k] += c
+            for k, c in a.product_terms(j, i):
+                row[k] -= c
+            rows.append(row)
     return Subspace.from_rows(a.dim, rows)
 
 
@@ -311,8 +316,9 @@ def has_nondegenerate_trace(a: FinAlgebra, seed: int, trials: int) -> TraceSearc
         if nondegenerate:
             return TraceSearchResult(tf, False, None, 0, len(basis))
     if not basis:
-        # Only reachable at dimension zero, where there is nothing to search.
-        return TraceSearchResult(None, False, None, 0, 0)
+        # Only reachable at dimension zero, where A^2 = 0 and the zero
+        # functional, with its 0 x 0 Gram matrix, is nondegenerate.
+        return TraceSearchResult(TraceFunctional(0, Subspace.zero(0), ()), False, None, 0, 0)
     rng = Random(seed)
     domain = basis[0].domain
     s = domain.dim

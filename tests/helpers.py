@@ -8,6 +8,7 @@ from functools import lru_cache
 from random import Random
 
 import finalg as fa
+import finalg.maps as fm
 
 F = Fraction
 F0 = Fraction(0)
@@ -355,3 +356,71 @@ def cubic_condition_oracle(a: fa.FinAlgebra, t: fa.Mat):
         if not commutators.contains_vector(residual.coeffs):
             return {"triple": triple, "value": residual.coeffs}
     return None
+
+
+def inner_derivation_oracle(a: fa.FinAlgebra) -> fa.Subspace:
+    """The span of the flattened maps ad_{b_k} = R_{b_k} - L_{b_k}, each
+    built as the difference of two dense multiplication operators."""
+    d = a.dim
+    rows = [
+        fa.flatten_map(a.mult_operator(b, "right") - a.mult_operator(b, "left"))
+        for b in fa.Mat.identity(d).data
+    ]
+    return fa.Subspace.from_rows(d * d, rows)
+
+
+def constraint_rows_oracle(a: fa.FinAlgebra, identities):
+    """The constraint rows of identities linear in D, read term by term from
+    the same `_Identity` descriptions the program uses: a term L D(M) R
+    adds M_t (L b_k R)_r at D[k][t] in the row of output coordinate r, and
+    modulo [A, A] it adds M_t f(b_k R L) in the row of each functional f,
+    read through the dense Gram forms.  Rows come tuple by tuple, by
+    increasing r (functional by functional modulo [A, A]), as the items of
+    an {index: value} mapping without zeros."""
+    d = a.dim
+    if not identities[0].modulo_commutators:
+        yield from _oracle_rows(a, identities, d, lambda left, right: [
+            (k, r, v) for k in range(d) for r, v in _oracle_terms(a, left + (k,) + right)
+        ])
+        return
+    for gram in fm._commutator_forms(a):
+
+        def projected(left, right, gram=gram):
+            w = _oracle_terms(a, right + left)
+            return [
+                (k, 0, v)
+                for k, form in enumerate(gram.data)
+                if (v := sum((c * form[r] for r, c in w if form[r]), F0))
+            ]
+
+        yield from _oracle_rows(a, identities, 1, projected)
+
+
+def _oracle_rows(a, identities, outputs, context):
+    d = a.dim
+    contexts = {}
+    for identity in identities:
+        terms = []
+        for sign, factors in identity.terms:
+            (n,) = [n for n, (mapped, _) in enumerate(factors) if mapped]
+            words = [word for _, word in factors]
+            terms.append((sign, sum(words[:n], ()), words[n], sum(words[n + 1:], ())))
+        for tup in identity.tuples(d):
+            rows = [{} for _ in range(outputs)]
+            for sign, left, word, right in terms:
+                key = tuple(tup[p] for p in left), tuple(tup[p] for p in right)
+                if key not in contexts:
+                    contexts[key] = context(*key)
+                for t, m in _oracle_terms(a, tuple(tup[p] for p in word)):
+                    for k, r, v in contexts[key]:
+                        row = rows[r]
+                        total = row.get(k * d + t, F0) + sign * m * v
+                        if total:
+                            row[k * d + t] = total
+                        else:
+                            row.pop(k * d + t, None)
+            yield from (row.items() for row in rows if row)
+
+
+def _oracle_terms(a, word):
+    return ((word[0], F1),) if len(word) == 1 else a.product_terms(*word)

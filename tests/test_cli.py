@@ -342,6 +342,25 @@ class TestTraceCommand:
         assert result.exit_code == EXIT_PROPERTY_FALSE
         assert "definite-negative = true" in result.output
 
+    def test_dimension_zero_finds_the_zero_functional(self, tmp_path):
+        # A^2 = 0, so the zero functional has a 0 x 0 Gram matrix, which is
+        # nondegenerate: nothing is left to search and the verdict is ok.
+        doc = tmp_path / "zero.alg"
+        doc.write_text("algebra Z\ndim 0\n")
+        result = invoke("trace", str(doc), "--seed", "1", "--format", "structured")
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["verdict"] == "ok"
+        sections = {sec["name"]: dict(map(tuple, sec["entries"])) for sec in payload["sections"]}
+        assert sections["trace"] == {
+            "trace-space-dim": 0,
+            "found": True,
+            "definite-negative": False,
+            "trials-used": 0,
+            "functional-coeffs": [],
+            "functional-domain-pivots": [],
+        }
+
     def test_zero_trials_exits_3(self, workdir):
         tmp_path, cli = workdir
         result = cli("trace", tmp_path / "m2.alg", "--seed", "1", "--trials", "0")

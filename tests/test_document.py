@@ -46,6 +46,26 @@ class TestParsing:
         assert excinfo.value.line == 3
         assert excinfo.value.col == 15
 
+    def test_repeated_tokens(self):
+        # Each parse remembers the rationals its tokens spell; a bad token is
+        # never remembered, so the first error stays at its first occurrence.
+        text = (
+            "algebra X\ndim 2\nunit 1/2 1/2\nproduct 0 0 = 1/2 -1\n"
+            "product 0 1 = -1 1/0\nproduct 1 0 = 1/0 1/0\n"
+        )
+        with pytest.raises(DocumentError, match="zero denominator") as excinfo:
+            parse_document(text)
+        assert (excinfo.value.line, excinfo.value.col) == (5, 18)
+        doc = parse_document(text.replace("1/0", "2/4"))
+        assert doc.unit == (F(1, 2), F(1, 2))
+        assert doc.products == (
+            (0, 0, (F(1, 2), F(-1))), (0, 1, (F(-1), F(1, 2))), (1, 0, (F(1, 2), F(1, 2))),
+        )
+        with pytest.raises(DocumentError, match="malformed") as excinfo:
+            parse_map_file("2\n1/2 x\nx 1/2\n")
+        assert (excinfo.value.line, excinfo.value.col) == (2, 5)
+        assert parse_map_file("2\n1/2 -1\n-1 1/2\n") == fa.Mat([[F(1, 2), F(-1)], [F(-1), F(1, 2)]])
+
     def test_perturbed_structure_constant_names_a_triple(self):
         bad = M2_TEXT.replace("product 0 1 = 0 1 0 0", "product 0 1 = 1 1 0 0")
         with pytest.raises(DocumentError, match="associativity fails at basis triple"):

@@ -1,20 +1,25 @@
+import hashlib
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 import finalg as fa
+import finalg.maps as fm
 from finalg.maps import unflatten_map
 from helpers import (
     SEMIPRIME_NAMES,
     Infeasible,
     conjugation_map,
+    constraint_rows_oracle,
     corpus,
     corpus_algebra,
     cubic_condition_oracle,
     dense_copy,
     inner_automorphism_map,
+    inner_derivation_oracle,
     matrix_trace,
+    non_unital_algebras,
     random_algebra,
     random_invertible,
     solve_affine,
@@ -68,6 +73,17 @@ class TestInnerDerivations:
             inner = fa.inner_derivation_space(a)
             der = fa.derivation_space(a)
             assert inner.space <= der.space
+
+    def test_span_matches_multiplication_operators(self):
+        rng = Random(67)
+        algebras = (
+            [a for _, a in corpus()]
+            + [a for _, a in non_unital_algebras()]
+            + [random_algebra(rng) for _ in range(20)]
+            + [dense_copy(corpus_algebra("QD4"), rng), fa.build_group_algebra(fa.symmetric_group(4))]
+        )
+        for a in algebras:
+            assert fa.inner_derivation_space(a).space == inner_derivation_oracle(a)
 
     def test_ad_matches_bracket(self):
         rng = Random(41)
@@ -538,3 +554,84 @@ class TestCapSize:
         assert {c.name: c.passed for c in report.checks}["semiprime"] is False
         assert report.spaces["inner-derivations"] == report.spaces["derivations"] == 14
         assert fa.jordan_derivation_space(a).dim == 14
+
+
+SYSTEMS = {
+    "derivation": (fm._LEIBNIZ,),
+    "jordan": (fm._JORDAN_DERIVATION,),
+    "criterion": fm._CRITERION,
+}
+
+
+def _rescaled(a, scales):
+    """The same algebra on the basis s_i b_i, whose structure constants
+    s_i s_j c[i][j][k] / s_k are fractions for fractional scales."""
+    d = a.dim
+    c = [[[F(0)] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k, x in a.product_terms(i, j):
+                c[i][j][k] = scales[i] * scales[j] * x / scales[k]
+    unit = None if a.unit is None else [x / s for x, s in zip(a.unit, scales)]
+    return fa.FinAlgebra(c, unit)
+
+
+def _row_engine_members():
+    """The corpus, a dense copy of each member, seeded random draws, the
+    named algebras without a unit, and copies on rescaled bases, with
+    structure constants other than 0 and +-1, fractions among them."""
+    members = list(corpus())
+    members += [(f"dense-{name}", dense_copy(a, Random(k))) for k, (name, a) in enumerate(corpus())]
+    rng = Random(71)
+    members += [(f"random-{k}", random_algebra(rng)) for k in range(12)]
+    scales = [F(2), F(1, 3), F(-1), F(5, 2)]
+    members += [
+        (f"rescaled-{name}", _rescaled(a, (scales * a.dim)[start : start + a.dim]))
+        for start, (name, a) in enumerate([
+            ("M1", fa.build_matrix_algebra(1)),
+            ("M1", fa.build_matrix_algebra(1)),
+            ("M2", corpus_algebra("M2")),
+            ("QS3", corpus_algebra("QS3")),
+            ("T3", corpus_algebra("T3")),
+        ])
+    ]
+    return members + list(non_unital_algebras())
+
+
+class TestRowEngine:
+    """The grouped row engine against the term-by-term oracle: the same rows
+    in the same order, each equal as an {index: value} mapping.  The order
+    of the entries in a row, and int or Fraction for an integral value, are
+    free."""
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_matches_the_term_by_term_oracle(self, system):
+        for name, a in _row_engine_members():
+            rows = [list(row) for row in fm._constraint_rows(a, SYSTEMS[system])]
+            assert all(len(dict(row)) == len(row) and all(v for _, v in row) for row in rows)
+            expected = [dict(row) for row in constraint_rows_oracle(a, SYSTEMS[system])]
+            assert [dict(row) for row in rows] == expected, (name, system)
+
+
+def _row_stream_digest(rows) -> str:
+    h = hashlib.sha256()
+    for row in rows:
+        h.update((" ".join(f"{i}:{c}" for i, c in sorted(row)) + "\n").encode())
+    return h.hexdigest()
+
+
+# system -> (rows, rank, sha256 of the rows, entries sorted in each row) of
+# Q[S4], recorded from the term-by-term engine the grouped one replaced.
+QS4_ROW_STREAMS = {
+    "derivation": (13824, 557, "3ade385dc4a80de9c81628767ee4fc5c0eeadc0c1e94af8de0fc28405ae8f17c"),
+    "jordan": (7200, 557, "be928137919ab5f21ffa7fa3b26259216acd420475a17e17e520f7ad7dfd0eaf"),
+    "criterion": (14500, 557, "432942739c219c370f428e99657e8ee759e46576d492774d06d93a64a1a581b6"),
+}
+
+
+@pytest.mark.parametrize("system", sorted(QS4_ROW_STREAMS))
+def test_qs4_row_streams(system):
+    a = fa.build_group_algebra(fa.symmetric_group(4))
+    rows = [list(row) for row in fm._constraint_rows(a, SYSTEMS[system])]
+    rank = a.dim ** 2 - fa.kernel_from_constraints(a.dim ** 2, rows).dim
+    assert (len(rows), rank, _row_stream_digest(rows)) == QS4_ROW_STREAMS[system]

@@ -51,6 +51,20 @@ class TestCommutatorSubspace:
             a = fa.build_group_algebra(make)
             assert fa.commutator_subspace(a).dim == a.dim - classes
 
+    def test_matches_the_span_of_element_commutators(self):
+        # Oracle: the span of x y - y x over basis elements, multiplied as
+        # elements, not read from the sparse products.
+        rng = Random(73)
+        algebras = (
+            [a for _, a in corpus()]
+            + [a for _, a in non_unital_algebras()]
+            + [random_algebra(rng) for _ in range(20)]
+        )
+        for a in algebras:
+            basis = [a.basis_element(i) for i in range(a.dim)]
+            rows = [(x * y - y * x).coeffs for x in basis for y in basis]
+            assert fa.commutator_subspace(a) == fa.Subspace.from_rows(a.dim, rows)
+
     def test_product_span_of_unital_is_everything(self):
         for _, a in corpus():
             if a.is_unital:
