@@ -19,11 +19,12 @@ column offsets folded in, and shifted into place for each tuple; when the
 tuple's mapped letters are distinct, nothing needs adding up.  The stream,
 its order and every value are those of reading the terms one by one.
 
+A check evaluates terms as sparse vectors, dense only at a failing tuple.
 Membership in [A, A] is decided exactly through the covectors f that vanish
 on [A, A]: r lies in [A, A] iff f(r) = 0 for each f of a basis.  Such an f
 has f(xy) = f(yx), so terms that are rotations of each other are merged
-first, and a term H L is read as H . G_f L through the Gram form
-G_f[u][v] = f(b_u b_v), built once per algebra.
+first, and a term H L is read as H . G_f L through the sparse columns of
+the Gram form G_f[u][v] = f(b_u b_v), built once per algebra for both reads.
 """
 
 from __future__ import annotations
@@ -196,17 +197,18 @@ _CUBIC = _Identity(
 )
 
 
-def _commutator_forms(a: FinAlgebra) -> tuple[Mat, ...]:
-    """The Gram form G[u][v] = f(b_u b_v) of each f in the canonical basis of
-    the covectors vanishing on [A, A]: r is in [A, A] iff every f(r) = 0."""
+def _commutator_forms(a: FinAlgebra) -> list:
+    """Gram columns r -> [(k, f(b_k b_r)) nonzero, k increasing] of each f in the
+    canonical basis of the covectors vanishing on [A, A]: r in [A, A] iff all f(r) = 0."""
     d = a.dim
-    return tuple(
-        Mat([
-            [sum((c * f[s] for s, c in a.product_terms(u, v) if f[s]), _ZERO) for v in range(d)]
-            for u in range(d)
+    forms = []
+    for f in a.derived(commutator_subspace).annihilator().basis:
+        f = [_exact(x) for x in f]
+        forms.append([
+            [(k, _exact(g)) for k in range(d) if (g := sum(c * f[s] for s, c in _terms(a, (k, r))))]
+            for r in range(d)
         ])
-        for f in a.derived(commutator_subspace).annihilator().basis
-    )
+    return forms
 
 
 def _constraint_rows(a: FinAlgebra, identities):
@@ -229,29 +231,19 @@ def _constraint_rows(a: FinAlgebra, identities):
                 left, right = _at(letters, left), _at(letters, right)
                 for k in range(d):
                     for r, v in _terms(a, left + (k,) + right):
-                        v = _exact(v)
                         _accumulate(sums.setdefault(r, {}), k * d, v if sign > 0 else -v)
             return sums
 
         yield from _rows(a, identities, d, context)
         return
-    for gram in a.derived(_commutator_forms):
-        columns = [
-            [(k * d, _exact(g)) for k, form in enumerate(gram.data) if (g := form[r])]
-            for r in range(d)
-        ]
+    for form in a.derived(_commutator_forms):
+        columns = [[(k * d, g) for k, g in column] for column in form]
 
         def projected(terms, letters, columns=columns):
-            word: dict[int, Fraction | int] = {}
-            for sign, left, right in terms:
-                for r, c in _terms(a, _at(letters, right + left)):
-                    c = _exact(c)
-                    _accumulate(word, r, c if sign > 0 else -c)
-            totals: dict[int, Fraction | int] = {}
-            for r, c in word.items():
-                for offset, g in columns[r]:
-                    _accumulate(totals, offset, c * g)
-            return {0: totals}
+            word = _combination(
+                (sign, _terms(a, _at(letters, right + left))) for sign, left, right in terms
+            )
+            return {0: _combination((c, columns[r]) for r, c in word.items())}
 
         yield from _rows(a, identities, 1, projected)
 
@@ -305,7 +297,7 @@ def _rows(a: FinAlgebra, identities, outputs: int, context):
                 if len(word) == 1:
                     shifts = ((tup[word[0]], 1),)
                 else:
-                    shifts = [(t, _exact(m)) for t, m in a.product_terms(tup[word[0]], tup[word[1]])]
+                    shifts = _terms(a, (tup[word[0]], tup[word[1]]))
                 for t, m in shifts:
                     if disjoint and lone:
                         r, offsets, values = lone
@@ -344,56 +336,69 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
     the identities, with both evaluated sides, or with the residual lhs - rhs
     for identities modulo [A, A]; None when t satisfies them all.
 
-    Modulo [A, A] the check reads the cyclic terms through
-    `_commutator_forms`, and the residual is built only on failure."""
+    Terms are sparse, from `product_terms` and the nonzero entries of each
+    T(b_j).  Modulo [A, A] a tuple holds when f(H L) = H . G_f L, summed over
+    the cyclic terms H L, is zero for each f of `_commutator_forms`."""
     d = a.dim
-    basis = Mat.identity(d).data
-    images = [t.column(j) for j in range(d)]
+    images = [[(k, _exact(x)) for k, row in enumerate(t.data) if (x := row[j])] for j in range(d)]
+    forms = a.derived(_commutator_forms) if identities[0].modulo_commutators else None
+    heads, grams = {}, {}
 
-    def value(factors) -> Vec:
-        *head, (mapped, word) = factors
-        if len(word) == 1:
-            last = images[word[0]] if mapped else basis[word[0]]
-        else:
-            last = t.apply(a.product(*word))
-        return a.mul(value(head), last) if head else last
-
-    modulo = identities[0].modulo_commutators
-    forms = a.derived(_commutator_forms) if modulo else ()
-    heads, projected = {}, {}
-
-    def term(weight: int, factors) -> tuple:
-        """The nonzero entries of weight * H, and G_f L for every f."""
-        head, last = factors[:-1], factors[-1]
-        if (weight, head) not in heads:
-            heads[weight, head] = [(u, _exact(weight * x)) for u, x in enumerate(value(head)) if x]
-        if last not in projected:
-            projected[last] = [tuple(map(_exact, gram.apply(value((last,))))) for gram in forms]
-        return heads[weight, head], projected[last]
+    def value(factors):
+        """The product of the factors as (index, value) pairs, without zeros."""
+        left = None
+        for mapped, word in factors:
+            vec = images[word[0]] if mapped and len(word) == 1 else _terms(a, word)
+            if mapped and len(word) == 2:
+                vec = _combination((c, images[s]) for s, c in vec).items()
+            if left is not None:
+                vec = _combination((x * y, _terms(a, (u, v))) for u, x in left for v, y in vec).items()
+            left = vec
+        return left
 
     def holds_modulo(identity, tup) -> bool:
-        terms = [term(w, tuple((m, _at(tup, p)) for m, p in fs)) for w, fs in identity.cyclic]
+        terms = []
+        for weight, factors in identity.cyclic:
+            *head, last = ((m, _at(tup, p)) for m, p in factors)
+            if (head := tuple(head)) not in heads:
+                heads[head] = value(head)
+            if last not in grams:
+                grams[last] = [_combination((y, form[v]) for v, y in value((last,))) for form in forms]
+            terms.append((weight, heads[head], grams[last]))
         return not any(
-            sum(x * c for entries, columns in terms for u, x in entries if (c := columns[n][u]))
+            sum(w * x * c for w, head, gl in terms for u, x in head if (c := gl[n].get(u)))
             for n in range(len(forms))
         )
 
     for identity in identities:
         for tup in identity.tuples(d):
-            if modulo and holds_modulo(identity, tup):
+            if forms is not None and holds_modulo(identity, tup):
                 continue
-            sides = {1: [_ZERO] * d, -1: [_ZERO] * d}
-            for sign, factors in identity.terms:
-                total = sides[sign]
-                for r, x in enumerate(value(tuple((m, _at(tup, w)) for m, w in factors))):
-                    if x:
-                        total[r] += x
-            lhs, rhs = tuple(sides[1]), tuple(sides[-1])
-            if modulo:
+            values = [(s, value(tuple((m, _at(tup, p)) for m, p in fs))) for s, fs in identity.terms]
+            sides = [_combination((1, v) for s, v in values if s == side) for side in (1, -1)]
+            if forms is None and sides[0] == sides[1]:
+                continue
+            lhs, rhs = (tuple(_ZERO + side.get(r, 0) for r in range(d)) for side in sides)
+            if forms is not None:
                 return {key: tup, "value": tuple(x - y for x, y in zip(lhs, rhs))}
-            if lhs != rhs:
-                return {key: tup, "lhs": lhs, "rhs": rhs}
+            return {key: tup, "lhs": lhs, "rhs": rhs}
     return None
+
+
+def _exact_products(a: FinAlgebra) -> list:
+    """`product_terms` of every basis pair, integral coefficients as int."""
+    basis = range(a.dim)
+    return [[tuple((k, _exact(c)) for k, c in a.product_terms(i, j)) for j in basis] for i in basis]
+
+
+def _combination(scaled) -> dict:
+    """The sparse sum of c v over the pairs (c, v), v given by its
+    (index, value) pairs, without zeros."""
+    total: dict[int, Fraction | int] = {}
+    for c, vec in scaled:
+        for k, x in vec:
+            _accumulate(total, k, c * x)
+    return total
 
 
 def _solve(a: FinAlgebra, *identities: _Identity) -> MapSpace:
@@ -402,8 +407,8 @@ def _solve(a: FinAlgebra, *identities: _Identity) -> MapSpace:
 
 
 def _terms(a: FinAlgebra, word: tuple[int, ...]):
-    """b_w, or the product b_v b_w, as sparse (index, coefficient) pairs."""
-    return ((word[0], _ONE),) if len(word) == 1 else a.product_terms(*word)
+    """b_w, or the product b_v b_w, as sparse (index, coefficient) pairs, ints where integral."""
+    return ((word[0], 1),) if len(word) == 1 else a.derived(_exact_products)[word[0]][word[1]]
 
 
 def _exact(x: Fraction) -> Fraction | int:
@@ -415,12 +420,10 @@ def _accumulate(row: dict[int, Fraction], idx: int, value: Fraction) -> None:
     total = row.get(idx)
     if total is None:
         row[idx] = value
+    elif total := total + value:
+        row[idx] = total
     else:
-        total += value
-        if total:
-            row[idx] = total
-        else:
-            del row[idx]
+        del row[idx]
 
 
 def _at(tup: tuple[int, ...], positions: tuple[int, ...]) -> tuple[int, ...]:

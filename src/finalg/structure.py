@@ -130,22 +130,18 @@ def radical(a: FinAlgebra) -> Subspace:
     others.
     """
     d = a.dim
-    left_traces = [sum((a.product(t, k)[k] for k in range(d)), _ZERO) for t in range(d)]
+    traces = [sum((c for k in range(d) for s, c in a.product_terms(t, k) if s == k), _ZERO)
+              for t in range(d)]
 
     def rows():
-        row = [(i, lt) for i, lt in enumerate(left_traces) if lt]
+        row = [(i, lt) for i, lt in enumerate(traces) if lt]
         if row:
             yield row
         for j in range(d):
-            row = []
-            for i in range(d):
-                coef = _ZERO
-                for t, x in a.product_terms(i, j):
-                    lt = left_traces[t]
-                    if lt:
-                        coef += x * lt
-                if coef:
-                    row.append((i, coef))
+            row = [
+                (i, coef) for i in range(d)
+                if (coef := sum((x * traces[t] for t, x in a.product_terms(i, j) if traces[t]), 0))
+            ]
             if row:
                 yield row
 
@@ -237,14 +233,15 @@ def gram_matrix(a: FinAlgebra, tf: TraceFunctional) -> Mat:
     """The dim x dim matrix G[i][j] = t(b_i b_j).
 
     Every product lies in A^2, so its coordinates on the canonical basis of
-    A^2 are its entries at the pivot columns.
+    A^2 are its entries at the pivot columns, read from its nonzero terms.
     """
     if tf.algebra_dim != a.dim:
         raise ValueError("functional belongs to a different algebra")
-    pivots = tf.domain.pivots
+    value = {p: c for p, c in zip(tf.domain.pivots, tf.coeffs) if c}
+    d = a.dim
     return Mat([
-        [dot(tf.coeffs, [a.product(i, j)[p] for p in pivots]) for j in range(a.dim)]
-        for i in range(a.dim)
+        [sum((c * value[k] for k, c in a.product_terms(i, j) if k in value), _ZERO) for j in range(d)]
+        for i in range(d)
     ])
 
 

@@ -8,7 +8,6 @@ from functools import lru_cache
 from random import Random
 
 import finalg as fa
-import finalg.maps as fm
 
 F = Fraction
 F0 = Fraction(0)
@@ -358,6 +357,38 @@ def cubic_condition_oracle(a: fa.FinAlgebra, t: fa.Mat):
     return None
 
 
+def first_violation_oracle(a: fa.FinAlgebra, identities, t: fa.Mat, key: str):
+    """The first basis tuple, under `key`, at which t fails one of the
+    identities (none modulo [A, A]), read from the program's `_Identity`
+    descriptions and evaluated densely: each term is the product, by
+    `FinAlgebra.mul`, of its factors' coefficient vectors, with T(b_j) the
+    column j of t and T(b_i b_j) the image of the dense product.  Returns
+    {key: tuple, "lhs": ..., "rhs": ...} or None, as the checks do."""
+    d = a.dim
+    basis = fa.Mat.identity(d).data
+    images = [t.column(j) for j in range(d)]
+
+    def value(factors):
+        *head, (mapped, word) = factors
+        if len(word) == 1:
+            last = images[word[0]] if mapped else basis[word[0]]
+        else:
+            last = t.apply(a.product(*word))
+        return a.mul(value(head), last) if head else last
+
+    for identity in identities:
+        for tup in identity.tuples(d):
+            sides = {1: [F0] * d, -1: [F0] * d}
+            for sign, factors in identity.terms:
+                term = value(tuple((m, tuple(tup[p] for p in w)) for m, w in factors))
+                for r, x in enumerate(term):
+                    sides[sign][r] += x
+            lhs, rhs = tuple(sides[1]), tuple(sides[-1])
+            if lhs != rhs:
+                return {key: tup, "lhs": lhs, "rhs": rhs}
+    return None
+
+
 def inner_derivation_oracle(a: fa.FinAlgebra) -> fa.Subspace:
     """The span of the flattened maps ad_{b_k} = R_{b_k} - L_{b_k}, each
     built as the difference of two dense multiplication operators."""
@@ -367,6 +398,16 @@ def inner_derivation_oracle(a: fa.FinAlgebra) -> fa.Subspace:
         for b in fa.Mat.identity(d).data
     ]
     return fa.Subspace.from_rows(d * d, rows)
+
+
+def commutator_gram_oracle(a: fa.FinAlgebra):
+    """The dense Gram forms G[u][v] = f(b_u b_v) of each f in the canonical
+    basis of the annihilator of [A, A], read from dense products."""
+    d = a.dim
+    return [
+        [[fa.dot(f, a.product(u, v)) for v in range(d)] for u in range(d)]
+        for f in fa.commutator_subspace(a).annihilator().basis
+    ]
 
 
 def constraint_rows_oracle(a: fa.FinAlgebra, identities):
@@ -383,13 +424,13 @@ def constraint_rows_oracle(a: fa.FinAlgebra, identities):
             (k, r, v) for k in range(d) for r, v in _oracle_terms(a, left + (k,) + right)
         ])
         return
-    for gram in fm._commutator_forms(a):
+    for gram in commutator_gram_oracle(a):
 
         def projected(left, right, gram=gram):
             w = _oracle_terms(a, right + left)
             return [
                 (k, 0, v)
-                for k, form in enumerate(gram.data)
+                for k, form in enumerate(gram)
                 if (v := sum((c * form[r] for r, c in w if form[r]), F0))
             ]
 

@@ -16,6 +16,7 @@ from helpers import (
     corpus_algebra,
     cubic_condition_oracle,
     dense_copy,
+    first_violation_oracle,
     inner_automorphism_map,
     inner_derivation_oracle,
     matrix_trace,
@@ -362,10 +363,15 @@ def _oracle_member(name):
     return corpus_algebra(name)
 
 
+@pytest.mark.parametrize("name", [
+    "M2", "M3", "QS3", "QD4", "T3", "T4", "M2xZ", "dense-QS3", "dense-T3", "dense-M2",
+])
 class TestCubicOracle:
-    """cubic_condition_check against the full residual reduced against
-    [A, A] at every sorted triple: both pass, or both fail at the same
-    triple with the same residual."""
+    """The pointwise checks against dense evaluations over one family of
+    members and maps: cubic_condition_check against the full residual
+    reduced against [A, A] at every sorted triple, and the checks outside
+    [A, A] against `first_violation_oracle`.  Both pass, or both fail at the
+    same tuple with the same sides (residual modulo [A, A])."""
 
     GROUPS = {"QS3": lambda: fa.symmetric_group(3), "QD4": lambda: fa.dihedral_group(4)}
 
@@ -390,9 +396,6 @@ class TestCubicOracle:
             ]))
         return maps
 
-    @pytest.mark.parametrize("name", [
-        "M2", "M3", "QS3", "QD4", "T3", "T4", "M2xZ", "dense-QS3", "dense-T3", "dense-M2",
-    ])
     def test_agrees_with_full_residual(self, name):
         a = _oracle_member(name)
         verdicts = set()
@@ -402,6 +405,48 @@ class TestCubicOracle:
             assert (result.ok, result.witness) == (expected is None, expected)
             verdicts.add(result.ok)
         assert verdicts == {True, False}
+
+    def test_checks_outside_commutators_agree_with_dense_evaluation(self, name):
+        a = _oracle_member(name)
+        checks = [(fm._JORDAN_HOMOMORPHISM, fa.jordan_homomorphism_check)] + [
+            (identity, lambda a, t, mode=mode: fa.multiplicativity_check(a, t, mode))
+            for mode, identity in fm._MULTIPLICATIVITY.items()
+        ]
+        verdicts = set()
+        for t in self._maps(name, a, Random(101)):
+            for identity, check in checks:
+                result = check(a, t)
+                expected = first_violation_oracle(a, (identity,), t, "pair")
+                # repr: the sides are Fractions, as the oracle's are
+                assert repr((result.ok, result.witness)) == repr((expected is None, expected))
+                verdicts.add(result.ok)
+        assert verdicts == {True, False}
+
+    def test_leibniz_witness_agrees_with_dense_evaluation(self, name, monkeypatch):
+        """Each map of the family, taken as the whole criterion space with the
+        hypotheses taken as met: one outside the derivations is refuted with
+        the oracle's first Leibniz violation."""
+        a = _oracle_member(name)
+        derivations = fa.derivation_space(a)
+        monkeypatch.setattr(fm, "is_semiprime", lambda a: True)
+        monkeypatch.setattr(fm, "is_commutator_simple", lambda a: True)
+        refuted = 0
+        for t in self._maps(name, a, Random(101)):
+            space = fa.MapSpace(a.dim, fa.Subspace.from_rows(a.dim ** 2, [fa.flatten_map(t)]))
+            for m in space.basis_maps():
+                expected = first_violation_oracle(a, (fm._LEIBNIZ,), m, "pair")
+                assert derivations.contains_map(m) == (expected is None)
+                if expected is None:
+                    continue
+                monkeypatch.setattr(fm, "derivation_criterion_space", lambda a, s=space: s)
+                report = fa.verify_derivation_criterion(a)
+                assert report.verdict == "REFUTATION"
+                witness = dict(report.witness)
+                assert witness.pop("direction") == "criterion map is not a derivation"
+                assert witness.pop("map") == [list(row) for row in m.data]
+                assert repr(witness) == repr(expected)
+                refuted += 1
+        assert refuted
 
 
 class TestVerifyJordanCriterion:

@@ -8,6 +8,7 @@ from helpers import (
     SEMIPRIME_NAMES,
     corpus,
     corpus_algebra,
+    dense_copy,
     ideal_closure_oracle,
     is_ideal_direct,
     largest_ideal_oracle,
@@ -395,6 +396,24 @@ class TestClosedFormsAgainstOracles:
         for name, a in list(corpus()) + list(non_unital_algebras()):
             found = tuple(tf.coeffs for tf in fa.trace_functional_space(a))
             assert found == trace_space_oracle(a), name
+
+    def test_gram_matrix_matches_the_dense_products(self):
+        """G[i][j] = t(b_i b_j), read from dense products through the
+        coordinates on A^2, for every basis functional and two seeded
+        combinations; on the non-unital algebras A^2 can be smaller than A."""
+        rng = Random(9)
+        dense = [(f"dense-{name}", dense_copy(a, Random(k))) for k, (name, a) in enumerate(corpus())]
+        for name, a in list(corpus()) + dense + list(non_unital_algebras()):
+            basis = fa.trace_functional_space(a)
+            functionals = list(basis)
+            for _ in range(2 if basis else 0):
+                weights = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis]
+                coeffs = [sum((w * tf.coeffs[s] for w, tf in zip(weights, basis)), F(0))
+                          for s in range(basis[0].domain.dim)]
+                functionals.append(fa.TraceFunctional(a.dim, basis[0].domain, coeffs))
+            for tf in functionals:
+                expected = [[tf(a.product(i, j)) for j in range(a.dim)] for i in range(a.dim)]
+                assert fa.gram_matrix(a, tf) == fa.Mat(expected), name
 
     def test_commutator_simplicity_witness_matches_the_fixed_point(self):
         for name, a in _oracle_algebras():
