@@ -180,10 +180,10 @@ def _run_analyze(path: str, max_dim: int | None) -> Report:
     sec.add("semiprime", rad.dim == 0)
 
     basis = structure.trace_functional_space(algebra, products)
-    common, kernels = structure._common_gram_radical(algebra, basis)
+    common = structure._common_gram_radical(algebra, basis)
     sec = rep.section("trace")
     sec.add("trace-space-dim", len(basis))
-    nondeg = list(structure._nondegenerate_flags(algebra, basis, kernels))
+    nondeg = [not structure.gram_matrix(algebra, tf).kernel() for tf in basis]
     sec.add("basis-functionals-nondegenerate", nondeg)
     sec.add("definite-negative", common.dim > 0)
     if common.dim > 0:

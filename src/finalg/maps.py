@@ -24,7 +24,8 @@ Membership in [A, A] is decided exactly through the covectors f that vanish
 on [A, A]: r lies in [A, A] iff f(r) = 0 for each f of a basis.  Such an f
 has f(xy) = f(yx), so terms that are rotations of each other are merged
 first, and a term H L is read as H . G_f L through the sparse columns of
-the Gram form G_f[u][v] = f(b_u b_v), built once per algebra for both reads.
+the Gram form G_f[u][v] = f(b_u b_v), built once per algebra for both reads
+by `structure.gram_columns`, from the integer product table the rows use.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from random import Random
 
 from .algebras import Element, FinAlgebra, random_element
 from .linalg import InternalError, Mat, Subspace, Vec, kernel_from_constraints
-from .structure import commutator_subspace, is_commutator_simple, is_semiprime
+from .structure import _exact, _exact_products, commutator_subspace, gram_columns
+from .structure import is_commutator_simple, is_semiprime
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -198,17 +200,9 @@ _CUBIC = _Identity(
 
 
 def _commutator_forms(a: FinAlgebra) -> list:
-    """Gram columns r -> [(k, f(b_k b_r)) nonzero, k increasing] of each f in the
+    """The Gram columns r -> [(k, f(b_k b_r))] (`gram_columns`) of each f in the
     canonical basis of the covectors vanishing on [A, A]: r in [A, A] iff all f(r) = 0."""
-    d = a.dim
-    forms = []
-    for f in a.derived(commutator_subspace).annihilator().basis:
-        f = [_exact(x) for x in f]
-        forms.append([
-            [(k, _exact(g)) for k in range(d) if (g := sum(c * f[s] for s, c in _terms(a, (k, r))))]
-            for r in range(d)
-        ])
-    return forms
+    return [gram_columns(a, f) for f in a.derived(commutator_subspace).annihilator().basis]
 
 
 def _constraint_rows(a: FinAlgebra, identities):
@@ -385,12 +379,6 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
     return None
 
 
-def _exact_products(a: FinAlgebra) -> list:
-    """`product_terms` of every basis pair, integral coefficients as int."""
-    basis = range(a.dim)
-    return [[tuple((k, _exact(c)) for k, c in a.product_terms(i, j)) for j in basis] for i in basis]
-
-
 def _combination(scaled) -> dict:
     """The sparse sum of c v over the pairs (c, v), v given by its
     (index, value) pairs, without zeros."""
@@ -409,11 +397,6 @@ def _solve(a: FinAlgebra, *identities: _Identity) -> MapSpace:
 def _terms(a: FinAlgebra, word: tuple[int, ...]):
     """b_w, or the product b_v b_w, as sparse (index, coefficient) pairs, ints where integral."""
     return ((word[0], 1),) if len(word) == 1 else a.derived(_exact_products)[word[0]][word[1]]
-
-
-def _exact(x: Fraction) -> Fraction | int:
-    """x, as an int when integral: exact, and much cheaper to multiply."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def _accumulate(row: dict[int, Fraction], idx: int, value: Fraction) -> None:
@@ -560,24 +543,24 @@ def local_derivation_test(a: FinAlgebra, d_map: Mat, seed: int, samples: int) ->
     is d(x) the value at x of some derivation?
 
     Tests the unit (when present), every basis element, and ``samples``
-    seeded random elements.  Failures are conclusive counterexamples; a
-    pass certifies only the sampled set.
+    seeded random elements, each drawn when it is reached.  Failures are
+    conclusive counterexamples; a pass certifies only the sampled set.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     _square_check(a, d_map)
     basis_maps = derivation_space(a).basis_maps()
     rng = Random(seed)
-    points: list[Element] = []
-    if a.unit is not None:
-        points.append(a.unit_element())
-    points.extend(a.basis_element(i) for i in range(a.dim))
-    points.extend(random_element(a, rng) for _ in range(samples))
+    points = itertools.chain(
+        [a.unit_element()] if a.unit is not None else [],
+        (a.basis_element(i) for i in range(a.dim)),
+        (random_element(a, rng) for _ in range(samples)),
+    )
     for tested, x in enumerate(points, 1):
         values = Subspace.from_rows(a.dim, [e.apply(x.coeffs) for e in basis_maps])
         if not values.contains_vector(d_map.apply(x.coeffs)):
             return LocalDerivationResult(False, x, tested)
-    return LocalDerivationResult(True, None, len(points))
+    return LocalDerivationResult(True, None, tested)
 
 
 @dataclass(frozen=True)

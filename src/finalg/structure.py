@@ -5,6 +5,11 @@ one around it, the commutator-simplicity decision, the radical and
 semiprimeness, and trace functionals on the span of products.  All
 decisions are exact.  Each ideal is one side's closure after the other's,
 a kernel or a span each, so nothing iterates to a fixed point.
+
+A covector f is read through the products only by `gram_columns`: the rows
+or columns of its Gram form G[u][v] = f(b_u b_v), from one integer product
+table per algebra.  The stable parts, the radical, the Gram matrices and
+their common radical read it, and so do the tests modulo [A, A] in `maps`.
 """
 
 from __future__ import annotations
@@ -40,25 +45,42 @@ def commutator_subspace(a: FinAlgebra) -> Subspace:
     return Subspace.from_rows(a.dim, rows)
 
 
-def _stable_part(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
-    """{x in v : b_u x in v for all u} (side "left"; x b_u for "right"), the
-    common kernel of the covectors f vanishing on v and of x -> f(b_u x),
-    whose entry at j is f(b_u b_j) (f(b_j b_u) on the right)."""
-    d = a.dim
-    covectors = v.annihilator().basis
-    terms = a.product_terms if side == "left" else lambda u, j: a.product_terms(j, u)
+def _exact(x: Fraction) -> Fraction | int:
+    """x, as an int when integral: exact, and much cheaper to multiply."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _exact_products(a: FinAlgebra) -> list:
+    """`product_terms` of every basis pair, integral coefficients as int."""
+    basis = range(a.dim)
+    return [[tuple((k, _exact(c)) for k, c in a.product_terms(i, j)) for j in basis] for i in basis]
+
+
+def gram_columns(a: FinAlgebra, f, side: str = "right") -> list:
+    """The Gram form G[u][v] = f(b_u b_v) of the covector f: for each u, column
+    u, x -> f(x b_u) (side "right"), or row u, x -> f(b_u x) (side "left"),
+    as its nonzero (k, value) pairs, k increasing, integral values as int."""
+    f = [_exact(x) for x in f]
+    products = a.derived(_exact_products)
+    pairs = products if side == "left" else zip(*products)
+    return [
+        [(k, _exact(g)) for k, terms in enumerate(row) if (g := sum(c * f[s] for s, c in terms))]
+        for row in pairs
+    ]
+
+
+def _stable_part(a: FinAlgebra, covectors, side: str) -> Subspace:
+    """The common kernel of the covectors f and their Gram rows x -> f(b_u x)
+    (side "left") or columns x -> f(x b_u) (side "right"): for a basis of the
+    f vanishing on v, {x in v : b_u x in v for all u}, or x b_u in v on the right."""
 
     def rows():
         for f in covectors:
             yield [(k, x) for k, x in enumerate(f) if x]
         for f in covectors:
-            for u in range(d):
-                yield [
-                    (j, coef) for j in range(d)
-                    if (coef := sum((c * f[k] for k, c in terms(u, j) if f[k]), _ZERO))
-                ]
+            yield from gram_columns(a, f, side)
 
-    return kernel_from_constraints(d, rows())
+    return kernel_from_constraints(a.dim, rows())
 
 
 def largest_ideal_within(a: FinAlgebra, v: Subspace) -> Subspace:
@@ -72,7 +94,8 @@ def largest_ideal_within(a: FinAlgebra, v: Subspace) -> Subspace:
     """
     if v.ambient_dim != a.dim:
         raise ValueError("subspace lives in a different ambient space")
-    return _stable_part(a, _stable_part(a, v, "left"), "right")
+    left = _stable_part(a, v.annihilator().basis, "left")
+    return _stable_part(a, left.annihilator().basis, "right")
 
 
 @dataclass(frozen=True)
@@ -123,29 +146,16 @@ def is_commutator_simple(a: FinAlgebra) -> SimplicityVerdict:
 def radical(a: FinAlgebra) -> Subspace:
     """The largest nilpotent ideal (char-0 trace criterion).
 
-    rad = {x : trace(L_x) = 0 and trace(L_{x b_j}) = 0 for all j}, traces of
-    left multiplication on A.  This is the radical of the trace form of A
-    with a unit adjoined, intersected with A: for z in A, L_z has the same
-    trace there as on A.  For unital A the first condition follows from the
-    others.
+    rad = {x : tau(x) = 0 and tau(x b_u) = 0 for all u}, for the covector
+    tau(z) = trace(L_z) of left multiplication on A: the right stable part
+    of tau alone.  This is the radical of the trace form of A with a unit
+    adjoined, intersected with A: for z in A, L_z has the same trace there
+    as on A.  For unital A the first condition follows from the others.
     """
     d = a.dim
-    traces = [sum((c for k in range(d) for s, c in a.product_terms(t, k) if s == k), _ZERO)
-              for t in range(d)]
-
-    def rows():
-        row = [(i, lt) for i, lt in enumerate(traces) if lt]
-        if row:
-            yield row
-        for j in range(d):
-            row = [
-                (i, coef) for i in range(d)
-                if (coef := sum((x * traces[t] for t, x in a.product_terms(i, j) if traces[t]), 0))
-            ]
-            if row:
-                yield row
-
-    return kernel_from_constraints(d, rows())
+    tau = [sum((c for k in range(d) for s, c in a.product_terms(t, k) if s == k), _ZERO)
+           for t in range(d)]
+    return _stable_part(a, [tau], "right")
 
 
 def is_semiprime(a: FinAlgebra) -> bool:
@@ -229,19 +239,23 @@ def trace_functional_space(
     return tuple(TraceFunctional(a.dim, domain, row) for row in restricted.basis)
 
 
-def gram_matrix(a: FinAlgebra, tf: TraceFunctional) -> Mat:
-    """The dim x dim matrix G[i][j] = t(b_i b_j).
-
-    Every product lies in A^2, so its coordinates on the canonical basis of
-    A^2 are its entries at the pivot columns, read from its nonzero terms.
-    """
+def _covector(a: FinAlgebra, tf: TraceFunctional) -> list:
+    """t extended to A: its coefficients at the pivots of A^2, 0 elsewhere, since
+    a product's coordinates on the canonical basis of A^2 are its pivot entries."""
     if tf.algebra_dim != a.dim:
         raise ValueError("functional belongs to a different algebra")
-    value = {p: c for p, c in zip(tf.domain.pivots, tf.coeffs) if c}
+    f = [0] * a.dim
+    for p, c in zip(tf.domain.pivots, tf.coeffs):
+        f[p] = c
+    return f
+
+
+def gram_matrix(a: FinAlgebra, tf: TraceFunctional) -> Mat:
+    """The dim x dim matrix G[i][j] = t(b_i b_j), the Gram rows made dense."""
     d = a.dim
     return Mat([
-        [sum((c * value[k] for k, c in a.product_terms(i, j) if k in value), _ZERO) for j in range(d)]
-        for i in range(d)
+        [dict(row).get(j, _ZERO) for j in range(d)]
+        for row in gram_columns(a, _covector(a, tf), "left")
     ])
 
 
@@ -251,31 +265,12 @@ def is_nondegenerate_trace(a: FinAlgebra, tf: TraceFunctional) -> bool:
     return len(gram_matrix(a, tf).kernel()) == 0
 
 
-def _gram_kernel(a: FinAlgebra, tf: TraceFunctional) -> Subspace:
-    return Subspace.from_rows(a.dim, gram_matrix(a, tf).kernel())
-
-
-def _common_gram_radical(a: FinAlgebra, functionals) -> tuple[Subspace, list[Subspace]]:
-    """Vectors annihilated by every functional's Gram form (the whole space
-    when there are no functionals), and the Gram kernels computed for it:
-    those of the leading functionals, up to the first that leaves zero."""
-    common = Subspace.full(a.dim)
-    kernels = []
-    for tf in functionals:
-        kernels.append(_gram_kernel(a, tf))
-        common = common & kernels[-1]
-        if common.dim == 0:
-            break
-    return common, kernels
-
-
-def _nondegenerate_flags(a: FinAlgebra, functionals, kernels):
-    """Lazily, whether each functional is nondegenerate, reusing the Gram
-    kernels already known for the leading ones.  The functionals must be
-    trace functionals already (no re-validation)."""
-    for i, tf in enumerate(functionals):
-        kernel = kernels[i] if i < len(kernels) else _gram_kernel(a, tf)
-        yield kernel.dim == 0
+def _common_gram_radical(a: FinAlgebra, functionals) -> Subspace:
+    """The x with G x = 0 for every functional's Gram matrix G (the whole
+    space when there are no functionals): one kernel over all their Gram
+    rows, which stops reading them once it is zero."""
+    rows = (row for tf in functionals for row in gram_columns(a, _covector(a, tf), "left"))
+    return kernel_from_constraints(a.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -306,11 +301,11 @@ def has_nondegenerate_trace(a: FinAlgebra, seed: int, trials: int) -> TraceSearc
     if trials < 1:
         raise ValueError("trials must be at least 1")
     basis = trace_functional_space(a)
-    common, kernels = _common_gram_radical(a, basis)
+    common = _common_gram_radical(a, basis)
     if common.dim > 0:
         return TraceSearchResult(None, True, common.basis[0], 0, len(basis))
-    for tf, nondegenerate in zip(basis, _nondegenerate_flags(a, basis, kernels)):
-        if nondegenerate:
+    for tf in basis:
+        if not gram_matrix(a, tf).kernel():
             return TraceSearchResult(tf, False, None, 0, len(basis))
     if not basis:
         # Only reachable at dimension zero, where A^2 = 0 and the zero

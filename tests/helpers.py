@@ -279,6 +279,32 @@ def null_space_oracle(m: fa.Mat) -> tuple:
     return basis.data[:rank]
 
 
+def radical_oracle(a: fa.FinAlgebra) -> fa.Subspace:
+    """The radical as the dense null space of x -> Tr L_x and of
+    x -> Tr L_{x b_j} for every j, each trace read off `mult_operator`."""
+    d = a.dim
+
+    def trace(vec):
+        m = a.mult_operator(vec, "left")
+        return sum((m.data[k][k] for k in range(d)), F0)
+
+    rows = [[trace(a.basis_element(i).coeffs) for i in range(d)]]
+    rows += [[trace(a.product(i, j)) for i in range(d)] for j in range(d)]
+    return fa.Subspace.from_rows(d, null_space_oracle(fa.Mat(rows, cols=d)))
+
+
+def common_gram_radical_oracle(a: fa.FinAlgebra, functionals) -> fa.Subspace:
+    """The x with G x = 0 for the Gram matrix G[i][j] = t(b_i b_j) of every
+    functional t, as the intersection of the dense Gram kernels, each read
+    from dense products (the whole space when there are no functionals)."""
+    d = a.dim
+    common = fa.Subspace.full(d)
+    for tf in functionals:
+        gram = fa.Mat([[tf(a.product(i, j)) for j in range(d)] for i in range(d)], cols=d)
+        common = common & fa.Subspace.from_rows(d, null_space_oracle(gram))
+    return common
+
+
 class Infeasible(Exception):
     """A linear system with no exact solution."""
 

@@ -226,6 +226,23 @@ class TestLocalDerivationTest:
         with pytest.raises(ValueError):
             fa.local_derivation_test(corpus_algebra("M2"), fa.Mat.identity(4), 0, 0)
 
+    def test_failure_at_the_unit_draws_no_random_point(self, monkeypatch):
+        """The random points are drawn only when reached: the transpose of
+        M2 fails at the unit, before any of them."""
+        drawn = []
+
+        def counting(*args, **kwargs):
+            drawn.append(1)
+            return fa.random_element(*args, **kwargs)
+
+        monkeypatch.setattr(fm, "random_element", counting)
+        a = corpus_algebra("M2")
+        result = fa.local_derivation_test(a, fa.transpose_map(2), seed=3, samples=1000)
+        assert not result.passed
+        assert result.counterexample == a.unit_element()
+        assert result.points_tested == 1
+        assert drawn == []
+
     @staticmethod
     def _solvable_oracle(a, d_map, seed, samples):
         """(passed, points tested, counterexample) by the affine-system

@@ -4,8 +4,10 @@ from random import Random
 import pytest
 
 import finalg as fa
+from finalg.structure import _common_gram_radical, gram_columns
 from helpers import (
     SEMIPRIME_NAMES,
+    common_gram_radical_oracle,
     corpus,
     corpus_algebra,
     dense_copy,
@@ -16,6 +18,7 @@ from helpers import (
     n3_algebra,
     non_unital_algebras,
     power_chain_dims,
+    radical_oracle,
     random_algebra,
     random_subspace,
     row_algebra,
@@ -360,6 +363,11 @@ def _oracle_algebras():
     )
 
 
+def _dense_corpus():
+    """Seeded dense change-of-basis copies of the corpus."""
+    return [(f"dense-{name}", dense_copy(a, Random(k))) for k, (name, a) in enumerate(corpus())]
+
+
 def _test_subspaces(a, rng):
     """[A, A], 0, A, random subspaces, and the one-sided ideals generated by
     a random element, each alone and with a random line added."""
@@ -402,8 +410,7 @@ class TestClosedFormsAgainstOracles:
         coordinates on A^2, for every basis functional and two seeded
         combinations; on the non-unital algebras A^2 can be smaller than A."""
         rng = Random(9)
-        dense = [(f"dense-{name}", dense_copy(a, Random(k))) for k, (name, a) in enumerate(corpus())]
-        for name, a in list(corpus()) + dense + list(non_unital_algebras()):
+        for name, a in list(corpus()) + _dense_corpus() + list(non_unital_algebras()):
             basis = fa.trace_functional_space(a)
             functionals = list(basis)
             for _ in range(2 if basis else 0):
@@ -414,6 +421,48 @@ class TestClosedFormsAgainstOracles:
             for tf in functionals:
                 expected = [[tf(a.product(i, j)) for j in range(a.dim)] for i in range(a.dim)]
                 assert fa.gram_matrix(a, tf) == fa.Mat(expected), name
+
+    def test_radical_matches_the_dense_trace_kernel(self):
+        rng = Random(11)
+        m2n3 = fa.direct_product(fa.build_matrix_algebra(2), n3_algebra())
+        for name, a in (
+            list(corpus()) + _dense_corpus() + list(non_unital_algebras())
+            + [(f"random-{k}", random_algebra(rng)) for k in range(20)] + [("M2xN3", m2n3)]
+        ):
+            assert fa.radical(a) == radical_oracle(a), name
+
+    def test_gram_columns_match_the_dense_products(self):
+        """Row u of G_f[u][v] = f(b_u b_v) on the left, column u on the right,
+        for the covectors vanishing on [A, A] and seeded random ones, whose
+        forms are not symmetric; integral values come as int."""
+        rng = Random(12)
+        asymmetric = 0
+        for name, a in list(corpus()) + _dense_corpus() + list(non_unital_algebras()):
+            d = a.dim
+            covectors = list(fa.commutator_subspace(a).annihilator().basis)
+            covectors += [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)] for _ in range(2)]
+            for f in covectors:
+                gram = [[fa.dot(f, a.product(u, v)) for v in range(d)] for u in range(d)]
+                columns = [list(col) for col in zip(*gram)]
+                asymmetric += gram != columns
+                for side, form in (("left", gram), ("right", columns)):
+                    found = gram_columns(a, f, side)
+                    assert found == [[(k, x) for k, x in enumerate(row) if x] for row in form], name
+                    for row in found:
+                        assert [k for k, _ in row] == sorted(k for k, _ in row)
+                        assert all(type(x) is (int if x.denominator == 1 else F) for _, x in row)
+                assert gram_columns(a, f) == gram_columns(a, f, "right")
+        assert asymmetric
+
+    def test_common_gram_radical_matches_the_kernel_intersection(self):
+        """One kernel over all Gram rows against the dense Gram kernels
+        intersected, for the whole basis, each functional alone and none."""
+        zeros = [(f"Z{n}", zero_product_algebra(n)) for n in (1, 2, 3)]
+        for name, a in list(corpus()) + _dense_corpus() + [("N3", n3_algebra())] + zeros:
+            basis = fa.trace_functional_space(a)
+            for functionals in [basis, ()] + [(tf,) for tf in basis]:
+                found = _common_gram_radical(a, functionals)
+                assert found == common_gram_radical_oracle(a, functionals), name
 
     def test_commutator_simplicity_witness_matches_the_fixed_point(self):
         for name, a in _oracle_algebras():
