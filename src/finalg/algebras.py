@@ -1,9 +1,10 @@
 """Finite-dimensional associative algebras presented by structure constants.
 
-An algebra of dimension d over Q is given by structure constants with
-``b_i * b_j = sum_k c[i][j][k] b_k`` on a fixed basis b_0..b_{d-1}.  They
-are stored sparsely, as the nonzero (k, c[i][j][k]) pairs of each basis
-product, and read through the product API of `FinAlgebra`: `product`,
+An algebra of dimension d over Q is given by its product table on a fixed
+basis b_0..b_{d-1}: for each basis pair, the nonzero (k, c) pairs of
+``b_i * b_j = sum_k c b_k``, k increasing.  That table is the only copy of
+the products.  It holds each coefficient once, as an ``int`` when it is
+integral, and is read through the product API of `FinAlgebra`: `product`,
 `product_terms`, `mul` and `mul_basis`.  Associativity (and the unit law,
 when a unit is declared) is checked at construction; instances are
 immutable afterwards, apart from the cache behind `FinAlgebra.derived`.
@@ -18,14 +19,14 @@ from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
-from .linalg import Mat, Subspace, Vec, as_vector, kernel_from_constraints
+from .linalg import Mat, Subspace, Vec, _exact, as_vector, kernel_from_constraints
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class AssociativityError(ValueError):
-    """A structure tensor violating (xy)z = x(yz) on some basis triple."""
+    """A product table violating (xy)z = x(yz) on some basis triple."""
 
     def __init__(self, triple: tuple[int, int, int], left: Vec, right: Vec):
         i, j, k = triple
@@ -40,25 +41,23 @@ class AssociativityError(ValueError):
 
 
 class FinAlgebra:
-    """An associative algebra over Q given by exact structure constants.
+    """An associative algebra over Q given by its exact product table.
 
-    The constructor takes the dense tensor ``c[i][j][k]``; only its nonzero
-    entries are kept.
+    ``terms[i][j]`` lists the (k, c) pairs of b_i * b_j = sum_k c b_k, k
+    strictly increasing, the shape `product_terms` returns, so
+    ``FinAlgebra([[a.product_terms(i, j) for j in basis] for i in basis],
+    a.unit, a.labels) == a``.  Zero coefficients are dropped, and the others
+    are kept once, as ``int`` when integral.
     """
 
     __slots__ = ("dim", "unit", "labels", "_pairs", "_derived")
 
-    def __init__(self, c, unit=None, labels=None):
-        planes = [[as_vector(row) for row in plane] for plane in c]
-        dim = len(planes)
-        for plane in planes:
-            if len(plane) != dim or any(len(row) != dim for row in plane):
-                raise ValueError("structure tensor must be dim x dim x dim")
+    def __init__(self, terms, unit=None, labels=None):
+        dim = len(terms)
+        if any(len(row) != dim for row in terms):
+            raise ValueError("product table must be dim x dim")
         self.dim = dim
-        self._pairs = tuple(
-            tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in plane)
-            for plane in planes
-        )
+        self._pairs = tuple(tuple(_checked_terms(pairs, dim) for pairs in row) for row in terms)
         self.unit = None if unit is None else as_vector(unit)
         if self.unit is not None and len(self.unit) != dim:
             raise ValueError("unit vector has wrong length")
@@ -106,15 +105,16 @@ class FinAlgebra:
 
     # -- products on coefficient vectors -----------------------------------
 
-    def product_terms(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        """b_i * b_j as its nonzero (k, coefficient) pairs, k increasing."""
+    def product_terms(self, i: int, j: int) -> tuple[tuple[int, Fraction | int], ...]:
+        """b_i * b_j as its nonzero (k, coefficient) pairs, k increasing,
+        integral coefficients as int."""
         return self._pairs[i][j]
 
     def product(self, i: int, j: int) -> Vec:
         """The coefficient vector of b_i * b_j."""
         out = [_ZERO] * self.dim
         for k, coef in self._pairs[i][j]:
-            out[k] = coef
+            out[k] += coef
         return tuple(out)
 
     def mul(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
@@ -218,6 +218,22 @@ class FinAlgebra:
 
     def __repr__(self) -> str:
         return f"FinAlgebra(dim={self.dim}, unital={self.is_unital})"
+
+
+def _checked_terms(pairs, dim: int) -> tuple:
+    """The nonzero (k, c) of one basis product, c exact; k must increase in range(dim)."""
+    out = []
+    last = -1
+    for k, c in pairs:
+        if not 0 <= k < dim:
+            raise ValueError(f"product index {k} outside range({dim})")
+        if k <= last:
+            raise ValueError("product indices must be strictly increasing")
+        last = k
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        if c:
+            out.append((k, _exact(c)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -428,21 +444,15 @@ def build_matrix_algebra(n: int) -> FinAlgebra:
     """Full matrix algebra M_n with basis e_pq (row-major), e_pq e_rs = [q=r] e_ps."""
     if n < 1:
         raise ValueError("matrix size must be at least 1")
-    d = n * n
-
-    def idx(p: int, q: int) -> int:
-        return p * n + q
-
-    c = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
+    terms = [
+        [((p * n + s, _ONE),) if q == r else () for r in range(n) for s in range(n)]
+        for p in range(n) for q in range(n)
+    ]
+    unit = [_ZERO] * (n * n)
     for p in range(n):
-        for q in range(n):
-            for s in range(n):
-                c[idx(p, q)][idx(q, s)][idx(p, s)] = _ONE
-    unit = [_ZERO] * d
-    for p in range(n):
-        unit[idx(p, p)] = _ONE
+        unit[p * n + p] = _ONE
     labels = [f"e{p + 1}{q + 1}" for p in range(n) for q in range(n)]
-    return FinAlgebra(c, unit, labels)
+    return FinAlgebra(terms, unit, labels)
 
 
 def build_upper_triangular(n: int) -> FinAlgebra:
@@ -451,78 +461,52 @@ def build_upper_triangular(n: int) -> FinAlgebra:
         raise ValueError("matrix size must be at least 1")
     positions = [(p, q) for p in range(n) for q in range(p, n)]
     index = {pq: i for i, pq in enumerate(positions)}
-    d = len(positions)
-    c = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
-    for (p, q), i in index.items():
-        for (r, s), j in index.items():
-            if q == r:
-                c[i][j][index[(p, s)]] = _ONE
-    unit = [_ZERO] * d
+    terms = [
+        [((index[p, s], _ONE),) if q == r else () for r, s in positions] for p, q in positions
+    ]
+    unit = [_ZERO] * len(positions)
     for p in range(n):
         unit[index[(p, p)]] = _ONE
     labels = [f"e{p + 1}{q + 1}" for p, q in positions]
-    return FinAlgebra(c, unit, labels)
+    return FinAlgebra(terms, unit, labels)
 
 
 def build_group_algebra(g: FiniteGroup) -> FinAlgebra:
     """Group algebra Q[G]: basis indexed by G, product from the Cayley table."""
     n = g.order
-    c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            c[i][j][g.mul(i, j)] = _ONE
+    terms = [[((g.mul(i, j), _ONE),) for j in range(n)] for i in range(n)]
     unit = [_ZERO] * n
     unit[g.identity_index] = _ONE
-    return FinAlgebra(c, unit, [f"g{i}" for i in range(n)])
+    return FinAlgebra(terms, unit, [f"g{i}" for i in range(n)])
 
 
 def direct_product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     """A x B with componentwise product; unital iff both factors are."""
     da, db = a.dim, b.dim
-    d = da + db
-    c = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
-    for i in range(da):
-        for j in range(da):
-            row = c[i][j]
-            for k, coef in a.product_terms(i, j):
-                row[k] = coef
-    for i in range(db):
-        for j in range(db):
-            row = c[da + i][da + j]
-            for k, coef in b.product_terms(i, j):
-                row[da + k] = coef
+    terms = [[a.product_terms(i, j) for j in range(da)] + [()] * db for i in range(da)]
+    terms += [
+        [()] * da + [tuple((da + k, c) for k, c in b.product_terms(i, j)) for j in range(db)]
+        for i in range(db)
+    ]
     unit = None
     if a.unit is not None and b.unit is not None:
         unit = tuple(a.unit) + tuple(b.unit)
     labels = None
     if a.labels is not None and b.labels is not None:
         labels = [f"l_{s}" for s in a.labels] + [f"r_{s}" for s in b.labels]
-    return FinAlgebra(c, unit, labels)
+    return FinAlgebra(terms, unit, labels)
 
 
 def tensor_product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     """A (x) B on the lexicographic basis b_i (x) b_j, (x(x)y)(x'(x)y') = xx'(x)yy'."""
     da, db = a.dim, b.dim
-    d = da * db
-    c = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
-    for i1 in range(da):
-        for i2 in range(da):
-            pa = a.product_terms(i1, i2)
-            if not pa:
-                continue
-            for j1 in range(db):
-                x1 = i1 * db + j1
-                for j2 in range(db):
-                    pb = b.product_terms(j1, j2)
-                    if not pb:
-                        continue
-                    row = c[x1][i2 * db + j2]
-                    for k1, alpha in pa:
-                        for k2, beta in pb:
-                            row[k1 * db + k2] += alpha * beta
+    # k1 * db + k2 increases with (k1, k2), as each factor's k increases
+    terms = [[tuple((k1 * db + k2, x * y) for k1, x in a.product_terms(i1, i2)
+                    for k2, y in b.product_terms(j1, j2)) for i2 in range(da) for j2 in range(db)]
+             for i1 in range(da) for j1 in range(db)]
     unit = None
     if a.unit is not None and b.unit is not None:
-        unit = [_ZERO] * d
+        unit = [_ZERO] * (da * db)
         for i, x in enumerate(a.unit):
             if x:
                 for j, y in enumerate(b.unit):
@@ -531,7 +515,7 @@ def tensor_product(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     labels = None
     if a.labels is not None and b.labels is not None:
         labels = [f"{s}*{t}" for s in a.labels for t in b.labels]
-    return FinAlgebra(c, unit, labels)
+    return FinAlgebra(terms, unit, labels)
 
 
 def adjoin_unit(a: FinAlgebra) -> FinAlgebra:
@@ -540,19 +524,14 @@ def adjoin_unit(a: FinAlgebra) -> FinAlgebra:
     Applies to unital input as well, in which case the old unit becomes a
     non-identity idempotent.
     """
-    d = a.dim + 1
-    c = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
-    c[0][0][0] = _ONE
-    for i in range(a.dim):
-        c[0][i + 1][i + 1] = _ONE
-        c[i + 1][0][i + 1] = _ONE
-        for j in range(a.dim):
-            row = c[i + 1][j + 1]
-            for k, coef in a.product_terms(i, j):
-                row[k + 1] = coef
+    d = a.dim
+    terms = [[((j, _ONE),) for j in range(d + 1)]] + [
+        [((i + 1, _ONE),)] + [tuple((k + 1, c) for k, c in a.product_terms(i, j)) for j in range(d)]
+        for i in range(d)
+    ]
     unit = [_ONE] + [_ZERO] * a.dim
     labels = None if a.labels is None else ["one"] + list(a.labels)
-    return FinAlgebra(c, unit, labels)
+    return FinAlgebra(terms, unit, labels)
 
 
 def center(a: FinAlgebra) -> Subspace:
@@ -588,16 +567,15 @@ def quotient_algebra(a: FinAlgebra, ideal: Subspace) -> FinAlgebra:
                 raise ValueError("subspace is not a right ideal")
     pivot_set = set(ideal.pivots)
     keep = [q for q in range(a.dim) if q not in pivot_set]
-    m = len(keep)
-    c = [[[_ZERO] * m for _ in range(m)] for _ in range(m)]
-    for s, qs in enumerate(keep):
-        for t, qt in enumerate(keep):
-            reduced = ideal.reduce_vector(a.product(qs, qt))
-            c[s][t] = [reduced[q] for q in keep]
+    terms = [
+        [tuple((s, x) for s, q in enumerate(keep) if (x := reduced[q]))
+         for reduced in (ideal.reduce_vector(a.product(qi, qj)) for qj in keep)]
+        for qi in keep
+    ]
     unit = None
-    if a.unit is not None and m > 0:
+    if a.unit is not None and keep:
         reduced = ideal.reduce_vector(a.unit)
         if any(reduced):
             unit = [reduced[q] for q in keep]
     labels = None if a.labels is None else [a.labels[q] for q in keep]
-    return FinAlgebra(c, unit, labels)
+    return FinAlgebra(terms, unit, labels)

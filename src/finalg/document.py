@@ -55,12 +55,13 @@ class AlgebraDocument:
     products: tuple[tuple[int, int, Vec], ...]
 
     def to_algebra(self) -> FinAlgebra:
-        zero = Fraction(0)
-        c = [[[zero] * self.dim for _ in range(self.dim)] for _ in range(self.dim)]
+        terms = [[()] * self.dim for _ in range(self.dim)]
         for i, j, coeffs in self.products:
-            c[i][j] = list(coeffs)
+            if len(coeffs) != self.dim:
+                raise DocumentError(f"product ({i},{j}) needs exactly {self.dim} rationals")
+            terms[i][j] = [(k, c) for k, c in enumerate(coeffs) if c]
         try:
-            return FinAlgebra(c, self.unit, self.labels)
+            return FinAlgebra(terms, self.unit, self.labels)
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
 

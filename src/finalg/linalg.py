@@ -45,6 +45,11 @@ def parse_rational(token: str) -> Fraction:
     return Fraction(token)
 
 
+def _exact(x: Fraction) -> Fraction | int:
+    """x, as an int when integral: exact, and much cheaper to multiply."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def as_vector(values: Iterable) -> Vec:
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
@@ -375,8 +380,9 @@ def kernel_from_constraints(
 
     Each row is an iterable of (index, coefficient) pairs, the coefficients
     ``int`` or ``Fraction``.  The current null space is kept as an explicit
-    basis, shrunk by one vector per independent constraint; intended for
-    the long, highly redundant systems produced by polarized identities.
+    basis, shrunk by one vector per independent constraint, and no further
+    row is pulled once it is zero; intended for the long, highly redundant
+    systems produced by polarized identities.
 
     The loop runs in exact ``int`` arithmetic.  Each row is scaled by the
     lcm of its denominators, which leaves its kernel unchanged (the lcm
@@ -398,9 +404,7 @@ def kernel_from_constraints(
     # deleting keeps the order of the rest.
     vectors: dict[int, dict[int, int]] = {k: {k: 1} for k in range(n)}
     columns: list[dict[int, int]] = [{k: 1} for k in range(n)]
-    for row in rows:
-        if not vectors:
-            break
+    for row in rows if vectors else ():
         values: dict[int, int] = {}
         scale = 1
         for j, c in row:
@@ -457,6 +461,8 @@ def kernel_from_constraints(
             vectors[k] = v
             for j, x in v.items():
                 columns[j][k] = x
+        if not vectors:
+            break
     basis = []
     for v in vectors.values():
         dense = [_ZERO] * n

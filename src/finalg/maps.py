@@ -25,7 +25,7 @@ on [A, A]: r lies in [A, A] iff f(r) = 0 for each f of a basis.  Such an f
 has f(xy) = f(yx), so terms that are rotations of each other are merged
 first, and a term H L is read as H . G_f L through the sparse columns of
 the Gram form G_f[u][v] = f(b_u b_v), built once per algebra for both reads
-by `structure.gram_columns`, from the integer product table the rows use.
+by `structure.gram_columns`, from the product table `FinAlgebra` keeps.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from fractions import Fraction
 from random import Random
 
 from .algebras import Element, FinAlgebra, random_element
-from .linalg import InternalError, Mat, Subspace, Vec, kernel_from_constraints
-from .structure import _exact, _exact_products, commutator_subspace, gram_columns
+from .linalg import InternalError, Mat, Subspace, Vec, _exact, kernel_from_constraints
+from .structure import commutator_subspace, gram_columns
 from .structure import is_commutator_simple, is_semiprime
 
 _ZERO = Fraction(0)
@@ -396,7 +396,7 @@ def _solve(a: FinAlgebra, *identities: _Identity) -> MapSpace:
 
 def _terms(a: FinAlgebra, word: tuple[int, ...]):
     """b_w, or the product b_v b_w, as sparse (index, coefficient) pairs, ints where integral."""
-    return ((word[0], 1),) if len(word) == 1 else a.derived(_exact_products)[word[0]][word[1]]
+    return ((word[0], 1),) if len(word) == 1 else a.product_terms(word[0], word[1])
 
 
 def _accumulate(row: dict[int, Fraction], idx: int, value: Fraction) -> None:

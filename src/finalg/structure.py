@@ -7,8 +7,8 @@ decisions are exact.  Each ideal is one side's closure after the other's,
 a kernel or a span each, so nothing iterates to a fixed point.
 
 A covector f is read through the products only by `gram_columns`: the rows
-or columns of its Gram form G[u][v] = f(b_u b_v), from one integer product
-table per algebra.  The stable parts, the radical, the Gram matrices and
+or columns of its Gram form G[u][v] = f(b_u b_v), from `FinAlgebra`'s own
+product table.  The stable parts, the radical, the Gram matrices and
 their common radical read it, and so do the tests modulo [A, A] in `maps`.
 """
 
@@ -19,7 +19,7 @@ from fractions import Fraction
 from random import Random
 
 from .algebras import Element, FinAlgebra
-from .linalg import InternalError, Mat, Subspace, Vec, as_vector, dot, kernel_from_constraints
+from .linalg import InternalError, Mat, Subspace, Vec, _exact, as_vector, dot, kernel_from_constraints
 
 _ZERO = Fraction(0)
 
@@ -45,27 +45,16 @@ def commutator_subspace(a: FinAlgebra) -> Subspace:
     return Subspace.from_rows(a.dim, rows)
 
 
-def _exact(x: Fraction) -> Fraction | int:
-    """x, as an int when integral: exact, and much cheaper to multiply."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _exact_products(a: FinAlgebra) -> list:
-    """`product_terms` of every basis pair, integral coefficients as int."""
-    basis = range(a.dim)
-    return [[tuple((k, _exact(c)) for k, c in a.product_terms(i, j)) for j in basis] for i in basis]
-
-
 def gram_columns(a: FinAlgebra, f, side: str = "right") -> list:
     """The Gram form G[u][v] = f(b_u b_v) of the covector f: for each u, column
     u, x -> f(x b_u) (side "right"), or row u, x -> f(b_u x) (side "left"),
     as its nonzero (k, value) pairs, k increasing, integral values as int."""
     f = [_exact(x) for x in f]
-    products = a.derived(_exact_products)
-    pairs = products if side == "left" else zip(*products)
+    basis = range(a.dim)
+    terms = a.product_terms if side == "left" else lambda u, k: a.product_terms(k, u)
     return [
-        [(k, _exact(g)) for k, terms in enumerate(row) if (g := sum(c * f[s] for s, c in terms))]
-        for row in pairs
+        [(k, _exact(g)) for k in basis if (g := sum(c * f[s] for s, c in terms(u, k)))]
+        for u in basis
     ]
 
 

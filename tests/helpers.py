@@ -38,10 +38,17 @@ def corpus_algebra(name):
     return dict(corpus())[name]
 
 
+def algebra_from_tensor(c, unit=None, labels=None) -> fa.FinAlgebra:
+    """The algebra with b_i b_j = sum_k c[i][j][k] b_k, from the dense d x d x d
+    tensor c: the nonzero entries of each c[i][j] are its terms."""
+    terms = [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in c]
+    return fa.FinAlgebra(terms, unit, labels)
+
+
 def zero_product_algebra(dim=1):
     zero = Fraction(0)
     c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    return fa.FinAlgebra(c)
+    return algebra_from_tensor(c)
 
 
 def n3_algebra():
@@ -49,7 +56,7 @@ def n3_algebra():
     nonzero basis product is e12 e23 = e13."""
     c = [[[F0] * 3 for _ in range(3)] for _ in range(3)]
     c[0][2] = [F0, F1, F0]
-    return fa.FinAlgebra(c)
+    return algebra_from_tensor(c)
 
 
 def row_algebra():
@@ -58,7 +65,7 @@ def row_algebra():
     c = [[[F0] * 2 for _ in range(2)] for _ in range(2)]
     c[0][0] = [F1, F0]
     c[0][1] = [F0, F1]
-    return fa.FinAlgebra(c)
+    return algebra_from_tensor(c)
 
 
 @lru_cache(maxsize=1)
@@ -110,6 +117,81 @@ def random_algebra(rng: Random) -> fa.FinAlgebra:
     if kind == 3:
         return fa.adjoin_unit(rng.choice([t2, zero_product_algebra(rng.randint(1, 2))]))
     return fa.adjoin_unit(rng.choice(small[:4]))
+
+
+def direct_product_oracle(a: fa.FinAlgebra, b: fa.FinAlgebra) -> fa.FinAlgebra:
+    """A x B written out as a dense tensor, block by block."""
+    da, db = a.dim, b.dim
+    d = da + db
+    c = [[[F0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(da):
+        for j in range(da):
+            row = c[i][j]
+            for k, coef in a.product_terms(i, j):
+                row[k] = coef
+    for i in range(db):
+        for j in range(db):
+            row = c[da + i][da + j]
+            for k, coef in b.product_terms(i, j):
+                row[da + k] = coef
+    unit = None
+    if a.unit is not None and b.unit is not None:
+        unit = tuple(a.unit) + tuple(b.unit)
+    labels = None
+    if a.labels is not None and b.labels is not None:
+        labels = [f"l_{s}" for s in a.labels] + [f"r_{s}" for s in b.labels]
+    return algebra_from_tensor(c, unit, labels)
+
+
+def tensor_product_oracle(a: fa.FinAlgebra, b: fa.FinAlgebra) -> fa.FinAlgebra:
+    """A (x) B written out as a dense tensor, adding up every product of terms."""
+    da, db = a.dim, b.dim
+    d = da * db
+    c = [[[F0] * d for _ in range(d)] for _ in range(d)]
+    for i1 in range(da):
+        for i2 in range(da):
+            pa = a.product_terms(i1, i2)
+            if not pa:
+                continue
+            for j1 in range(db):
+                x1 = i1 * db + j1
+                for j2 in range(db):
+                    pb = b.product_terms(j1, j2)
+                    if not pb:
+                        continue
+                    row = c[x1][i2 * db + j2]
+                    for k1, alpha in pa:
+                        for k2, beta in pb:
+                            row[k1 * db + k2] += alpha * beta
+    unit = None
+    if a.unit is not None and b.unit is not None:
+        unit = [F0] * d
+        for i, x in enumerate(a.unit):
+            if x:
+                for j, y in enumerate(b.unit):
+                    if y:
+                        unit[i * db + j] = x * y
+    labels = None
+    if a.labels is not None and b.labels is not None:
+        labels = [f"{s}*{t}" for s in a.labels for t in b.labels]
+    return algebra_from_tensor(c, unit, labels)
+
+
+def adjoin_unit_oracle(a: fa.FinAlgebra) -> fa.FinAlgebra:
+    """A with a unit adjoined at index 0, written out as a dense tensor."""
+    d = a.dim + 1
+    c = [[[F0] * d for _ in range(d)] for _ in range(d)]
+    c[0][0][0] = F1
+    for i in range(a.dim):
+        c[0][i + 1][i + 1] = F1
+        c[i + 1][0][i + 1] = F1
+        for j in range(a.dim):
+            row = c[i + 1][j + 1]
+            for k, coef in a.product_terms(i, j):
+                row[k + 1] = coef
+    unit = [F1] + [F0] * a.dim
+    labels = None if a.labels is None else ["one"] + list(a.labels)
+    return algebra_from_tensor(c, unit, labels)
 
 
 def random_subspace(a: fa.FinAlgebra, rng: Random, rank: int) -> fa.Subspace:
@@ -363,7 +445,7 @@ def dense_copy(a: fa.FinAlgebra, rng: Random) -> fa.FinAlgebra:
     new_basis = [a.element(p.column(i)) for i in range(d)]
     c = [[inverse.apply((x * y).coeffs) for y in new_basis] for x in new_basis]
     unit = None if a.unit is None else inverse.apply(a.unit)
-    return fa.FinAlgebra(c, unit)
+    return algebra_from_tensor(c, unit)
 
 
 def cubic_condition_oracle(a: fa.FinAlgebra, t: fa.Mat):

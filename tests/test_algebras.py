@@ -7,7 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finalg as fa
-from helpers import corpus, corpus_algebra, dense_copy, random_algebra, zero_product_algebra
+from helpers import (
+    adjoin_unit_oracle,
+    algebra_from_tensor,
+    corpus,
+    corpus_algebra,
+    dense_copy,
+    direct_product_oracle,
+    non_unital_algebras,
+    random_algebra,
+    tensor_product_oracle,
+    zero_product_algebra,
+)
 
 F = Fraction
 
@@ -168,7 +179,7 @@ class TestAssociativityValidation:
         c = [[list(good.product(i, j)) for j in range(4)] for i in range(4)]
         c[0][1][2] += 1
         with pytest.raises(fa.AssociativityError) as excinfo:
-            fa.FinAlgebra(c)
+            algebra_from_tensor(c)
         i, j, k = excinfo.value.triple
         # Re-evaluate both sides at the reported triple straight from the
         # corrupted constants.
@@ -213,7 +224,7 @@ class TestAssociativityValidation:
         assert {x.denominator for plane in c for row in plane for x in row} == {1, 2, 3, 5}
         c[1][2][3] += F(7, 30)
         with pytest.raises(fa.AssociativityError) as excinfo:
-            fa.FinAlgebra(c)
+            algebra_from_tensor(c)
         for first in itertools.product(range(4), repeat=3):
             left, right = self._sides(c, *first)
             if left != right:
@@ -234,7 +245,7 @@ class TestAssociativityValidation:
         c, unit = self._rescaled(a, (F(1), F(3), F(1, 5), F(7, 11), F(13), F(1, 9)))
         denominators = {x.denominator for plane in c for row in plane for x in row}
         assert all(any(q % p == 0 for q in denominators) for p in (3, 5, 7, 11))
-        b = fa.FinAlgebra(c, unit)
+        b = algebra_from_tensor(c, unit)
         assert b.unit == tuple(unit)
         for i in range(6):
             for j in range(6):
@@ -244,8 +255,127 @@ class TestAssociativityValidation:
         a = fa.build_matrix_algebra(2)
         with pytest.raises(ValueError, match="unit"):
             fa.FinAlgebra(
-                [[a.product(i, j) for j in range(4)] for i in range(4)], unit=[1, 1, 0, 1]
+                [[a.product_terms(i, j) for j in range(4)] for i in range(4)], unit=[1, 1, 0, 1]
             )
+
+
+def _table(a):
+    basis = range(a.dim)
+    return [[a.product_terms(i, j) for j in basis] for i in basis]
+
+
+@lru_cache(maxsize=1)
+def _table_members():
+    """The corpus, a dense copy of each member, the named algebras without a
+    unit, and Q[S3] on a rescaled basis, whose constants are partly fractions."""
+    members = list(corpus())
+    members += [(f"dense-{name}", dense_copy(a, Random(k))) for k, (name, a) in enumerate(corpus())]
+    members += list(non_unital_algebras())
+    qs3 = corpus_algebra("QS3")
+    scales = (F(1), F(1, 2), F(3), F(2, 5), F(7), F(1, 3))
+    rescaled = [[[(k, scales[i] * scales[j] * x / scales[k]) for k, x in row]
+                 for j, row in enumerate(plane)] for i, plane in enumerate(_table(qs3))]
+    unit = [x / s for x, s in zip(qs3.unit, scales)]
+    members.append(("rescaled-QS3", fa.FinAlgebra(rescaled, unit)))
+    return tuple(members)
+
+
+class TestProductTable:
+    """FinAlgebra(terms, unit, labels) takes the table product_terms reads back."""
+
+    def test_round_trip(self):
+        for name, a in _table_members():
+            b = fa.FinAlgebra(_table(a), a.unit, a.labels)
+            assert b == a and b.unit == a.unit and b.labels == a.labels, name
+
+    def test_coefficient_types(self):
+        """product_terms holds integral coefficients as int and the others as
+        Fraction; product, mul, mul_basis and mult_operator give Fractions."""
+        rng = Random(5)
+        seen = set()
+        for name, a in _table_members():
+            for i, j in itertools.product(range(a.dim), repeat=2):
+                for _, c in a.product_terms(i, j):
+                    assert type(c) is (int if c.denominator == 1 else Fraction), name
+                    seen.add(type(c))
+                assert all(type(x) is Fraction for x in a.product(i, j)), name
+            x, y = fa.random_element(a, rng), fa.random_element(a, rng)
+            values = list(a.mul(x.coeffs, y.coeffs))
+            for i in range(a.dim):
+                for side in ("left", "right"):
+                    values += a.mul_basis(i, y.coeffs, side)
+            for side in ("left", "right"):
+                values += [v for row in a.mult_operator(x, side).data for v in row]
+            assert all(type(v) is Fraction for v in values), name
+        assert seen == {int, Fraction}
+
+    def test_shape_is_checked(self):
+        for terms in ([[()], [(), ()]], [[(), ()]], [[(), ()], [()]]):
+            with pytest.raises(ValueError, match="dim x dim"):
+                fa.FinAlgebra(terms)
+
+    def test_index_out_of_range_rejected(self):
+        for k in (1, 2, -1):
+            with pytest.raises(ValueError, match=r"outside range\(1\)"):
+                fa.FinAlgebra([[[(k, 1)]]])
+
+    def test_repeated_or_decreasing_index_rejected(self):
+        for pairs in ([(0, 1), (0, 1)], [(1, 1), (0, 1)], [(0, 1), (0, -1)]):
+            terms = [[pairs, ()], [(), ()]]
+            with pytest.raises(ValueError, match="strictly increasing"):
+                fa.FinAlgebra(terms)
+
+    def test_zero_coefficients_dropped(self):
+        """Each product spelled densely, zeros included, as int 0 and as
+        Fraction(0): the same algebra, with no zero among its terms."""
+        for name, a in list(corpus())[:3] + [("rescaled-QS3", _table_members()[-1][1])]:
+            basis = range(a.dim)
+            for zero in (0, F(0)):
+                terms = [[[(k, x or zero) for k, x in enumerate(a.product(i, j))] for j in basis]
+                         for i in basis]
+                b = fa.FinAlgebra(terms, a.unit)
+                assert b == a, name
+                assert _table(b) == _table(a), name
+        assert fa.FinAlgebra([[[(0, 0)]]]).product_terms(0, 0) == ()
+
+    def test_coefficients_are_read_exactly(self):
+        a = fa.FinAlgebra([[[(0, 1)]]], unit=[1])
+        assert a.product_terms(0, 0) == ((0, 1),) and type(a.product_terms(0, 0)[0][1]) is int
+        assert a.product(0, 0) == (F(1),) and type(a.product(0, 0)[0]) is Fraction
+        b = fa.FinAlgebra([[[(0, F(4, 2))]]])
+        assert b.product_terms(0, 0) == ((0, 2),) and type(b.product_terms(0, 0)[0][1]) is int
+
+
+@lru_cache(maxsize=1)
+def _factors():
+    """Corpus members, the named algebras without a unit up to dimension 3,
+    and seeded random draws, which include non-unital adjoin_unit inputs."""
+    rng = Random(31)
+    named = list(corpus()) + [(n, a) for n, a in non_unital_algebras() if a.dim <= 3]
+    return tuple(named + [(f"random-{k}", random_algebra(rng)) for k in range(6)])
+
+
+class TestBuilderOracles:
+    """direct_product, tensor_product and adjoin_unit against dense-tensor
+    forms of themselves in helpers; labels are compared too, since == does not."""
+
+    @staticmethod
+    def _same(built, oracle, name):
+        assert built == oracle and built.labels == oracle.labels, name
+
+    def test_direct_product(self):
+        for (x, a), (y, b) in itertools.product(_factors(), repeat=2):
+            if a.dim + b.dim <= 12:
+                self._same(fa.direct_product(a, b), direct_product_oracle(a, b), (x, y))
+
+    def test_tensor_product(self):
+        for (x, a), (y, b) in itertools.product(_factors(), repeat=2):
+            if a.dim * b.dim <= 12:
+                self._same(fa.tensor_product(a, b), tensor_product_oracle(a, b), (x, y))
+
+    def test_adjoin_unit(self):
+        for name, a in _factors():
+            self._same(fa.adjoin_unit(a), adjoin_unit_oracle(a), name)
 
 
 class TestElementArithmetic:

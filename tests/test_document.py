@@ -4,6 +4,7 @@ import pytest
 
 import finalg as fa
 from finalg.document import (
+    AlgebraDocument,
     DocumentError,
     document_fingerprint,
     document_from_algebra,
@@ -97,6 +98,12 @@ class TestParsing:
         with pytest.raises(DocumentError, match="exactly 2 rationals"):
             parse_document("algebra X\ndim 2\nunit 1\n")
 
+    def test_product_of_the_wrong_length_is_a_document_error(self):
+        for coeffs in ((F(1), F(1)), (F(1), F(0)), ()):
+            doc = AlgebraDocument("X", 1, None, None, ((0, 0, coeffs),))
+            with pytest.raises(DocumentError, match="exactly 1 rationals"):
+                doc.to_algebra()
+
     def test_omitted_pairs_default_to_zero(self):
         a = parse_algebra_document("algebra Z\ndim 2\n")
         x = a.element([1, 2])
@@ -145,9 +152,7 @@ class TestCanonicalSerialization:
             assert parse_algebra_document(text) == algebra
 
     def test_rationals_serialize_exactly(self):
-        zero = F(0)
-        c = [[[F(-3, 4)]]]
-        a = fa.FinAlgebra(c)
+        a = fa.FinAlgebra([[[(0, F(-3, 4))]]])
         text = serialize_document(document_from_algebra("neg", a))
         assert "product 0 0 = -3/4" in text
         assert parse_algebra_document(text) == a

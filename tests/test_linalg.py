@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,19 @@ class TestKernelFromConstraints:
 
     def test_no_constraints_gives_full_space(self):
         assert kernel_from_constraints(3, []) == Subspace.full(3)
+
+    def test_stops_pulling_rows_once_the_kernel_is_zero(self):
+        """Rows [(0, 1)], [(1, 1)], ... on Q^2 pull two rows, and n = 0 pulls none."""
+
+        def counted(pulled):
+            for j in itertools.count():
+                pulled.append(j)
+                yield [(j, F(1))]
+
+        for n, expected in ((2, 2), (1, 1), (0, 0)):
+            pulled = []
+            assert kernel_from_constraints(n, counted(pulled)) == Subspace.zero(n)
+            assert len(pulled) == expected
 
 
 @st.composite

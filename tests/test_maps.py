@@ -628,14 +628,11 @@ SYSTEMS = {
 def _rescaled(a, scales):
     """The same algebra on the basis s_i b_i, whose structure constants
     s_i s_j c[i][j][k] / s_k are fractions for fractional scales."""
-    d = a.dim
-    c = [[[F(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k, x in a.product_terms(i, j):
-                c[i][j][k] = scales[i] * scales[j] * x / scales[k]
+    basis = range(a.dim)
+    terms = [[[(k, scales[i] * scales[j] * x / scales[k]) for k, x in a.product_terms(i, j)]
+              for j in basis] for i in basis]
     unit = None if a.unit is None else [x / s for x, s in zip(a.unit, scales)]
-    return fa.FinAlgebra(c, unit)
+    return fa.FinAlgebra(terms, unit)
 
 
 def _row_engine_members():

@@ -464,6 +464,20 @@ class TestClosedFormsAgainstOracles:
                 found = _common_gram_radical(a, functionals)
                 assert found == common_gram_radical_oracle(a, functionals), name
 
+    def test_common_gram_radical_reads_no_form_after_a_zero_kernel(self, monkeypatch):
+        """On Q[S3] the first functional's Gram rows leave no kernel, so the
+        next two forms are never built."""
+        import finalg.structure as fs
+
+        a = corpus_algebra("QS3")
+        basis = fa.trace_functional_space(a)
+        assert len(basis) == 3
+        calls = []
+        original = fs.gram_columns
+        monkeypatch.setattr(fs, "gram_columns", lambda *args: calls.append(args) or original(*args))
+        assert _common_gram_radical(a, basis) == fa.Subspace.zero(a.dim)
+        assert len(calls) == 1
+
     def test_commutator_simplicity_witness_matches_the_fixed_point(self):
         for name, a in _oracle_algebras():
             verdict = fa.is_commutator_simple(a)
