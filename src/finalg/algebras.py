@@ -8,6 +8,19 @@ integral, and is read through the product API of `FinAlgebra`: `product`,
 `product_terms`, `mul` and `mul_basis`.  Associativity (and the unit law,
 when a unit is declared) is checked at construction; instances are
 immutable afterwards, apart from the cache behind `FinAlgebra.derived`.
+
+Associativity is certified on a generating set.  For any bilinear product
+the middle nucleus {m : (x m) y = x (m y) for all x, y} is a subalgebra
+(R. D. Schafer, An Introduction to Nonassociative Algebras, 1966, ch. II),
+so (b_i b_j) b_k = b_i (b_j b_k) need only hold for the middles b_j of a
+set that generates A.  That set is a set S of basis indices whose closure
+under the single-term products b_u b_v = c b_k reaches every index, and the
+scan reads d^2 |S| triples instead of d^3.  Where the closure adds no
+index, as on tables without single-term products or on T_n in its basis
+order, S is the whole basis and the scan is the full one.  When a triple
+fails, the scan runs again over every middle, so that the error names the
+first failing basis triple (i, j, k) in lexicographic order, with both
+evaluated sides.
 """
 
 from __future__ import annotations
@@ -78,25 +91,23 @@ class FinAlgebra:
             [[(k, c.numerator * (scale // c.denominator)) for k, c in row] for row in plane]
             for plane in self._pairs
         ]
-        for i in range(d):
-            for j in range(d):
-                pij = pairs[i][j]
-                for k in range(d):
-                    left = [0] * d
-                    for t, a in pij:
-                        for s, x in pairs[t][k]:
-                            left[s] += a * x
-                    right = [0] * d
-                    for t, b in pairs[j][k]:
-                        for s, x in pairs[i][t]:
-                            right[s] += b * x
-                    if left != right:
-                        square = scale * scale
-                        raise AssociativityError(
-                            (i, j, k),
-                            tuple(Fraction(x, square) for x in left),
-                            tuple(Fraction(x, square) for x in right),
-                        )
+        # The middle nucleus is a subalgebra: for m, n in it, Teichmueller's
+        # identity (wx,y,z) - (w,xy,z) + (w,x,yz) = w(x,y,z) + (w,x,y)z, with
+        # (u,v,w) = (uv)w - u(vw), gives (w,mn,z) = 0 at x = m, y = n.  So
+        # the middles in S certify the whole table; a failure found there is
+        # looked up again in full for the first failing triple.
+        middles = _generating_middles(pairs)
+        failure = _first_failure(pairs, middles)
+        if failure is not None and len(middles) < d:
+            failure = _first_failure(pairs, range(d))
+        if failure is not None:
+            triple, left, right = failure
+            square = scale * scale
+            raise AssociativityError(
+                triple,
+                tuple(Fraction(x, square) for x in left),
+                tuple(Fraction(x, square) for x in right),
+            )
         if self.unit is not None:
             for i in range(d):
                 e = tuple(_ONE if s == i else _ZERO for s in range(d))
@@ -218,6 +229,57 @@ class FinAlgebra:
 
     def __repr__(self) -> str:
         return f"FinAlgebra(dim={self.dim}, unital={self.is_unital})"
+
+
+def _generating_middles(pairs) -> list[int]:
+    """Basis indices S such that every b_k lies in the subalgebra S generates.
+
+    Each index not yet reached, taken in increasing order, joins S, and the
+    reached set is closed under the products b_u b_v = c b_k with a single
+    term: b_k = (b_u b_v) / c lies in the subalgebra whenever b_u and b_v do.
+    """
+    d = len(pairs)
+    reached = [False] * d
+    order, middles = [], []
+    for g in range(d):
+        if reached[g]:
+            continue
+        middles.append(g)
+        reached[g] = True
+        queue = [g]
+        while queue:
+            w = queue.pop()
+            order.append(w)
+            # each pair of reached indices is read once, when its later one is reached
+            for v in order:
+                for terms in (pairs[w][v], pairs[v][w]):
+                    if len(terms) == 1 and not reached[k := terms[0][0]]:
+                        reached[k] = True
+                        queue.append(k)
+    return middles
+
+
+def _first_failure(pairs, middles) -> tuple | None:
+    """The first basis triple (i, j, k), in lexicographic order, with j among
+    the middles, at which (b_i b_j) b_k != b_i (b_j b_k), with both sides as
+    dense lists, or None."""
+    d = len(pairs)
+    for i in range(d):
+        row_i = pairs[i]
+        for j in middles:
+            pij, row_j = row_i[j], pairs[j]
+            for k in range(d):
+                left = [0] * d
+                for t, a in pij:
+                    for s, x in pairs[t][k]:
+                        left[s] += a * x
+                right = [0] * d
+                for t, b in row_j[k]:
+                    for s, x in row_i[t]:
+                        right[s] += b * x
+                if left != right:
+                    return (i, j, k), left, right
+    return None
 
 
 def _checked_terms(pairs, dim: int) -> tuple:

@@ -22,10 +22,16 @@ its order and every value are those of reading the terms one by one.
 A check evaluates terms as sparse vectors, dense only at a failing tuple.
 Membership in [A, A] is decided exactly through the covectors f that vanish
 on [A, A]: r lies in [A, A] iff f(r) = 0 for each f of a basis.  Such an f
-has f(xy) = f(yx), so terms that are rotations of each other are merged
-first, and a term H L is read as H . G_f L through the sparse columns of
-the Gram form G_f[u][v] = f(b_u b_v), built once per algebra for both reads
-by `structure.gram_columns`, from the product table `FinAlgebra` keeps.
+has f(xy) = f(yx), so each term is rotated to end in the factor that holds
+the tuple's last letter, and terms equal after rotation are merged.  The
+tuples are then read per prefix, the tuple without its last letter z: a
+term H b_z gives f(H b_z) = (G_f H)_z, for the Gram form G_f[u][v] =
+f(b_u b_v), which is symmetric, and a term H T(b_z) gives ((G_f H) T)_z.
+So each f gives one covector over z per prefix, added up from the sparse
+columns of G_f and those columns times T, and the least z at which one is
+nonzero is the first failing tuple.  The Gram columns are built once per
+algebra by `structure.gram_columns`, from the product table `FinAlgebra`
+keeps.
 """
 
 from __future__ import annotations
@@ -139,8 +145,11 @@ class _Identity:
     The word in the map has at most two letters, and for rows so has the
     rest of the term; outside [A, A] the rest has one letter at most.
     Parsed terms are (sign, factors): +1 on the left, -1 on the right, and
-    each factor is (mapped, positions in the tuple).  Modulo [A, A] the
-    check reads ``cyclic``, the (weight, factors) left when rotations merge.
+    each factor is (mapped, positions in the tuple).  Modulo [A, A] the last
+    letter is a factor of its own in every term, and the check reads
+    ``cyclic``: (weight, head, mapped) for each term rotated to end in that
+    factor, with its rotations merged, head the factors before it and
+    mapped whether it is in the map.
     """
 
     def __init__(self, text: str, symmetric: bool, modulo_commutators: bool = False):
@@ -157,17 +166,23 @@ class _Identity:
         self.symmetric = symmetric
         self.modulo_commutators = modulo_commutators
         # Every f vanishing on [A, A] has f(xy) = f(yx), so it reads a term
-        # and its rotations alike: merge terms by their least rotation.
+        # and its rotations alike: rotate each term so that the factor that
+        # is the last letter alone comes last, and merge equal rotations.
         weights: dict[tuple, int] = {}
-        for sign, factors in self.terms:
-            least = min(factors[n:] + factors[:n] for n in range(len(factors)))
-            weights[least] = weights.get(least, 0) + sign
-        self.cyclic = [(weight, factors) for factors, weight in weights.items() if weight]
+        for sign, factors in self.terms if modulo_commutators else ():
+            (n,) = [n for n, (_, word) in enumerate(factors) if word == (self.arity - 1,)]
+            rotated = factors[n + 1 :] + factors[: n + 1]
+            weights[rotated] = weights.get(rotated, 0) + sign
+        self.cyclic = [
+            (weight, factors[:-1], factors[-1][0]) for factors, weight in weights.items() if weight
+        ]
 
-    def tuples(self, d: int):
+    def tuples(self, d: int, length: int | None = None):
+        """The basis tuples, in order; of a shorter length, their prefixes."""
+        length = self.arity if length is None else length
         if self.symmetric:
-            return itertools.combinations_with_replacement(range(d), self.arity)
-        return itertools.product(range(d), repeat=self.arity)
+            return itertools.combinations_with_replacement(range(d), length)
+        return itertools.product(range(d), repeat=length)
 
 
 def _symmetrized(term: str) -> str:
@@ -331,12 +346,22 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
     for identities modulo [A, A]; None when t satisfies them all.
 
     Terms are sparse, from `product_terms` and the nonzero entries of each
-    T(b_j).  Modulo [A, A] a tuple holds when f(H L) = H . G_f L, summed over
-    the cyclic terms H L, is zero for each f of `_commutator_forms`."""
+    T(b_j).  Modulo [A, A] the tuples are read per prefix, the tuple without
+    its last letter z.  As G_f is symmetric, a cyclic term H L has
+    f(H b_z) = (G_f H)_z and f(H T(b_z)) = ((G_f H) T)_z, so for each f of
+    `_commutator_forms` the terms add up to one covector over z, built from
+    the Gram columns of f and those columns times T; the least z at which
+    one is nonzero gives the first failing tuple."""
     d = a.dim
     images = [[(k, _exact(x)) for k, row in enumerate(t.data) if (x := row[j])] for j in range(d)]
-    forms = a.derived(_commutator_forms) if identities[0].modulo_commutators else None
-    heads, grams = {}, {}
+    forms = None
+    if identities[0].modulo_commutators:
+        rows = [[(z, _exact(x)) for z, x in enumerate(row) if x] for row in t.data]
+        forms = [
+            (form, [_combination((g, rows[v]) for v, g in column).items() for column in form])
+            for form in a.derived(_commutator_forms)
+        ]
+    heads = {}
 
     def value(factors):
         """The product of the factors as (index, value) pairs, without zeros."""
@@ -350,24 +375,35 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
             left = vec
         return left
 
-    def holds_modulo(identity, tup) -> bool:
-        terms = []
-        for weight, factors in identity.cyclic:
-            *head, last = ((m, _at(tup, p)) for m, p in factors)
-            if (head := tuple(head)) not in heads:
-                heads[head] = value(head)
-            if last not in grams:
-                grams[last] = [_combination((y, form[v]) for v, y in value((last,))) for form in forms]
-            terms.append((weight, heads[head], grams[last]))
-        return not any(
-            sum(w * x * c for w, head, gl in terms for u, x in head if (c := gl[n].get(u)))
-            for n in range(len(forms))
-        )
+    def failing(identity):
+        """The tuples at which the identity may fail, in `tuples` order;
+        modulo [A, A], only the first at which it does."""
+        if not identity.modulo_commutators:
+            yield from identity.tuples(d)
+            return
+        # A symmetric identity at a prefix and a z below its last letter is a
+        # reordered earlier tuple, which held, so the covectors vanish there.
+        for prefix in identity.tuples(d, identity.arity - 1):
+            # (weight, head value) of the terms ending in b_z, then of those ending in T(b_z)
+            ends = ([], [])
+            for weight, head, mapped in identity.cyclic:
+                head = tuple((m, _at(prefix, p)) for m, p in head)
+                if head not in heads:
+                    heads[head] = value(head)
+                ends[mapped].append((weight, heads[head]))
+            first = d
+            for form, through in forms:
+                covector = _combination(itertools.chain(
+                    ((w * x, form[u]) for w, head in ends[0] for u, x in head),
+                    ((w * x, through[u]) for w, head in ends[1] for u, x in head),
+                ))
+                first = min([first, *covector])
+            if first < d:
+                yield prefix + (first,)
+                return
 
     for identity in identities:
-        for tup in identity.tuples(d):
-            if forms is not None and holds_modulo(identity, tup):
-                continue
+        for tup in failing(identity):
             values = [(s, value(tuple((m, _at(tup, p)) for m, p in fs))) for s, fs in identity.terms]
             sides = [_combination((1, v) for s, v in values if s == side) for side in (1, -1)]
             if forms is None and sides[0] == sides[1]:

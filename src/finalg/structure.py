@@ -25,7 +25,10 @@ _ZERO = Fraction(0)
 
 
 def product_span(a: FinAlgebra) -> Subspace:
-    """The span of all products b_i b_j (for unital algebras, the whole space)."""
+    """The span of all products b_i b_j: the whole space when A has a unit,
+    as A = A 1 (the unit law is checked when the algebra is built)."""
+    if a.unit is not None:
+        return Subspace.full(a.dim)
     return Subspace.from_rows(
         a.dim, [a.product(i, j) for i in range(a.dim) for j in range(a.dim)]
     )

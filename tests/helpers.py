@@ -1,6 +1,7 @@
 """Shared fixtures: the standard algebra corpus, random generators, and
 independent closure/nilpotency checks used as oracles."""
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -456,13 +457,78 @@ def cubic_condition_oracle(a: fa.FinAlgebra, t: fa.Mat):
     commutators = fa.commutator_subspace(a)
     images = [a.element(t.column(j)) for j in range(a.dim)]
     basis = [a.basis_element(j) for j in range(a.dim)]
+    image_pair = functools.cache(lambda p, q: images[p] * images[q])
+    basis_pair = functools.cache(lambda p, q: basis[p] * basis[q])
     for triple in itertools.combinations_with_replacement(range(a.dim), 3):
-        residual = a.zero()
+        residual = [F0] * a.dim
         for p, q, r in itertools.permutations(triple):
-            residual = residual + images[p] * images[q] * images[r] - basis[p] * basis[q] * basis[r]
-        if not commutators.contains_vector(residual.coeffs):
-            return {"triple": triple, "value": residual.coeffs}
+            _add_into(residual, 1, image_pair(p, q) * images[r])
+            _add_into(residual, -1, basis_pair(p, q) * basis[r])
+        if not commutators.contains_vector(residual):
+            return {"triple": triple, "value": tuple(residual)}
     return None
+
+
+def criterion_membership_oracle(a: fa.FinAlgebra, t: fa.Mat):
+    """The criterion memberships D(x) x and D(x) x^2 in [A, A] by the full
+    procedure, for D = t: at each sorted basis pair the residual
+    D(b_p) b_q + D(b_q) b_p, then at each sorted triple the sum over the six
+    orderings of D(b_p) b_q b_r, each reduced against [A, A].  Returns the
+    first failing tuple with its residual, as the checks report it under
+    "tuple", or None."""
+    commutators = fa.commutator_subspace(a)
+    images = [a.element(t.column(j)) for j in range(a.dim)]
+    basis = [a.basis_element(j) for j in range(a.dim)]
+    basis_pair = functools.cache(lambda p, q: basis[p] * basis[q])
+    for degree in (2, 3):
+        for tup in itertools.combinations_with_replacement(range(a.dim), degree):
+            residual = [F0] * a.dim
+            for p, *rest in itertools.permutations(tup):
+                # D(b_p) b_q, or D(b_p) (b_q b_r), A being associative
+                _add_into(residual, 1, images[p] * (basis_pair(*rest) if rest[1:] else basis[rest[0]]))
+            if not commutators.contains_vector(residual):
+                return {"tuple": tup, "value": tuple(residual)}
+    return None
+
+
+def _add_into(values: list, sign: int, x: fa.Element) -> None:
+    """values += sign * x, over the nonzero coefficients of x."""
+    for k, c in enumerate(x.coeffs):
+        if c:
+            values[k] += sign * c
+
+
+def inner_derivation_map(a: fa.FinAlgebra, w: fa.Element) -> fa.Mat:
+    """ad_w : x -> x w - w x, as the difference of the dense multiplication
+    operators."""
+    return a.mult_operator(w, "right") - a.mult_operator(w, "left")
+
+
+def associativity_oracle(terms):
+    """The first basis triple (i, j, k), in lexicographic order over all d^3
+    of them, at which (b_i b_j) b_k != b_i (b_j b_k) for the product table
+    `terms` (the shape `FinAlgebra` takes; zero coefficients allowed), with
+    both sides as Fraction tuples, or None: the full scan, in Fraction
+    arithmetic."""
+    d = len(terms)
+    for i, j, k in itertools.product(range(d), repeat=3):
+        left, right = [F0] * d, [F0] * d
+        for t, x in terms[i][j]:
+            for s, y in terms[t][k]:
+                left[s] += F(x) * y
+        for t, x in terms[j][k]:
+            for s, y in terms[i][t]:
+                right[s] += F(x) * y
+        if left != right:
+            return (i, j, k), tuple(left), tuple(right)
+    return None
+
+
+def product_span_oracle(a: fa.FinAlgebra) -> fa.Subspace:
+    """The span of the d^2 dense products b_i b_j, reduced in one RREF."""
+    return fa.Subspace.from_rows(
+        a.dim, [a.product(i, j) for i in range(a.dim) for j in range(a.dim)]
+    )
 
 
 def first_violation_oracle(a: fa.FinAlgebra, identities, t: fa.Mat, key: str):

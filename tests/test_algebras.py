@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finalg as fa
+from finalg.algebras import _first_failure, _generating_middles
 from helpers import (
     adjoin_unit_oracle,
     algebra_from_tensor,
+    associativity_oracle,
     corpus,
     corpus_algebra,
     dense_copy,
@@ -278,6 +280,112 @@ def _table_members():
     unit = [x / s for x, s in zip(qs3.unit, scales)]
     members.append(("rescaled-QS3", fa.FinAlgebra(rescaled, unit)))
     return tuple(members)
+
+
+def _corrupted(table, rng):
+    """The table with one seeded constant of one basis product shifted by a
+    nonzero rational, or set where the product had no such term."""
+    d = len(table)
+    out = [[list(row) for row in plane] for plane in table]
+    i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+    terms = dict(out[i][j])
+    terms[k] = terms.get(k, 0) + F(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+    out[i][j] = sorted(terms.items())
+    return out
+
+
+class TestValidationParity:
+    """FinAlgebra checks associativity on the middles of a generating set and
+    scans every middle again only after a failure: the error must be the
+    one of the full lexicographic scan (`associativity_oracle`), with the
+    same triple, sides and message, and a table passing the scan must build."""
+
+    def test_corrupted_tables_report_the_first_failing_triple(self):
+        rng = Random(29)
+        failures = outside = beyond = relocated = 0
+        for name, a in _table_members():
+            for _ in range(3):
+                table = _corrupted(_table(a), rng)
+                expected = associativity_oracle(table)
+                if expected is None:
+                    fa.FinAlgebra(table)
+                    continue
+                with pytest.raises(fa.AssociativityError) as excinfo:
+                    fa.FinAlgebra(table)
+                error = excinfo.value
+                triple, left, right = expected
+                assert (error.triple, error.left, error.right) == expected, name
+                assert all(type(x) is Fraction for x in error.left + error.right)
+                i, j, k = triple
+                assert str(error) == (
+                    f"associativity fails at basis triple ({i},{j},{k}): "
+                    f"(b{i}*b{j})*b{k} = {[str(x) for x in left]} but "
+                    f"b{i}*(b{j}*b{k}) = {[str(x) for x in right]}"
+                )
+                middles = _generating_middles(table)
+                failures += 1
+                outside += j not in middles
+                beyond += i > 0
+                relocated += _first_failure(table, middles)[0] != triple
+        # the family reaches first failures whose middle the generating set
+        # leaves out, failures the scan over its middles alone would place
+        # elsewhere, and first failures past i = 0
+        assert failures > 50 and outside and relocated and beyond
+
+    def test_a_failure_among_the_middles_is_looked_up_in_full(self):
+        # e22 e22 = 2 e22 in M2: the generating middles e11, e12, e21 fail
+        # first at (2,1,3), but the first failing triple is (1,3,3).
+        table = _table(fa.build_matrix_algebra(2))
+        table[3][3] = ((3, 2),)
+        middles = _generating_middles(table)
+        assert middles == [0, 1, 2]
+        assert _first_failure(table, middles)[0] == (2, 1, 3)
+        with pytest.raises(fa.AssociativityError) as excinfo:
+            fa.FinAlgebra(table, unit=[1, 0, 0, 1])
+        assert (excinfo.value.triple, excinfo.value.left, excinfo.value.right) == (
+            associativity_oracle(table)
+        )
+        assert str(excinfo.value) == (
+            "associativity fails at basis triple (1,3,3): (b1*b3)*b3 = ['0', '1', '0', '0'] "
+            "but b1*(b3*b3) = ['0', '2', '0', '0']"
+        )
+
+    def test_generating_middles_reach_every_index(self):
+        # S must generate: closing S under the single-term products reaches
+        # every index, by a fixed point independent of the greedy order.
+        for name, a in _table_members() + (("QS4", fa.build_group_algebra(fa.symmetric_group(4))),):
+            table = _table(a)
+            middles = _generating_middles(table)
+            reached = set(middles)
+            while True:
+                grown = reached | {
+                    terms[0][0] for u in reached for v in reached
+                    for terms in (table[u][v],) if len(terms) == 1
+                }
+                if grown == reached:
+                    break
+                reached = grown
+            assert reached == set(range(a.dim)), name
+            assert middles == sorted(middles)
+
+    def test_generating_middles_of_the_standard_families(self):
+        qs4 = fa.build_group_algebra(fa.symmetric_group(4))
+        assert len(_generating_middles(_table(qs4))) == 4
+        # M_n: e11, the first row and the first column
+        assert _generating_middles(_table(fa.build_matrix_algebra(3))) == [0, 1, 2, 3, 6]
+        # T_n in basis order, and dense copies: no smaller set, every middle
+        t4 = fa.build_upper_triangular(4)
+        assert _generating_middles(_table(t4)) == list(range(10))
+        dense = dense_copy(corpus_algebra("M3"), Random(0))
+        assert _generating_middles(_table(dense)) == list(range(9))
+
+    def test_group_algebra_of_s5(self):
+        # d = 120: the generating set keeps the check at d^2 |S| triples
+        g = fa.symmetric_group(5)
+        a = fa.build_group_algebra(g)
+        assert a.dim == 120
+        assert a.unit == tuple(F(int(k == g.identity_index)) for k in range(120))
+        assert len(_generating_middles(_table(a))) < 10
 
 
 class TestProductTable:

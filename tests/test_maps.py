@@ -14,10 +14,12 @@ from helpers import (
     constraint_rows_oracle,
     corpus,
     corpus_algebra,
+    criterion_membership_oracle,
     cubic_condition_oracle,
     dense_copy,
     first_violation_oracle,
     inner_automorphism_map,
+    inner_derivation_map,
     inner_derivation_oracle,
     matrix_trace,
     non_unital_algebras,
@@ -369,10 +371,15 @@ class TestCubicConditionCheck:
 
 
 def _oracle_member(name):
-    """An algebra by name: a corpus member, T4, the non-unital M2 x Z (Z one
-    dimension with zero product), or a dense copy of a corpus member."""
+    """An algebra by name: a corpus member, T4, M4, M5, Q[S4], the non-unital
+    M2 x Z (Z one dimension with zero product), or a dense copy of a corpus
+    member."""
     if name == "T4":
         return fa.build_upper_triangular(4)
+    if name in ("M4", "M5"):
+        return fa.build_matrix_algebra(int(name[1]))
+    if name == "QS4":
+        return fa.build_group_algebra(fa.symmetric_group(4))
     if name == "M2xZ":
         return fa.direct_product(corpus_algebra("M2"), zero_product_algebra(1))
     if name.startswith("dense-"):
@@ -382,35 +389,60 @@ def _oracle_member(name):
 
 @pytest.mark.parametrize("name", [
     "M2", "M3", "QS3", "QD4", "T3", "T4", "M2xZ", "dense-QS3", "dense-T3", "dense-M2",
+    "M4", "M5", "QS4",
 ])
 class TestCubicOracle:
     """The pointwise checks against dense evaluations over one family of
     members and maps: cubic_condition_check against the full residual
-    reduced against [A, A] at every sorted triple, and the checks outside
-    [A, A] against `first_violation_oracle`.  Both pass, or both fail at the
-    same tuple with the same sides (residual modulo [A, A])."""
+    reduced against [A, A] at every sorted triple, the criterion
+    memberships against `criterion_membership_oracle`, and the checks
+    outside [A, A] against `first_violation_oracle`.  Both pass, or both
+    fail at the same tuple with the same sides (residual modulo [A, A])."""
 
-    GROUPS = {"QS3": lambda: fa.symmetric_group(3), "QD4": lambda: fa.dihedral_group(4)}
+    GROUPS = {
+        "QS3": lambda: fa.symmetric_group(3),
+        "QD4": lambda: fa.dihedral_group(4),
+        "QS4": lambda: fa.symmetric_group(4),
+    }
+    # members whose dense oracles are slow enough to keep to sparse maps
+    LARGE = ("M4", "M5", "QS4")
 
     def _maps(self, name, a, rng):
         d = a.dim
         maps = [fa.Mat.identity(d), fa.scaled_identity_map(d, 2)]
-        if name in ("M2", "M3"):
-            maps.append(fa.transpose_map(int(name[1])))
+        if name[0] == "M" and name[1:].isdigit():
+            n = int(name[1:])
+            maps.append(fa.transpose_map(n))
+            # b -> b on e_{n-1,n}, -b on e_{n,n-1} and 0 elsewhere: skew for
+            # the trace form, so D(x) x lies in [A, A], but for n >= 3 no
+            # derivation, and it fails a late degree-3 membership
+            skew = [[F(0)] * d for _ in range(d)]
+            u, v = (n - 2) * n + n - 1, (n - 1) * n + n - 2
+            skew[u][u], skew[v][v] = F(1), F(-1)
+            maps.append(fa.Mat(skew))
         if name in self.GROUPS:
             group = self.GROUPS[name]()
             maps += [conjugation_map(a, group, g) for g in (1, group.order - 1)]
-        if a.is_unital:
+        if a.is_unital and name not in self.LARGE:
             maps.append(inner_automorphism_map(a, random_invertible(a, rng)))
+        # a derivation, passing the criterion memberships
+        derivation = inner_derivation_map(a, a.basis_element(rng.randrange(d)) + a.basis_element(d - 1))
+        maps.append(derivation)
         for _ in range(2):
             perturbed = [[F(int(r == c)) for c in range(d)] for r in range(d)]
             perturbed[rng.randrange(d)][rng.randrange(d)] += F(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
             maps.append(fa.Mat(perturbed))
-            maps.append(fa.Mat([
-                [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.25 else F(0)
-                 for _ in range(d)]
-                for _ in range(d)
-            ]))
+            if name not in self.LARGE:
+                maps.append(fa.Mat([
+                    [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.25 else F(0)
+                     for _ in range(d)]
+                    for _ in range(d)
+                ]))
+        # maps changed in one late entry, which pass at the early tuples
+        for base in (maps[2], derivation):
+            late = [list(row) for row in base.data]
+            late[rng.randrange(d // 2, d)][rng.randrange(d // 2, d)] += F(rng.choice((-1, 2)), rng.randint(1, 2))
+            maps.append(fa.Mat(late))
         return maps
 
     def test_agrees_with_full_residual(self, name):
@@ -421,6 +453,17 @@ class TestCubicOracle:
             expected = cubic_condition_oracle(a, t)
             assert (result.ok, result.witness) == (expected is None, expected)
             verdicts.add(result.ok)
+        assert verdicts == {True, False}
+
+    def test_criterion_memberships_agree_with_dense_evaluation(self, name):
+        a = _oracle_member(name)
+        verdicts = set()
+        for t in self._maps(name, a, Random(101)):
+            result = fm._first_violation(a, fm._CRITERION, t, "tuple")
+            expected = criterion_membership_oracle(a, t)
+            # repr: the residuals are Fractions, as the oracle's are
+            assert repr(result) == repr(expected)
+            verdicts.add(result is None)
         assert verdicts == {True, False}
 
     def test_checks_outside_commutators_agree_with_dense_evaluation(self, name):

@@ -18,6 +18,7 @@ from helpers import (
     n3_algebra,
     non_unital_algebras,
     power_chain_dims,
+    product_span_oracle,
     radical_oracle,
     random_algebra,
     random_subspace,
@@ -73,6 +74,17 @@ class TestCommutatorSubspace:
         for _, a in corpus():
             if a.is_unital:
                 assert fa.product_span(a) == fa.Subspace.full(a.dim)
+
+    def test_product_span_matches_the_dense_span(self):
+        # With a unit, A^2 = A is returned without reading the products; the
+        # RREF of all d^2 dense products must give the same canonical basis.
+        algebras = (
+            list(corpus())
+            + [(f"dense-{name}", dense_copy(a, Random(k))) for k, (name, a) in enumerate(corpus())]
+            + list(non_unital_algebras())
+        )
+        for name, a in algebras:
+            assert repr(fa.product_span(a).basis) == repr(product_span_oracle(a).basis), name
 
     def test_product_span_of_zero_algebra_is_zero(self):
         assert fa.product_span(zero_product_algebra(2)).dim == 0
