@@ -485,7 +485,8 @@ def criterion_membership_oracle(a: fa.FinAlgebra, t: fa.Mat):
             residual = [F0] * a.dim
             for p, *rest in itertools.permutations(tup):
                 # D(b_p) b_q, or D(b_p) (b_q b_r), A being associative
-                _add_into(residual, 1, images[p] * (basis_pair(*rest) if rest[1:] else basis[rest[0]]))
+                tail = basis_pair(*rest) if rest[1:] else basis[rest[0]]
+                _add_into(residual, 1, images[p] * tail)
             if not commutators.contains_vector(residual):
                 return {"tuple": tup, "value": tuple(residual)}
     return None

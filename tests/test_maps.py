@@ -404,7 +404,8 @@ class TestCubicOracle:
         "QD4": lambda: fa.dihedral_group(4),
         "QS4": lambda: fa.symmetric_group(4),
     }
-    # members whose dense oracles are slow enough to keep to sparse maps
+    # members whose dense oracles are slow on dense maps: they get no inner
+    # automorphism and no random dense map
     LARGE = ("M4", "M5", "QS4")
 
     def _maps(self, name, a, rng):
@@ -426,7 +427,8 @@ class TestCubicOracle:
         if a.is_unital and name not in self.LARGE:
             maps.append(inner_automorphism_map(a, random_invertible(a, rng)))
         # a derivation, passing the criterion memberships
-        derivation = inner_derivation_map(a, a.basis_element(rng.randrange(d)) + a.basis_element(d - 1))
+        w = a.basis_element(rng.randrange(d)) + a.basis_element(d - 1)
+        derivation = inner_derivation_map(a, w)
         maps.append(derivation)
         for _ in range(2):
             perturbed = [[F(int(r == c)) for c in range(d)] for r in range(d)]
@@ -441,7 +443,8 @@ class TestCubicOracle:
         # maps changed in one late entry, which pass at the early tuples
         for base in (maps[2], derivation):
             late = [list(row) for row in base.data]
-            late[rng.randrange(d // 2, d)][rng.randrange(d // 2, d)] += F(rng.choice((-1, 2)), rng.randint(1, 2))
+            r, c = rng.randrange(d // 2, d), rng.randrange(d // 2, d)
+            late[r][c] += F(rng.choice((-1, 2)), rng.randint(1, 2))
             maps.append(fa.Mat(late))
         return maps
 
