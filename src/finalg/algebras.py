@@ -15,12 +15,13 @@ the middle nucleus {m : (x m) y = x (m y) for all x, y} is a subalgebra
 so (b_i b_j) b_k = b_i (b_j b_k) need only hold for the middles b_j of a
 set that generates A.  That set is a set S of basis indices whose closure
 under the single-term products b_u b_v = c b_k reaches every index, and the
-scan reads d^2 |S| triples instead of d^3.  Where the closure adds no
-index, as on tables without single-term products or on T_n in its basis
-order, S is the whole basis and the scan is the full one.  When a triple
-fails, the scan runs again over every middle, so that the error names the
-first failing basis triple (i, j, k) in lexicographic order, with both
-evaluated sides.
+scan reads d^2 |S| triples instead of d^3.  Indices that are no
+single-term product of two others join S first, so T_n needs 2n - 1
+middles.  Where the closure adds no index, as on tables without
+single-term products, S is the whole basis and the scan is the full one.
+When a triple fails, the scan runs again over every middle, so that the
+error names the first failing basis triple (i, j, k) in lexicographic
+order, with both evaluated sides.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
-from .linalg import Mat, Subspace, Vec, _exact, as_vector, kernel_from_constraints
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import _ONE, _ZERO, Mat, Subspace, Vec, _exact, as_vector, kernel_from_constraints
 
 
 class AssociativityError(ValueError):
@@ -109,9 +107,13 @@ class FinAlgebra:
                 tuple(Fraction(x, square) for x in right),
             )
         if self.unit is not None:
+            # u b_i and b_i u, summed over the nonzero terms of u, must be b_i
+            unit = [(k, _exact(u)) for k, u in enumerate(self.unit) if u]
+            planes = self._pairs
             for i in range(d):
-                e = tuple(_ONE if s == i else _ZERO for s in range(d))
-                if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
+                e = {i: 1}
+                if (_combination((u, planes[k][i]) for k, u in unit) != e
+                        or _combination((u, planes[i][k]) for k, u in unit) != e):
                     raise ValueError(f"claimed unit fails the unit law on basis element {i}")
 
     # -- products on coefficient vectors -----------------------------------
@@ -232,16 +234,24 @@ class FinAlgebra:
 
 
 def _generating_middles(pairs) -> list[int]:
-    """Basis indices S such that every b_k lies in the subalgebra S generates.
+    """Basis indices S, increasing, such that every b_k lies in the
+    subalgebra S generates.
 
-    Each index not yet reached, taken in increasing order, joins S, and the
+    Indices join S greedily, those that are no single-term product b_u b_v
+    of two other indices first (on T_n the e_pp and e_p,p+1), then the rest,
+    each in increasing order, and each only when not yet reached.  The
     reached set is closed under the products b_u b_v = c b_k with a single
     term: b_k = (b_u b_v) / c lies in the subalgebra whenever b_u and b_v do.
     """
     d = len(pairs)
+    products = [False] * d
+    for u, row in enumerate(pairs):
+        for v, terms in enumerate(row):
+            if len(terms) == 1 and terms[0][0] not in (u, v):
+                products[terms[0][0]] = True
     reached = [False] * d
     order, middles = [], []
-    for g in range(d):
+    for g in sorted(range(d), key=products.__getitem__):
         if reached[g]:
             continue
         middles.append(g)
@@ -256,7 +266,7 @@ def _generating_middles(pairs) -> list[int]:
                     if len(terms) == 1 and not reached[k := terms[0][0]]:
                         reached[k] = True
                         queue.append(k)
-    return middles
+    return sorted(middles)
 
 
 def _first_failure(pairs, middles) -> tuple | None:
@@ -280,6 +290,16 @@ def _first_failure(pairs, middles) -> tuple | None:
                 if left != right:
                     return (i, j, k), left, right
     return None
+
+
+def _combination(weighted) -> dict[int, Fraction | int]:
+    """sum of w c b_k over the (w, terms) given, terms the (k, c) of a basis
+    product, as its nonzero k -> coefficient."""
+    out: dict[int, Fraction | int] = {}
+    for w, terms in weighted:
+        for k, c in terms:
+            out[k] = out.get(k, 0) + w * c
+    return {k: x for k, x in out.items() if x}
 
 
 def _checked_terms(pairs, dim: int) -> tuple:

@@ -180,10 +180,11 @@ def _run_analyze(path: str, max_dim: int | None) -> Report:
     sec.add("semiprime", rad.dim == 0)
 
     basis = structure.trace_functional_space(algebra, products)
-    common = structure._common_gram_radical(algebra, basis)
+    forms = structure._gram_forms(algebra, basis)
+    common = structure._common_gram_radical(algebra, basis, forms)
     sec = rep.section("trace")
     sec.add("trace-space-dim", len(basis))
-    nondeg = [not structure.gram_matrix(algebra, tf).kernel() for tf in basis]
+    nondeg = [structure._nondegenerate(algebra, tf, form) for tf, form in zip(basis, forms)]
     sec.add("basis-functionals-nondegenerate", nondeg)
     sec.add("definite-negative", common.dim > 0)
     if common.dim > 0:

@@ -16,17 +16,26 @@ to zero)::
 Canonical serialization orders the header lines as above, sorts products
 by (i, j), omits zero products, and uses single spaces, so a document
 round-trips byte-identically once canonicalized.
+
+All three formats are read by one tokenizer: each line, up to any '#', is
+split at whitespace by `str.split`, which splits at exactly the characters
+``\\S+`` skips.  A file repeats few distinct tokens many times, so each
+distinct token is parsed once per file, every zero token to one shared
+zero object, and a token's column is found only when an error names it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import is_not, itemgetter
 
 from .algebras import FinAlgebra, FiniteGroup
-from .linalg import Mat, Vec, parse_rational
+from .linalg import _ZERO, Mat, Vec, parse_rational
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -56,55 +65,77 @@ class AlgebraDocument:
 
     def to_algebra(self) -> FinAlgebra:
         terms = [[()] * self.dim for _ in range(self.dim)]
+        nonzero: dict[int, list] = {}  # id of a coefficient vector -> its (k, c)
         for i, j, coeffs in self.products:
             if len(coeffs) != self.dim:
                 raise DocumentError(f"product ({i},{j}) needs exactly {self.dim} rationals")
-            terms[i][j] = [(k, c) for k, c in enumerate(coeffs) if c]
+            key = id(coeffs)
+            if key not in nonzero:
+                # the parser's zeros are one object, passed over by identity;
+                # FinAlgebra drops any other zero by its truth value
+                nonzero[key] = list(compress(enumerate(coeffs), map(is_not, coeffs, repeat(_ZERO))))
+            terms[i][j] = nonzero[key]
         try:
             return FinAlgebra(terms, self.unit, self.labels)
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
-
-
-def _stream_tokens(text: str):
-    """(token, line, column) of a token-stream file, lazily; '#' starts a comment."""
+def _lines(text: str):
+    """(line number, line up to any '#', its tokens) of each line holding a token."""
     for lineno, raw in enumerate(text.splitlines(), 1):
-        for tok, col in _tokens(raw.split("#", 1)[0]):
-            yield tok, lineno, col
+        line = raw.split("#", 1)[0]
+        toks = line.split()
+        if toks:
+            yield lineno, line, toks
 
 
-def _parse_int(token: str, lineno: int, col: int) -> int:
+def _column(line: str, n: int) -> int:
+    """The 1-based column of the n-th token of a line, read only for an error."""
+    return [match.start() for match in _TOKEN_RE.finditer(line)][n] + 1
+
+
+def _int_value(token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise DocumentError(f"expected an integer, got {token!r}", lineno, col) from None
+        raise ValueError(f"expected an integer, got {token!r}") from None
 
 
-def _parse_rat(token: str, lineno: int, col: int, seen: dict[str, Fraction]) -> Fraction:
-    """The rational a token spells, remembered in ``seen``, which one parse
-    keeps for its file: a file repeats few distinct tokens many times.  A
-    bad token is never remembered, so each occurrence raises at its own
-    place."""
-    value = seen.get(token)
-    if value is None:
-        try:
-            value = seen[token] = parse_rational(token)
-        except ValueError as exc:
-            raise DocumentError(str(exc), lineno, col) from None
-    return value
+def _rational_value(token: str) -> Fraction:
+    value = parse_rational(token)
+    return value if value else _ZERO
 
 
-def _parse_vector(
-    toks: list[tuple[str, int]], dim: int, lineno: int, what: str, seen: dict[str, Fraction]
-) -> Vec:
-    if len(toks) != dim:
-        col = toks[0][1] if toks else 1
-        raise DocumentError(f"{what} needs exactly {dim} rationals, got {len(toks)}", lineno, col)
-    return tuple([_parse_rat(tok, lineno, col, seen) for tok, col in toks])
+def _parse(parse, token: str, n: int, at):
+    """parse(token), or a DocumentError at at(n), the (line, column) of token n."""
+    try:
+        return parse(token)
+    except ValueError as exc:
+        raise DocumentError(str(exc), *at(n)) from None
+
+
+def _values(toks: list[str], seen: dict, parse, at, first: int = 0) -> tuple:
+    """parse of each token, tokens[k] being token first + k for at, with each
+    distinct token parsed once into ``seen``, which one parse keeps for its
+    file.  A bad token is never remembered, so the leftmost bad token of
+    each call raises, at its own place."""
+    get = seen.__getitem__
+    try:
+        return tuple(map(get, toks))
+    except KeyError:
+        pass
+    for tok in sorted(set(toks).difference(seen), key=toks.index):
+        seen[tok] = _parse(parse, tok, first + toks.index(tok), at)
+    return tuple(map(get, toks))
+
+
+def _vector(toks: list[str], first: int, dim: int, what: str, seen: dict, at) -> Vec:
+    values = toks[first:]
+    if len(values) != dim:
+        lineno, col = at(first) if values else (at(0)[0], 1)
+        raise DocumentError(f"{what} needs exactly {dim} rationals, got {len(values)}", lineno, col)
+    return _values(values, seen, _rational_value, at, first)
 
 
 def parse_document(text: str) -> AlgebraDocument:
@@ -114,64 +145,66 @@ def parse_document(text: str) -> AlgebraDocument:
     labels: tuple[str, ...] | None = None
     unit: Vec | None = None
     products: dict[tuple[int, int], Vec] = {}
-    order: list[tuple[int, int]] = []
     seen: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        toks = _tokens(line)
-        if not toks:
-            continue
-        keyword, col = toks[0]
-        body = toks[1:]
-        if keyword == "algebra":
+    rows: dict[tuple[str, ...], Vec] = {}  # equal product lines share one vector
+    lineno, line = 0, ""
+
+    def at(n: int) -> tuple[int, int]:
+        return lineno, _column(line, n)
+
+    for lineno, line, toks in _lines(text):
+        keyword = toks[0]
+        if keyword == "product":
+            if dim is None:
+                raise DocumentError("'product' must come after 'dim'", *at(0))
+            if len(toks) < 4 or toks[3] != "=":
+                raise DocumentError("expected 'product i j = ...'", *at(0))
+            i = _parse(_int_value, toks[1], 1, at)
+            j = _parse(_int_value, toks[2], 2, at)
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise DocumentError(f"basis pair ({i},{j}) out of range", *at(1))
+            if (i, j) in products:
+                raise DocumentError(f"duplicate product for basis pair ({i},{j})", *at(0))
+            key = tuple(toks[4:])
+            if key not in rows:
+                rows[key] = _vector(toks, 4, dim, "'product'", seen, at)
+            products[(i, j)] = rows[key]
+        elif keyword == "algebra":
             if name is not None:
-                raise DocumentError("duplicate 'algebra' line", lineno, col)
-            if len(body) != 1:
-                raise DocumentError("'algebra' takes exactly one name token", lineno, col)
-            name = body[0][0]
+                raise DocumentError("duplicate 'algebra' line", *at(0))
+            if len(toks) != 2:
+                raise DocumentError("'algebra' takes exactly one name token", *at(0))
+            name = toks[1]
         elif keyword == "dim":
             if dim is not None:
-                raise DocumentError("duplicate 'dim' line", lineno, col)
-            if len(body) != 1:
-                raise DocumentError("'dim' takes exactly one integer", lineno, col)
-            dim = _parse_int(body[0][0], lineno, body[0][1])
+                raise DocumentError("duplicate 'dim' line", *at(0))
+            if len(toks) != 2:
+                raise DocumentError("'dim' takes exactly one integer", *at(0))
+            dim = _parse(_int_value, toks[1], 1, at)
             if dim < 0:
-                raise DocumentError("dimension must be nonnegative", lineno, body[0][1])
+                raise DocumentError("dimension must be nonnegative", *at(1))
         elif keyword == "labels":
             if dim is None:
-                raise DocumentError("'labels' must come after 'dim'", lineno, col)
+                raise DocumentError("'labels' must come after 'dim'", *at(0))
             if labels is not None:
-                raise DocumentError("duplicate 'labels' line", lineno, col)
-            if len(body) != dim:
-                raise DocumentError(f"'labels' needs exactly {dim} tokens", lineno, col)
-            labels = tuple(tok for tok, _ in body)
+                raise DocumentError("duplicate 'labels' line", *at(0))
+            if len(toks) - 1 != dim:
+                raise DocumentError(f"'labels' needs exactly {dim} tokens", *at(0))
+            labels = tuple(toks[1:])
         elif keyword == "unit":
             if dim is None:
-                raise DocumentError("'unit' must come after 'dim'", lineno, col)
+                raise DocumentError("'unit' must come after 'dim'", *at(0))
             if unit is not None:
-                raise DocumentError("duplicate 'unit' line", lineno, col)
-            unit = _parse_vector(body, dim, lineno, "'unit'", seen)
-        elif keyword == "product":
-            if dim is None:
-                raise DocumentError("'product' must come after 'dim'", lineno, col)
-            if len(body) < 3 or body[2][0] != "=":
-                raise DocumentError("expected 'product i j = ...'", lineno, col)
-            i = _parse_int(body[0][0], lineno, body[0][1])
-            j = _parse_int(body[1][0], lineno, body[1][1])
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise DocumentError(f"basis pair ({i},{j}) out of range", lineno, body[0][1])
-            if (i, j) in products:
-                raise DocumentError(f"duplicate product for basis pair ({i},{j})", lineno, col)
-            products[(i, j)] = _parse_vector(body[3:], dim, lineno, "'product'", seen)
-            order.append((i, j))
+                raise DocumentError("duplicate 'unit' line", *at(0))
+            unit = _vector(toks, 1, dim, "'unit'", seen, at)
         else:
-            raise DocumentError(f"unknown keyword {keyword!r}", lineno, col)
+            raise DocumentError(f"unknown keyword {keyword!r}", *at(0))
     if name is None:
         raise DocumentError("missing 'algebra' line")
     if dim is None:
         raise DocumentError("missing 'dim' line")
     return AlgebraDocument(
-        name, dim, unit, labels, tuple((i, j, products[(i, j)]) for i, j in order)
+        name, dim, unit, labels, tuple((i, j, coeffs) for (i, j), coeffs in products.items())
     )
 
 
@@ -183,32 +216,76 @@ def parse_algebra_document(text: str) -> FinAlgebra:
 def document_from_algebra(name: str, a: FinAlgebra) -> AlgebraDocument:
     if not name or _TOKEN_RE.fullmatch(name) is None:
         raise ValueError("algebra name must be a single non-empty token")
-    products = tuple(
-        (i, j, a.product(i, j))
-        for i in range(a.dim)
-        for j in range(a.dim)
-        if a.product_terms(i, j)
-    )
-    return AlgebraDocument(name, a.dim, a.unit, a.labels, products)
+    vectors: dict[tuple, Vec] = {}  # equal products share one vector, as when parsed
+    products = []
+    for i in range(a.dim):
+        for j in range(a.dim):
+            terms = a.product_terms(i, j)
+            if terms:
+                if terms not in vectors:
+                    coeffs = [_ZERO] * a.dim
+                    for k, c in terms:
+                        coeffs[k] = Fraction(c)
+                    vectors[terms] = tuple(coeffs)
+                products.append((i, j, vectors[terms]))
+    return AlgebraDocument(name, a.dim, a.unit, a.labels, tuple(products))
 
 
 def serialize_document(doc: AlgebraDocument) -> str:
-    """Canonical text: fixed header order, products sorted, zero products omitted."""
+    """Canonical text: fixed header order, products sorted, zero products omitted.
+
+    Each distinct coefficient object, and each distinct coefficient vector
+    object, is rendered once per call; a vector is zero when every one of
+    its strings is "0"."""
+    rendered: dict[int, str] = {}  # id of a coefficient, alive in doc -> str
+    texts: dict[int, str] = {}  # id of a coefficient vector -> its text, "" when zero
+
+    def strings(coeffs) -> list[str]:
+        ids = list(map(id, coeffs))
+        try:
+            return list(map(rendered.__getitem__, ids))
+        except KeyError:
+            objects = dict(zip(ids, coeffs))
+            for key in objects.keys() - rendered.keys():
+                rendered[key] = str(objects[key])
+            return list(map(rendered.__getitem__, ids))
+
     lines = [f"algebra {doc.name}", f"dim {doc.dim}"]
     if doc.labels is not None:
         lines.append("labels " + " ".join(doc.labels))
     if doc.unit is not None:
-        lines.append("unit " + " ".join(str(x) for x in doc.unit))
-    for i, j, coeffs in sorted(doc.products, key=lambda entry: (entry[0], entry[1])):
-        if any(coeffs):
-            lines.append(
-                f"product {i} {j} = " + " ".join(str(x) for x in coeffs)
-            )
+        lines.append("unit " + " ".join(strings(doc.unit)))
+    for i, j, coeffs in sorted(doc.products, key=itemgetter(0, 1)):
+        key = id(coeffs)
+        if key not in texts:
+            row = strings(coeffs)
+            texts[key] = " ".join(row) if row.count("0") != len(row) else ""
+        if texts[key]:
+            lines.append(f"product {i} {j} = {texts[key]}")
     return "\n".join(lines) + "\n"
 
 
 def document_fingerprint(doc: AlgebraDocument) -> str:
     return hashlib.sha256(serialize_document(doc).encode("utf-8")).hexdigest()
+
+
+def _stream(text: str):
+    """The tokens of a token-stream file in order, and at(n), the (line,
+    column) of token n."""
+    tokens: list[str] = []
+    starts: list[int] = []
+    lines: list[tuple[int, str]] = []
+    for lineno, line, toks in _lines(text):
+        starts.append(len(tokens))
+        lines.append((lineno, line))
+        tokens += toks
+
+    def at(n: int) -> tuple[int, int]:
+        k = bisect_right(starts, n) - 1
+        lineno, line = lines[k]
+        return lineno, _column(line, n - starts[k])
+
+    return tokens, at
 
 
 # -- Cayley table files ------------------------------------------------------
@@ -218,25 +295,25 @@ def document_fingerprint(doc: AlgebraDocument) -> str:
 
 def cayley_order(text: str) -> int:
     """The group order at the head of a Cayley table, read without the body."""
-    for tok, lineno, col in _stream_tokens(text):
-        return _parse_int(tok, lineno, col)
+    for lineno, line, toks in _lines(text):
+        return _parse(_int_value, toks[0], 0, lambda n: (lineno, _column(line, n)))
     raise DocumentError("Cayley table needs an order and an identity index")
 
 
 def parse_cayley_table(text: str) -> FiniteGroup:
-    toks = list(_stream_tokens(text))
+    toks, at = _stream(text)
     if len(toks) < 2:
         raise DocumentError("Cayley table needs an order and an identity index")
-    order = _parse_int(toks[0][0], toks[0][1], toks[0][2])
-    identity = _parse_int(toks[1][0], toks[1][1], toks[1][2])
+    order = _parse(_int_value, toks[0], 0, at)
+    identity = _parse(_int_value, toks[1], 1, at)
     if order < 1:
-        raise DocumentError("group order must be positive", toks[0][1], toks[0][2])
+        raise DocumentError("group order must be positive", *at(0))
     body = toks[2:]
     if len(body) != order * order:
         raise DocumentError(
             f"expected {order * order} table entries, got {len(body)}"
         )
-    entries = [_parse_int(tok, lineno, col) for tok, lineno, col in body]
+    entries = _values(body, {}, _int_value, at, 2)
     rows = [entries[r * order : (r + 1) * order] for r in range(order)]
     try:
         return FiniteGroup(rows, identity)
@@ -256,12 +333,12 @@ def format_cayley_table(g: FiniteGroup) -> str:
 # matrix acting on coefficient columns.
 
 def parse_map_file(text: str, expected_dim: int | None = None) -> Mat:
-    toks = list(_stream_tokens(text))
+    toks, at = _stream(text)
     if not toks:
         raise DocumentError("empty map file")
-    dim = _parse_int(toks[0][0], toks[0][1], toks[0][2])
+    dim = _parse(_int_value, toks[0], 0, at)
     if dim < 1:
-        raise DocumentError("map dimension must be positive", toks[0][1], toks[0][2])
+        raise DocumentError("map dimension must be positive", *at(0))
     if expected_dim is not None and dim != expected_dim:
         raise DocumentError(
             f"map dimension {dim} does not match the algebra dimension {expected_dim}"
@@ -269,8 +346,7 @@ def parse_map_file(text: str, expected_dim: int | None = None) -> Mat:
     body = toks[1:]
     if len(body) != dim * dim:
         raise DocumentError(f"expected {dim * dim} entries, got {len(body)}")
-    seen: dict[str, Fraction] = {}
-    values = [_parse_rat(tok, lineno, col, seen) for tok, lineno, col in body]
+    values = _values(body, {}, _rational_value, at, 1)
     return Mat([values[r * dim : (r + 1) * dim] for r in range(dim)])
 
 

@@ -4,8 +4,9 @@ Scalars, results and verdicts are `fractions.Fraction`; nothing is ever
 rounded.  Both eliminations, `Mat.rref` and `kernel_from_constraints`,
 clear denominators once and then run in exact ``int`` arithmetic,
 converting back to `Fraction` only for their results.  Every canonical
-basis, including the kernel's, comes out of the one integer core of
-`Mat.rref`.
+basis, including the kernel's, comes out of one integer core, `_int_rref`:
+`Mat.rref` hands it its rows scaled to integers, and the kernel its
+integer basis vectors as they are.
 Rationals serialize as ``p/q`` (or just ``p`` when the denominator is 1)
 with the sign on the numerator.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -84,6 +86,13 @@ class Mat:
         self.data = rows
         self.rows = len(rows)
         self.cols = width
+
+    @classmethod
+    def _of_vectors(cls, rows: tuple[Vec, ...], cols: int) -> "Mat":
+        """The matrix of rows that are already `Fraction` tuples of length cols."""
+        m = cls.__new__(cls)
+        m.data, m.rows, m.cols = rows, len(rows), cols
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
@@ -169,16 +178,8 @@ class Mat:
         """Reduced row echelon form, pivot columns, and rank.
 
         The result is the unique RREF of the matrix, every entry a
-        `Fraction`.  It is found by Gauss-Jordan elimination in exact
-        ``int`` arithmetic (integer-preserving, after Bareiss 1968): each
-        row is scaled by the lcm of its denominators, which keeps the row
-        space.  At each column the pivot row is a hit row whose value p
-        there is smallest in absolute value (the first +-1, if any), and
-        every other row v with value f there becomes v - (f/p) prow when p
-        divides f, else (p/g) v - (f/g) prow divided by its content,
-        g = gcd(p, f).  Either keeps the row space, and the division keeps
-        the entries small.  Each pivot row is divided by its lead only at
-        the end, into `Fraction`s.
+        `Fraction`, found by `_int_rref` after each row is scaled by the lcm
+        of its denominators, which keeps the row space.
         """
         work = []
         for row in self.data:
@@ -188,50 +189,10 @@ class Mat:
             for j, x in nonzero:
                 v[j] = x.numerator * (scale // x.denominator)
             work.append(v)
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            choice, least = -1, 0
-            for i in range(r, self.rows):
-                e = work[i][c]
-                if e and (choice < 0 or abs(e) < least):
-                    choice, least = i, abs(e)
-                    if least == 1:
-                        break
-            if choice < 0:
-                continue
-            work[r], work[choice] = work[choice], work[r]
-            prow = work[r]
-            p = prow[c]
-            nonzero = [(j, b) for j, b in enumerate(prow) if b]
-            for i in range(self.rows):
-                f = work[i][c]
-                if not f or i == r:
-                    continue
-                v = work[i]
-                if f % p == 0:
-                    f //= p
-                    for j, b in nonzero:
-                        v[j] -= f * b
-                    continue
-                g = gcd(p, f)
-                a, f = p // g, f // g
-                v = [a * x for x in v]
-                for j, b in nonzero:
-                    v[j] -= f * b
-                content = gcd(*v)
-                work[i] = [x // content for x in v] if content > 1 else v
-            pivots.append(c)
-            r += 1
-        out = []
-        for row, c in zip(work, pivots):
-            lead = row[c]
-            out.append([_ZERO if not x else _ONE if x == lead else Fraction(x, lead) for x in row])
-        zero = (_ZERO,) * self.cols
-        out += [zero] * (self.rows - r)
-        return Mat(out, cols=self.cols), tuple(pivots), r
+        reduced, pivots = _int_rref(work, self.cols)
+        r = len(pivots)
+        reduced += [(_ZERO,) * self.cols] * (self.rows - r)
+        return Mat._of_vectors(tuple(reduced), self.cols), pivots, r
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -240,6 +201,68 @@ class Mat:
         """A basis of the null space {x : Mx = 0} (one vector per free column)."""
         reduced, pivots, _ = self.rref()
         return _null_vectors(reduced.data, pivots, self.cols)
+
+
+def _int_rref(work: list[list[int]], cols: int) -> tuple[list[Vec], tuple[int, ...]]:
+    """The nonzero rows of the RREF of the integer rows ``work``, which it
+    reduces in place, as `Fraction` vectors, and their pivot columns.
+
+    Gauss-Jordan elimination in exact ``int`` arithmetic (integer-preserving,
+    after Bareiss 1968).  At each column the pivot row is a hit row whose
+    value p there is smallest in absolute value (the first +-1, if any), and
+    every other row v with value f there becomes v - (f/p) prow when p
+    divides f, else (p/g) v - (f/g) prow divided by its content,
+    g = gcd(p, f).  Either keeps the row space, and the division keeps the
+    entries small.  Each pivot row is divided by its lead only at the end,
+    at its nonzeros, into `Fraction`s.
+    """
+    rows = len(work)
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        choice, least = -1, 0
+        for i in range(r, rows):
+            e = work[i][c]
+            if e and (choice < 0 or abs(e) < least):
+                choice, least = i, abs(e)
+                if least == 1:
+                    break
+        if choice < 0:
+            continue
+        work[r], work[choice] = work[choice], work[r]
+        prow = work[r]
+        p = prow[c]
+        nonzero = [(j, b) for j, b in enumerate(prow) if b]
+        for i in range(rows):
+            f = work[i][c]
+            if not f or i == r:
+                continue
+            v = work[i]
+            if f % p == 0:
+                f //= p
+                for j, b in nonzero:
+                    v[j] -= f * b
+                continue
+            g = gcd(p, f)
+            a, f = p // g, f // g
+            v = [a * x for x in v]
+            for j, b in nonzero:
+                v[j] -= f * b
+            content = gcd(*v)
+            work[i] = [x // content for x in v] if content > 1 else v
+        pivots.append(c)
+        r += 1
+    out = []
+    for row, c in zip(work, pivots):
+        lead = row[c]
+        v = [_ZERO] * cols
+        for j in compress(range(cols), row):
+            x = row[j]
+            v[j] = _ONE if x == lead else Fraction(x, lead)
+        out.append(tuple(v))
+    return out, tuple(pivots)
 
 
 def _null_vectors(reduced: Sequence[Vec], pivots: Sequence[int], cols: int) -> tuple[Vec, ...]:
@@ -295,8 +318,14 @@ class Subspace:
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
         reduced, _, rank = Mat(rows, cols=ambient_dim).rref()
+        return cls._of_reduced(ambient_dim, reduced.data[:rank])
+
+    @classmethod
+    def _of_reduced(cls, ambient_dim: int, rows: Sequence[Vec]) -> "Subspace":
+        """The subspace whose canonical basis an elimination returned as rows;
+        rows that are not canonical are a fault in the program."""
         try:
-            return cls(ambient_dim, reduced.data[:rank])
+            return cls(ambient_dim, tuple(rows))
         except ValueError as exc:
             raise InternalError(f"internal error: reduced rows are not canonical: {exc}") from exc
 
@@ -396,8 +425,9 @@ def kernel_from_constraints(
     with value val becomes v - (val/pval) p when pval divides val, else
     (pval/g) v - (val/g) p divided by its content, g = gcd(pval, val).
     Either keeps the span, and the division keeps v primitive, so its
-    entries stay small.  The result is the canonical `Subspace` of the
-    surviving vectors as ``Fraction`` vectors; nothing is ever rounded.
+    entries stay small.  The surviving integer vectors go to `_int_rref`
+    as they are, and the result is their canonical `Subspace`, with
+    ``Fraction`` entries; nothing is ever rounded.
     """
     # vectors[k] maps coordinate -> nonzero int; columns[j] maps vector key
     # -> its nonzero value at j.  Keys follow the original order, and
@@ -465,8 +495,8 @@ def kernel_from_constraints(
             break
     basis = []
     for v in vectors.values():
-        dense = [_ZERO] * n
+        dense = [0] * n
         for j, x in v.items():
-            dense[j] = Fraction(x)
+            dense[j] = x
         basis.append(dense)
-    return Subspace.from_rows(n, basis)
+    return Subspace._of_reduced(n, _int_rref(basis, n)[0])

@@ -14,6 +14,7 @@ their common radical read it, and so do the tests modulo [A, A] in `maps`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -242,27 +243,45 @@ def _covector(a: FinAlgebra, tf: TraceFunctional) -> list:
     return f
 
 
+def _gram_rows(a: FinAlgebra, tf: TraceFunctional) -> list:
+    """The Gram rows of t, row u being x -> t(b_u x), as sparse (k, value) pairs."""
+    return gram_columns(a, _covector(a, tf), "left")
+
+
+def _gram_forms(a: FinAlgebra, functionals) -> list:
+    """Each functional's Gram rows, as a function that builds them on its
+    first call and keeps them, so that the common radical and the verdict
+    on each functional read one copy."""
+    return [functools.cache(functools.partial(_gram_rows, a, tf)) for tf in functionals]
+
+
 def gram_matrix(a: FinAlgebra, tf: TraceFunctional) -> Mat:
     """The dim x dim matrix G[i][j] = t(b_i b_j), the Gram rows made dense."""
     d = a.dim
-    return Mat([
-        [dict(row).get(j, _ZERO) for j in range(d)]
-        for row in gram_columns(a, _covector(a, tf), "left")
-    ])
+    return Mat([[dict(row).get(j, _ZERO) for j in range(d)] for row in _gram_rows(a, tf)])
+
+
+def _nondegenerate(a: FinAlgebra, tf: TraceFunctional, form=None) -> bool:
+    """True iff t's Gram matrix has zero kernel, decided on its sparse rows
+    (form(), when given) by a kernel that reads none of them once it is zero."""
+    return _common_gram_radical(a, (tf,), None if form is None else (form,)).dim == 0
 
 
 def is_nondegenerate_trace(a: FinAlgebra, tf: TraceFunctional) -> bool:
     """True iff t(xA) = 0 forces x = 0, i.e. the Gram matrix has zero kernel."""
     _validate_trace(a, tf)
-    return len(gram_matrix(a, tf).kernel()) == 0
+    return _nondegenerate(a, tf)
 
 
-def _common_gram_radical(a: FinAlgebra, functionals) -> Subspace:
+def _common_gram_radical(a: FinAlgebra, functionals, forms=None) -> Subspace:
     """The x with G x = 0 for every functional's Gram matrix G (the whole
     space when there are no functionals): one kernel over all their Gram
-    rows, which stops reading them once it is zero."""
-    rows = (row for tf in functionals for row in gram_columns(a, _covector(a, tf), "left"))
-    return kernel_from_constraints(a.dim, rows)
+    rows, which stops reading them, and building the next functional's,
+    once it is zero.  ``forms`` are the functionals' `_gram_forms` when the
+    caller reads them again."""
+    if forms is None:
+        forms = _gram_forms(a, functionals)
+    return kernel_from_constraints(a.dim, (row for form in forms for row in form()))
 
 
 @dataclass(frozen=True)
@@ -293,11 +312,12 @@ def has_nondegenerate_trace(a: FinAlgebra, seed: int, trials: int) -> TraceSearc
     if trials < 1:
         raise ValueError("trials must be at least 1")
     basis = trace_functional_space(a)
-    common = _common_gram_radical(a, basis)
+    forms = _gram_forms(a, basis)
+    common = _common_gram_radical(a, basis, forms)
     if common.dim > 0:
         return TraceSearchResult(None, True, common.basis[0], 0, len(basis))
-    for tf in basis:
-        if not gram_matrix(a, tf).kernel():
+    for tf, form in zip(basis, forms):
+        if _nondegenerate(a, tf, form):
             return TraceSearchResult(tf, False, None, 0, len(basis))
     if not basis:
         # Only reachable at dimension zero, where A^2 = 0 and the zero
@@ -320,6 +340,6 @@ def has_nondegenerate_trace(a: FinAlgebra, seed: int, trials: int) -> TraceSearc
                         coeffs[t] += w * x
         # a combination of trace functionals is one: no re-validation
         candidate = TraceFunctional(a.dim, domain, tuple(coeffs))
-        if not gram_matrix(a, candidate).kernel():
+        if _nondegenerate(a, candidate):
             return TraceSearchResult(candidate, False, None, trial, len(basis))
     return TraceSearchResult(None, False, None, trials, len(basis))

@@ -2,13 +2,16 @@
 independent closure/nilpotency checks used as oracles."""
 
 import functools
+import hashlib
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
 import finalg as fa
+from finalg.document import AlgebraDocument, DocumentError
 
 F = Fraction
 F0 = Fraction(0)
@@ -505,6 +508,17 @@ def inner_derivation_map(a: fa.FinAlgebra, w: fa.Element) -> fa.Mat:
     return a.mult_operator(w, "right") - a.mult_operator(w, "left")
 
 
+def unit_law_oracle(a: fa.FinAlgebra, unit):
+    """The first basis index i with u b_i != b_i or b_i u != b_i, from dense
+    products, or None."""
+    u = tuple(F(x) for x in unit)
+    for i in range(a.dim):
+        e = tuple(F1 if s == i else F0 for s in range(a.dim))
+        if a.mul(u, e) != e or a.mul(e, u) != e:
+            return i
+    return None
+
+
 def associativity_oracle(terms):
     """The first basis triple (i, j, k), in lexicographic order over all d^3
     of them, at which (b_i b_j) b_k != b_i (b_j b_k) for the product table
@@ -640,3 +654,160 @@ def _oracle_rows(a, identities, outputs, context):
 
 def _oracle_terms(a, word):
     return ((word[0], F1),) if len(word) == 1 else a.product_terms(*word)
+
+
+# -- documents, map files and Cayley tables, read token by token -------------
+#
+# The regex tokenizer and the per-entry serializer that `finalg.document`
+# replaced: every token located by a regex match and parsed where it
+# stands, every entry rendered and tested for zero on its own.
+
+_TOKEN_RE = re.compile(r"\S+")
+
+
+def _regex_tokens(line):
+    return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+
+
+def _regex_stream(text):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        for tok, col in _regex_tokens(raw.split("#", 1)[0]):
+            yield tok, lineno, col
+
+
+def _regex_int(token, lineno, col):
+    try:
+        return int(token)
+    except ValueError:
+        raise DocumentError(f"expected an integer, got {token!r}", lineno, col) from None
+
+
+def _regex_rational(token, lineno, col):
+    try:
+        return fa.parse_rational(token)
+    except ValueError as exc:
+        raise DocumentError(str(exc), lineno, col) from None
+
+
+def _regex_vector(toks, dim, lineno, what):
+    if len(toks) != dim:
+        col = toks[0][1] if toks else 1
+        raise DocumentError(f"{what} needs exactly {dim} rationals, got {len(toks)}", lineno, col)
+    return tuple(_regex_rational(tok, lineno, col) for tok, col in toks)
+
+
+def parse_document_oracle(text):
+    name = dim = labels = unit = None
+    products = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        toks = _regex_tokens(raw.split("#", 1)[0])
+        if not toks:
+            continue
+        (keyword, col), body = toks[0], toks[1:]
+        if keyword == "algebra":
+            if name is not None:
+                raise DocumentError("duplicate 'algebra' line", lineno, col)
+            if len(body) != 1:
+                raise DocumentError("'algebra' takes exactly one name token", lineno, col)
+            name = body[0][0]
+        elif keyword == "dim":
+            if dim is not None:
+                raise DocumentError("duplicate 'dim' line", lineno, col)
+            if len(body) != 1:
+                raise DocumentError("'dim' takes exactly one integer", lineno, col)
+            dim = _regex_int(body[0][0], lineno, body[0][1])
+            if dim < 0:
+                raise DocumentError("dimension must be nonnegative", lineno, body[0][1])
+        elif keyword == "labels":
+            if dim is None:
+                raise DocumentError("'labels' must come after 'dim'", lineno, col)
+            if labels is not None:
+                raise DocumentError("duplicate 'labels' line", lineno, col)
+            if len(body) != dim:
+                raise DocumentError(f"'labels' needs exactly {dim} tokens", lineno, col)
+            labels = tuple(tok for tok, _ in body)
+        elif keyword == "unit":
+            if dim is None:
+                raise DocumentError("'unit' must come after 'dim'", lineno, col)
+            if unit is not None:
+                raise DocumentError("duplicate 'unit' line", lineno, col)
+            unit = _regex_vector(body, dim, lineno, "'unit'")
+        elif keyword == "product":
+            if dim is None:
+                raise DocumentError("'product' must come after 'dim'", lineno, col)
+            if len(body) < 3 or body[2][0] != "=":
+                raise DocumentError("expected 'product i j = ...'", lineno, col)
+            i = _regex_int(body[0][0], lineno, body[0][1])
+            j = _regex_int(body[1][0], lineno, body[1][1])
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise DocumentError(f"basis pair ({i},{j}) out of range", lineno, body[0][1])
+            if (i, j) in products:
+                raise DocumentError(f"duplicate product for basis pair ({i},{j})", lineno, col)
+            products[(i, j)] = _regex_vector(body[3:], dim, lineno, "'product'")
+        else:
+            raise DocumentError(f"unknown keyword {keyword!r}", lineno, col)
+    if name is None:
+        raise DocumentError("missing 'algebra' line")
+    if dim is None:
+        raise DocumentError("missing 'dim' line")
+    return AlgebraDocument(
+        name, dim, unit, labels, tuple((i, j, v) for (i, j), v in products.items())
+    )
+
+
+def cayley_order_oracle(text):
+    for tok, lineno, col in _regex_stream(text):
+        return _regex_int(tok, lineno, col)
+    raise DocumentError("Cayley table needs an order and an identity index")
+
+
+def parse_cayley_table_oracle(text):
+    toks = list(_regex_stream(text))
+    if len(toks) < 2:
+        raise DocumentError("Cayley table needs an order and an identity index")
+    order = _regex_int(*toks[0])
+    identity = _regex_int(*toks[1])
+    if order < 1:
+        raise DocumentError("group order must be positive", toks[0][1], toks[0][2])
+    body = toks[2:]
+    if len(body) != order * order:
+        raise DocumentError(f"expected {order * order} table entries, got {len(body)}")
+    entries = [_regex_int(*tok) for tok in body]
+    try:
+        return fa.FiniteGroup([entries[r * order:(r + 1) * order] for r in range(order)], identity)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
+
+
+def parse_map_file_oracle(text, expected_dim=None):
+    toks = list(_regex_stream(text))
+    if not toks:
+        raise DocumentError("empty map file")
+    dim = _regex_int(*toks[0])
+    if dim < 1:
+        raise DocumentError("map dimension must be positive", toks[0][1], toks[0][2])
+    if expected_dim is not None and dim != expected_dim:
+        raise DocumentError(
+            f"map dimension {dim} does not match the algebra dimension {expected_dim}"
+        )
+    body = toks[1:]
+    if len(body) != dim * dim:
+        raise DocumentError(f"expected {dim * dim} entries, got {len(body)}")
+    values = [_regex_rational(*tok) for tok in body]
+    return fa.Mat([values[r * dim:(r + 1) * dim] for r in range(dim)])
+
+
+def serialize_document_oracle(doc):
+    lines = [f"algebra {doc.name}", f"dim {doc.dim}"]
+    if doc.labels is not None:
+        lines.append("labels " + " ".join(doc.labels))
+    if doc.unit is not None:
+        lines.append("unit " + " ".join(str(x) for x in doc.unit))
+    for i, j, coeffs in sorted(doc.products, key=lambda entry: (entry[0], entry[1])):
+        if any(coeffs):
+            lines.append(f"product {i} {j} = " + " ".join(str(x) for x in coeffs))
+    return "\n".join(lines) + "\n"
+
+
+def document_fingerprint_oracle(doc):
+    return hashlib.sha256(serialize_document_oracle(doc).encode("utf-8")).hexdigest()

@@ -19,6 +19,7 @@ from helpers import (
     non_unital_algebras,
     random_algebra,
     tensor_product_oracle,
+    unit_law_oracle,
     zero_product_algebra,
 )
 
@@ -332,13 +333,40 @@ class TestValidationParity:
         # elsewhere, and first failures past i = 0
         assert failures > 50 and outside and relocated and beyond
 
+    def test_claimed_units_fail_at_the_first_basis_element(self):
+        """Seeded claimed units, the true unit shifted in one or two entries
+        or a seeded vector, fail at the first basis element the dense
+        products name, or build when the oracle finds none."""
+        rng = Random(31)
+        failures = 0
+        for name, a in _table_members():
+            for _ in range(4):
+                unit = list(a.unit) if a.unit is not None else [F(0)] * a.dim
+                for _ in range(rng.randint(1, 2)):
+                    unit[rng.randrange(a.dim)] += F(rng.choice((-1, 1, 2)), rng.randint(1, 2))
+                claims = (unit, [F(rng.randint(-1, 1)) for _ in range(a.dim)])
+                if a.unit is not None:
+                    claims += (a.unit,)
+                for claim in claims:
+                    expected = unit_law_oracle(a, claim)
+                    if expected is None:
+                        assert fa.FinAlgebra(_table(a), claim).unit == tuple(claim), name
+                        continue
+                    failures += 1
+                    with pytest.raises(ValueError) as excinfo:
+                        fa.FinAlgebra(_table(a), claim)
+                    assert str(excinfo.value) == (
+                        f"claimed unit fails the unit law on basis element {expected}"
+                    ), name
+        assert failures > 100
+
     def test_a_failure_among_the_middles_is_looked_up_in_full(self):
-        # e22 e22 = 2 e22 in M2: the generating middles e11, e12, e21 fail
+        # e22 e22 = 2 e22 in M2: the generating middles e12, e21 fail
         # first at (2,1,3), but the first failing triple is (1,3,3).
         table = _table(fa.build_matrix_algebra(2))
         table[3][3] = ((3, 2),)
         middles = _generating_middles(table)
-        assert middles == [0, 1, 2]
+        assert middles == [1, 2]
         assert _first_failure(table, middles)[0] == (2, 1, 3)
         with pytest.raises(fa.AssociativityError) as excinfo:
             fa.FinAlgebra(table, unit=[1, 0, 0, 1])
@@ -373,9 +401,20 @@ class TestValidationParity:
         assert len(_generating_middles(_table(qs4))) == 4
         # M_n: e11, the first row and the first column
         assert _generating_middles(_table(fa.build_matrix_algebra(3))) == [0, 1, 2, 3, 6]
-        # T_n in basis order, and dense copies: no smaller set, every middle
+        # M2: e12 and e21, as e11 = e12 e21 and e22 = e21 e12
+        assert _generating_middles(_table(fa.build_matrix_algebra(2))) == [1, 2]
+        # T_n: the 2n - 1 indices e_pp and e_p,p+1, which are no product of
+        # two others, before the e_ps they generate
         t4 = fa.build_upper_triangular(4)
-        assert _generating_middles(_table(t4)) == list(range(10))
+        assert _generating_middles(_table(t4)) == [0, 1, 4, 5, 7, 8, 9]
+        assert len(_generating_middles(_table(fa.build_upper_triangular(5)))) == 9
+        # Q[C3] x M2: e12 and e21 join first, then g0 and g1 (every group
+        # element is a product of two others); S is returned in increasing
+        # order, the order in which a full scan reads its middles
+        qc3m2 = fa.direct_product(fa.build_group_algebra(fa.cyclic_group(3)),
+                                  fa.build_matrix_algebra(2))
+        assert _generating_middles(_table(qc3m2)) == [0, 1, 4, 5]
+        # dense copies: no single-term products, every middle
         dense = dense_copy(corpus_algebra("M3"), Random(0))
         assert _generating_middles(_table(dense)) == list(range(9))
 

@@ -539,9 +539,9 @@ class TestSharedSubspaces:
 
 
 class TestSharedTraceWork:
-    """Each command builds A^2 once and each functional's Gram matrix at
-    most once; Q[S3] has three basis functionals and the first one is
-    nondegenerate."""
+    """Each command builds A^2 once and each functional's Gram rows at
+    most once, for the common radical and its own verdict alike; Q[S3] has
+    three basis functionals and the first one is nondegenerate."""
 
     @pytest.fixture()
     def counted(self, monkeypatch):
@@ -555,8 +555,8 @@ class TestSharedTraceWork:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(finalg.structure, "gram_matrix",
-                            counting("gram", finalg.structure.gram_matrix))
+        monkeypatch.setattr(finalg.structure, "_gram_rows",
+                            counting("gram", finalg.structure._gram_rows))
         monkeypatch.setattr(finalg.structure, "product_span",
                             counting("products", finalg.structure.product_span))
         return calls

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finalg as fa
 from finalg.document import (
+    _TOKEN_RE,
     AlgebraDocument,
     DocumentError,
+    cayley_order,
     document_fingerprint,
     document_from_algebra,
     format_cayley_table,
@@ -15,6 +18,14 @@ from finalg.document import (
     parse_document,
     parse_map_file,
     serialize_document,
+)
+from helpers import (
+    cayley_order_oracle,
+    document_fingerprint_oracle,
+    parse_cayley_table_oracle,
+    parse_document_oracle,
+    parse_map_file_oracle,
+    serialize_document_oracle,
 )
 
 F = Fraction
@@ -200,3 +211,225 @@ class TestMapFiles:
     def test_rational_entries(self):
         m = parse_map_file("1\n-3/4\n")
         assert m == fa.Mat([[F(-3, 4)]])
+
+
+# -- parity with the regex tokenizer and the per-entry serializer ------------
+
+_SEPARATORS = [" "] * 6 + ["  ", "\t", "\xa0", "\u2003", "\u3000", " \t "] * 2
+# str.splitlines breaks lines at these as well, in both readers alike
+_BREAKS = ["\x0b", "\x0c"]
+_ENDS = ["\n"] * 4 + ["\r\n"] * 3 + ["\r"]
+_COMMENTS = [""] * 6 + [" # note", "#product 0 0 = 1", "\t#\t1/0"]
+_RATIONALS = ["0", "0", "0", "1", "1", "-1", "+1", "2/4", "-0", "0/7", "3/2", "-5/3", "2/2"]
+_BAD = ["1/0", "x", "1.5", "1//2", "+", "/3", "--1", "1/-2", "=", "0/0"]
+
+
+def _text(draw, lines) -> str:
+    """Lines of tokens joined by drawn separators, with drawn comments,
+    blank lines and line ends."""
+    out = []
+    for toks in lines:
+        if draw(st.integers(0, 5)) == 0:
+            out.append(draw(st.sampled_from(["", "   ", "# a comment", "\t"])) + draw(st.sampled_from(_ENDS)))
+        text = draw(st.sampled_from(["", "", " ", "\t"]))
+        for n, tok in enumerate(toks):
+            if n:
+                text += draw(st.sampled_from(_SEPARATORS * 10 + _BREAKS))
+            text += tok
+        text += draw(st.sampled_from(["", "", " ", "\xa0"])) + draw(st.sampled_from(_COMMENTS))
+        out.append(text + draw(st.sampled_from(_ENDS)))
+    if out and draw(st.booleans()):
+        out[-1] = out[-1].rstrip("\r\n")
+    return "".join(out)
+
+
+@st.composite
+def document_texts(draw):
+    """Algebra documents of dimension 0 to 3, well-formed or with wrong token
+    counts, duplicate or missing lines, out-of-range pairs and bad tokens."""
+    d = draw(st.integers(0, 3))
+    noisy = draw(st.booleans())
+    pool = _RATIONALS * 30 + _BAD if noisy else _RATIONALS
+
+    def count():
+        return draw(st.integers(0, d + 2)) if noisy and draw(st.integers(0, 4)) == 0 else d
+
+    def coeffs(n):
+        if draw(st.integers(0, 3)) == 0:
+            return [draw(st.sampled_from(["0", "-0", "0/7"])) for _ in range(n)]
+        return [draw(st.sampled_from(pool)) for _ in range(n)]
+
+    def index(k):
+        if noisy and draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from([str(d), "-1", "a", "+0", "1.0"]))
+        return str(k)
+
+    header = [["algebra", "A"], ["dim", str(d)]]
+    if draw(st.booleans()):
+        header.append(["labels"] + [f"l{k}" for k in range(count())])
+    if draw(st.booleans()):
+        header.append(["unit"] + coeffs(count()))
+    pairs = draw(st.permutations([(i, j) for i in range(d) for j in range(d)]))
+    pairs = pairs[:draw(st.integers(0, 6))]
+    if noisy and pairs and draw(st.integers(0, 3)) == 0:
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
+    products = []
+    for i, j in pairs:
+        eq = draw(st.sampled_from(["="] * 9 + [":"])) if noisy else "="
+        products.append(["product", index(i), index(j), eq] + coeffs(count()))
+    lines = header + products
+    if noisy:
+        for _ in range(draw(st.integers(0, 2))):
+            extra = draw(st.sampled_from([
+                ["algebra", "B"], ["algebra"], ["algebra", "B", "C"], ["dim", "x"],
+                ["dim", "-1"], ["dim", "2", "3"], ["frob", "1"], ["unit"], ["labels", "z"],
+                ["product", "0"], ["dim", str(d)],
+            ]))
+            lines.insert(draw(st.integers(0, len(lines))), extra)
+        if draw(st.integers(0, 3)) == 0:
+            lines = draw(st.permutations(lines))
+    else:
+        lines = header + draw(st.permutations(products))
+    return _text(draw, lines)
+
+
+def _stream_text(draw, tokens) -> str:
+    """A token stream laid out on drawn lines."""
+    lines, line = [], []
+    for tok in tokens:
+        line.append(tok)
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(line)
+            line = []
+    return _text(draw, lines + [line] if line else lines)
+
+
+@st.composite
+def map_texts(draw):
+    d = draw(st.integers(1, 3))
+    noisy = draw(st.booleans())
+    head = draw(st.sampled_from([str(d)] * 6 + ["0", "-1", "x", "+" + str(d)])) if noisy else str(d)
+    n = d * d + (draw(st.sampled_from([0] * 6 + [-1, 1])) if noisy else 0)
+    pool = _RATIONALS * 20 + _BAD if noisy else _RATIONALS
+    tokens = [head] + [draw(st.sampled_from(pool)) for _ in range(max(n, 0))]
+    return _stream_text(draw, tokens), draw(st.sampled_from([None, d, d + 1]))
+
+
+@st.composite
+def cayley_texts(draw):
+    group = draw(st.sampled_from([fa.cyclic_group(1), fa.cyclic_group(2), fa.cyclic_group(3),
+                                  fa.symmetric_group(3)]))
+    tokens = [str(group.order), str(group.identity_index)]
+    tokens += [str(v) for row in group.cayley for v in row]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens) - 1))
+        change = draw(st.sampled_from(["bad", "drop", "add", "value"]))
+        if change == "bad":
+            tokens[at] = draw(st.sampled_from(["x", "1.5", "1/2", "", "+1", "-0"])) or "?"
+        elif change == "drop":
+            del tokens[at]
+        elif change == "add":
+            tokens.insert(at, draw(st.sampled_from(["0", "1", "7"])))
+        else:
+            tokens[at] = str(draw(st.integers(-1, group.order)))
+    return _stream_text(draw, tokens)
+
+
+def _outcome(parse, *args):
+    try:
+        return "ok", parse(*args)
+    except DocumentError as exc:
+        return "error", str(exc), exc.line, exc.col
+
+
+class TestTokenizerParity:
+    """The one tokenizer against the regex one it replaced: an equal result,
+    or a DocumentError with the same message, line and column."""
+
+    def test_split_skips_exactly_what_the_token_regex_skips(self):
+        for code in range(0x110000):
+            text = f"a{chr(code)}b"
+            assert text.split() == _TOKEN_RE.findall(text), hex(code)
+
+    @given(document_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_documents(self, text):
+        found = _outcome(parse_document, text)
+        assert found == _outcome(parse_document_oracle, text), repr(text)
+        if found[0] == "ok":
+            doc, oracle = found[1], parse_document_oracle(text)
+            # every zero token parses to one shared object
+            vectors = [v for _, _, v in doc.products] + ([doc.unit] if doc.unit else [])
+            assert len({id(x) for v in vectors for x in v if x == 0}) <= 1
+            assert serialize_document(doc) == serialize_document_oracle(oracle)
+            assert document_fingerprint(doc) == document_fingerprint_oracle(oracle)
+            # the shared zero is skipped by identity, the oracle's zeros by value
+            assert _outcome(doc.to_algebra) == _outcome(oracle.to_algebra)
+
+    @given(map_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_map_files(self, case):
+        text, expected_dim = case
+        found = _outcome(parse_map_file, text, expected_dim)
+        assert found == _outcome(parse_map_file_oracle, text, expected_dim), repr(text)
+
+    @given(cayley_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_cayley_tables(self, text):
+        def read(parse):
+            outcome = _outcome(parse, text)
+            if outcome[0] == "ok":
+                g = outcome[1]
+                return "ok", g.order, g.cayley, g.identity_index
+            return outcome
+
+        assert read(parse_cayley_table) == read(parse_cayley_table_oracle), repr(text)
+        assert _outcome(cayley_order, text) == _outcome(cayley_order_oracle, text)
+
+    def test_bad_token_at_every_column(self):
+        text = "algebra A\ndim 3\nunit 1 0 0\nproduct 0 0 = 1 0 0\nproduct 1 1 = 0 2/4 -1\n"
+        lines = text.splitlines()
+        for n, line in enumerate(lines):
+            toks = line.split()
+            for k in range(len(toks)):
+                for bad in ("1/0", "x", "-"):
+                    broken = toks[:k] + [bad] + toks[k + 1:]
+                    changed = "\n".join(lines[:n] + ["\t".join(broken)] + lines[n + 1:])
+                    assert _outcome(parse_document, changed) == _outcome(parse_document_oracle, changed)
+
+    def test_serialization_of_equal_but_distinct_fractions(self):
+        # equal values held by distinct objects, and int entries, render as
+        # the per-entry serializer renders them, zero lines dropped alike
+        one, also_one, half = F(1), F(2, 2), F(1, 2)
+        zeros = (F(0), F(0, 5), 0)
+        doc = AlgebraDocument(
+            "X", 3, (one, zeros[0], also_one), ("a", "b", "c"),
+            (
+                (2, 1, (half, F(1, 2), zeros[1])),
+                (0, 0, zeros),
+                (1, 0, (also_one, 0, -one)),
+                (0, 2, (1, F(-3, 4), F(0))),
+            ),
+        )
+        assert serialize_document(doc) == serialize_document_oracle(doc)
+        assert document_fingerprint(doc) == document_fingerprint_oracle(doc)
+
+    def test_from_algebra_documents_match(self):
+        for algebra in (fa.build_matrix_algebra(3), fa.build_upper_triangular(3),
+                        fa.build_group_algebra(fa.symmetric_group(3)),
+                        fa.FinAlgebra([[[(0, F(-3, 4))]]])):
+            doc = document_from_algebra("X", algebra)
+            assert serialize_document(doc) == serialize_document_oracle(doc)
+
+    def test_non_canonical_tokens_fingerprint_as_canonical(self):
+        messy = (
+            "# M2 with non-canonical tokens\r\nalgebra M2\r\ndim 4\r\n"
+            "labels e11 e12 e21 e22\r\nunit +1 0 0 2/2\r\n"
+            "product 3 3 = 0 0 0 +1\r\nproduct 0 0 = 1 0/5 -0 0\r\n"
+            "product 0 3 = 0 0 0 0\r\n"
+        )
+        canonical = "algebra M2\ndim 4\nlabels e11 e12 e21 e22\nunit 1 0 0 1\n"
+        canonical += "product 0 0 = 1 0 0 0\nproduct 3 3 = 0 0 0 1\n"
+        assert serialize_document(parse_document(messy)) == canonical
+        assert document_fingerprint(parse_document(messy)) == document_fingerprint(
+            parse_document(canonical))
