@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Scalars, results and verdicts are `fractions.Fraction`; nothing is ever
-rounded.  Both eliminations, `Mat.rref` and `kernel_from_constraints`,
-clear denominators once and then run in exact ``int`` arithmetic,
-converting back to `Fraction` only for their results.  Every canonical
-basis, including the kernel's, comes out of one integer core, `_int_rref`:
-`Mat.rref` hands it its rows scaled to integers, and the kernel its
-integer basis vectors as they are.
+rounded.  Every elimination clears denominators once and then runs in
+exact ``int`` arithmetic, converting back to `Fraction` only for its
+results.  Every canonical subspace comes from sparse rows, lists of
+(index, coefficient) pairs, through one integer core, `_int_rref`:
+`_span` scales each row by the lcm of its denominators and hands it over,
+`Subspace.from_rows` reads a dense row once, at its nonzeros, into
+`_span`, and `kernel_from_constraints` hands over its integer basis
+vectors as they are.  No dense matrix is built on the way.  `Mat.rref`
+reaches the same core, but serves only callers that hold a `Mat`.
 Rationals serialize as ``p/q`` (or just ``p`` when the denominator is 1)
 with the sign on the numerator.
 
@@ -50,6 +53,11 @@ def parse_rational(token: str) -> Fraction:
 def _exact(x: Fraction) -> Fraction | int:
     """x, as an int when integral: exact, and much cheaper to multiply."""
     return x.numerator if x.denominator == 1 else x
+
+
+def _nonzeros(v: Iterable) -> list[tuple[int, Fraction | int]]:
+    """The nonzero (index, value) pairs of a dense vector, integral values as int."""
+    return [(j, _exact(x)) for j, x in enumerate(v) if x]
 
 
 def as_vector(values: Iterable) -> Vec:
@@ -178,18 +186,12 @@ class Mat:
         """Reduced row echelon form, pivot columns, and rank.
 
         The result is the unique RREF of the matrix, every entry a
-        `Fraction`, found by `_int_rref` after each row is scaled by the lcm
-        of its denominators, which keeps the row space.
+        `Fraction`, found by `_int_rref` from the nonzero entries of each
+        row.  It serves callers that hold a `Mat`; a subspace is built
+        from sparse rows by `_span`, with no `Mat`.
         """
-        work = []
-        for row in self.data:
-            nonzero = [(j, x) for j, x in enumerate(row) if x]
-            scale = lcm(*{x.denominator for _, x in nonzero})
-            v = [0] * self.cols
-            for j, x in nonzero:
-                v[j] = x.numerator * (scale // x.denominator)
-            work.append(v)
-        reduced, pivots = _int_rref(work, self.cols)
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in self.data]
+        reduced, pivots = _int_rref(_int_rows(self.cols, rows), self.cols)
         r = len(pivots)
         reduced += [(_ZERO,) * self.cols] * (self.rows - r)
         return Mat._of_vectors(tuple(reduced), self.cols), pivots, r
@@ -265,18 +267,48 @@ def _int_rref(work: list[list[int]], cols: int) -> tuple[list[Vec], tuple[int, .
     return out, tuple(pivots)
 
 
-def _null_vectors(reduced: Sequence[Vec], pivots: Sequence[int], cols: int) -> tuple[Vec, ...]:
-    """A basis of {x in Q^cols : R x = 0}, one vector per free column, for
-    rows R in reduced row echelon form with these pivot columns."""
-    pivot_set = set(pivots)
-    vectors = []
-    for free in range(cols):
-        if free in pivot_set:
+def _int_rows(cols: int, rows: Iterable[Sequence[tuple[int, Fraction | int]]]) -> list[list[int]]:
+    """Sparse rows of (index, coefficient) pairs, the coefficients ``int``
+    or `Fraction` and an index allowed more than once (its values add up),
+    as dense ``int`` rows: each scaled by the lcm of its denominators, which
+    keeps the row space.  Empty rows are left out."""
+    work = []
+    for row in rows:
+        if not row:
             continue
+        scale = lcm(*[c.denominator for _, c in row])
+        v = [0] * cols
+        for j, c in row:
+            v[j] += c.numerator * (scale // c.denominator)
+        work.append(v)
+    return work
+
+
+def _span(n: int, rows: Iterable[Sequence[tuple[int, Fraction | int]]]) -> "Subspace":
+    """The canonical `Subspace` of Q^n spanned by sparse rows of (index,
+    coefficient) pairs (see `_int_rows`), found by `_int_rref`."""
+    return Subspace._of_reduced(n, _int_rref(_int_rows(n, rows), n)[0])
+
+
+def _null_rows(reduced: Sequence[Vec], pivots: Sequence[int], cols: int) -> list[list[tuple[int, Fraction]]]:
+    """A basis of {x in Q^cols : R x = 0}, one sparse vector per free column,
+    for rows R in reduced row echelon form with these pivot columns: the
+    free column's 1, then minus its nonzero entries of R at their pivots."""
+    pivot_set = set(pivots)
+    return [
+        [(free, _ONE), *((p, -row[free]) for row, p in zip(reduced, pivots) if row[free])]
+        for free in range(cols)
+        if free not in pivot_set
+    ]
+
+
+def _null_vectors(reduced: Sequence[Vec], pivots: Sequence[int], cols: int) -> tuple[Vec, ...]:
+    """The vectors of `_null_rows`, dense."""
+    vectors = []
+    for pairs in _null_rows(reduced, pivots, cols):
         v = [_ZERO] * cols
-        v[free] = _ONE
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[free]
+        for j, x in pairs:
+            v[j] = x
         vectors.append(tuple(v))
     return tuple(vectors)
 
@@ -317,8 +349,14 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
-        reduced, _, rank = Mat(rows, cols=ambient_dim).rref()
-        return cls._of_reduced(ambient_dim, reduced.data[:rank])
+        """The span of dense rows of ``int`` and `Fraction` entries, each
+        read once, at its nonzeros, into `_span`."""
+        sparse = []
+        for row in rows:
+            if len(row) != ambient_dim:
+                raise ValueError("row length does not match ambient dimension")
+            sparse.append([(j, x) for j, x in enumerate(row) if x])
+        return _span(ambient_dim, sparse)
 
     @classmethod
     def _of_reduced(cls, ambient_dim: int, rows: Sequence[Vec]) -> "Subspace":
@@ -395,7 +433,7 @@ class Subspace:
         if not self.basis:
             return Subspace.full(self.ambient_dim)
         n = self.ambient_dim
-        return Subspace.from_rows(n, _null_vectors(self.basis, self.pivots, n))
+        return _span(n, _null_rows(self.basis, self.pivots, n))
 
     def _ambient_check(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -43,7 +43,8 @@ from fractions import Fraction
 from random import Random
 
 from .algebras import Element, FinAlgebra, random_element
-from .linalg import InternalError, Mat, Subspace, Vec, _exact, kernel_from_constraints
+from .linalg import InternalError, Mat, Subspace, Vec, _exact, _nonzeros, _null_vectors, _span
+from .linalg import kernel_from_constraints
 from .structure import commutator_subspace, gram_columns
 from .structure import is_commutator_simple, is_semiprime
 
@@ -353,10 +354,10 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
     the Gram columns of f and those columns times T; the least z at which
     one is nonzero gives the first failing tuple."""
     d = a.dim
-    images = [[(k, _exact(x)) for k, row in enumerate(t.data) if (x := row[j])] for j in range(d)]
+    images = _images(t)
     forms = None
     if identities[0].modulo_commutators:
-        rows = [[(z, _exact(x)) for z, x in enumerate(row) if x] for row in t.data]
+        rows = [_nonzeros(row) for row in t.data]
         forms = [
             (form, [_combination((g, rows[v]) for v, g in column).items() for column in form])
             for form in a.derived(_commutator_forms)
@@ -415,6 +416,12 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
     return None
 
 
+def _images(t: Mat) -> list:
+    """Each column T(b_j) of the map t as its nonzero (k, value) pairs, k
+    increasing, integral values as int."""
+    return [[(k, _exact(x)) for k, row in enumerate(t.data) if (x := row[j])] for j in range(t.cols)]
+
+
 def _combination(scaled) -> dict:
     """The sparse sum of c v over the pairs (c, v), v given by its
     (index, value) pairs, without zeros."""
@@ -460,14 +467,12 @@ def inner_derivation_space(a: FinAlgebra) -> MapSpace:
     d = a.dim
     rows = []
     for k in range(d):
-        row = [_ZERO] * (d * d)
+        row = []
         for j in range(d):
-            for s, c in a.product_terms(j, k):
-                row[s * d + j] += c
-            for s, c in a.product_terms(k, j):
-                row[s * d + j] -= c
+            row += [(s * d + j, c) for s, c in a.product_terms(j, k)]
+            row += [(s * d + j, -c) for s, c in a.product_terms(k, j)]
         rows.append(row)
-    return MapSpace(d, Subspace.from_rows(d * d, rows))
+    return MapSpace(d, _span(d * d, rows))
 
 
 def jordan_derivation_space(a: FinAlgebra) -> MapSpace:
@@ -585,7 +590,9 @@ def local_derivation_test(a: FinAlgebra, d_map: Mat, seed: int, samples: int) ->
     if samples < 1:
         raise ValueError("samples must be at least 1")
     _square_check(a, d_map)
-    basis_maps = derivation_space(a).basis_maps()
+    d = a.dim
+    columns = [_images(e) for e in derivation_space(a).basis_maps()]
+    images = _images(d_map)
     rng = Random(seed)
     points = itertools.chain(
         [a.unit_element()] if a.unit is not None else [],
@@ -593,8 +600,11 @@ def local_derivation_test(a: FinAlgebra, d_map: Mat, seed: int, samples: int) ->
         (random_element(a, rng) for _ in range(samples)),
     )
     for tested, x in enumerate(points, 1):
-        values = Subspace.from_rows(a.dim, [e.apply(x.coeffs) for e in basis_maps])
-        if not values.contains_vector(d_map.apply(x.coeffs)):
+        # E(x) = sum_t x_t E(b_t) for each derivation E of the basis, and T(x)
+        xs = _nonzeros(x.coeffs)
+        values = _span(d, [[(s, c * v) for t, c in xs for s, v in e[t]] for e in columns])
+        value = _combination((c, images[t]) for t, c in xs)
+        if not values.contains_vector([value.get(s, 0) for s in range(d)]):
             return LocalDerivationResult(False, x, tested)
     return LocalDerivationResult(True, None, tested)
 
@@ -691,35 +701,53 @@ def inner_similarity_witness(
 ) -> SimilaritySearch:
     """Search for invertible u with u x u^{-1} = target.
 
-    Solves the linear intertwining system u x = target u; a zero solution
+    Solves the linear intertwining system u x = target u, whose sparse
+    rows R_x - L_target come from the product table; a zero solution
     space is a definite "infeasible".  Otherwise the unit (when it lies in
-    the solution space), the solution basis vectors, and ``trials`` seeded
-    random combinations are tested for invertibility (full rank of left
-    multiplication); exhausting them is inconclusive.
+    the solution space), the solution basis vectors (one per free column
+    of the system's RREF), and ``trials`` seeded random combinations are
+    tested for invertibility (left multiplication by u has zero kernel);
+    exhausting them is inconclusive.
     """
     if a.unit is None:
         raise ValueError("inner similarity needs a unital algebra")
-    system = a.mult_operator(x, "right") - a.mult_operator(target, "left")
-    kernel = system.kernel()
+    a._element_check(x)
+    a._element_check(target)
+    d = a.dim
+    system = zip(_operator_rows(a, x.coeffs, "right"), _operator_rows(a, [-c for c in target.coeffs], "left"))
+    solutions = _span(d, [r + l for r, l in system])
+    kernel = _null_vectors(solutions.basis, solutions.pivots, d)
     if not kernel:
         return SimilaritySearch("infeasible")
 
     def invertible(u: Vec) -> bool:
-        return any(u) and a.mult_operator(u, "left").rank() == a.dim
+        return any(u) and kernel_from_constraints(d, _operator_rows(a, u, "left")).dim == 0
 
-    candidates: list[Vec] = []
-    if not any(system.apply(a.unit)):
-        candidates.append(a.unit)
+    # u = 1 solves u x = target u exactly when x = target
+    candidates: list[Vec] = [a.unit] if x.coeffs == target.coeffs else []
     candidates.extend(kernel)
     for u in candidates:
         if invertible(u):
             return SimilaritySearch("witness", a.element(u))
     for _ in range(trials):
         weights = [Fraction(rng.randint(-9, 9)) for _ in kernel]
-        u = (Mat([weights]) * Mat(kernel)).row(0)
+        u = tuple(sum([w * v[j] for w, v in zip(weights, kernel) if w and v[j]], _ZERO) for j in range(d))
         if invertible(u):
             return SimilaritySearch("witness", a.element(u))
     return SimilaritySearch("inconclusive")
+
+
+def _operator_rows(a: FinAlgebra, u, side: str) -> list:
+    """The rows of y -> u y (side "left") or y -> y u (side "right"): row k
+    as (j, value) pairs whose values at one j add up to the operator's
+    entry (k, j), integral values as int."""
+    terms = a.product_terms if side == "left" else lambda i, j: a.product_terms(j, i)
+    rows: list[list] = [[] for _ in range(a.dim)]
+    for i, c in _nonzeros(u):
+        for j in range(a.dim):
+            for k, v in terms(i, j):
+                rows[k].append((j, c * v))
+    return rows
 
 
 @dataclass(frozen=True)

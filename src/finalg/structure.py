@@ -20,7 +20,8 @@ from fractions import Fraction
 from random import Random
 
 from .algebras import Element, FinAlgebra
-from .linalg import InternalError, Mat, Subspace, Vec, _exact, as_vector, dot, kernel_from_constraints
+from .linalg import InternalError, Mat, Subspace, Vec, _exact, _nonzeros, _span, as_vector, dot
+from .linalg import kernel_from_constraints
 
 _ZERO = Fraction(0)
 
@@ -30,23 +31,16 @@ def product_span(a: FinAlgebra) -> Subspace:
     as A = A 1 (the unit law is checked when the algebra is built)."""
     if a.unit is not None:
         return Subspace.full(a.dim)
-    return Subspace.from_rows(
-        a.dim, [a.product(i, j) for i in range(a.dim) for j in range(a.dim)]
-    )
+    return _span(a.dim, [a.product_terms(i, j) for i in range(a.dim) for j in range(a.dim)])
 
 
 def commutator_subspace(a: FinAlgebra) -> Subspace:
     """[A, A]: the span of the basis-pair commutators b_i b_j - b_j b_i."""
-    rows = []
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            row = [_ZERO] * a.dim
-            for k, c in a.product_terms(i, j):
-                row[k] += c
-            for k, c in a.product_terms(j, i):
-                row[k] -= c
-            rows.append(row)
-    return Subspace.from_rows(a.dim, rows)
+    return _span(a.dim, [
+        [*a.product_terms(i, j), *((k, -c) for k, c in a.product_terms(j, i))]
+        for i in range(a.dim)
+        for j in range(i + 1, a.dim)
+    ])
 
 
 def gram_columns(a: FinAlgebra, f, side: str = "right") -> list:
@@ -158,8 +152,10 @@ def is_semiprime(a: FinAlgebra) -> bool:
 
 def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
     """v + A v (side "left") or v + v A (side "right")."""
-    products = [a.mul_basis(i, u, side) for u in v.basis for i in range(a.dim)]
-    return Subspace.from_rows(a.dim, v.basis + tuple(products))
+    terms = a.product_terms if side == "left" else lambda i, j: a.product_terms(j, i)
+    rows = [_nonzeros(u) for u in v.basis]
+    products = [[(k, x * c) for j, x in u for k, c in terms(i, j)] for u in rows for i in range(a.dim)]
+    return _span(a.dim, rows + products)
 
 
 def ideal_closure(a: FinAlgebra, v: Subspace) -> Subspace:
@@ -226,8 +222,8 @@ def trace_functional_space(
     if domain is None:
         domain = product_span(a)
     covectors = a.derived(commutator_subspace).annihilator().basis
-    restricted = Subspace.from_rows(
-        domain.dim, [[dot(f, u) for u in domain.basis] for f in covectors]
+    restricted = _span(
+        domain.dim, [[(t, x) for t, u in enumerate(domain.basis) if (x := dot(f, u))] for f in covectors]
     )
     return tuple(TraceFunctional(a.dim, domain, row) for row in restricted.basis)
 

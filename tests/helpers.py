@@ -418,6 +418,57 @@ def solve_affine(m: fa.Mat, rhs) -> AffineSolution:
     return AffineSolution(tuple(x), fa.Subspace.from_rows(m.cols, m.kernel()))
 
 
+def from_rows_oracle(n: int, rows) -> fa.Subspace:
+    """The span of dense rows through a dense `Mat` and `Mat.rref`, the path
+    `Subspace.from_rows` took before it read its rows sparsely."""
+    reduced, _, rank = fa.Mat(rows, cols=n).rref()
+    return fa.Subspace(n, reduced.data[:rank])
+
+
+def local_derivation_test_oracle(a: fa.FinAlgebra, d_map: fa.Mat, seed: int, samples: int):
+    """The dense local-derivation test: at each point x, in the order of
+    `local_derivation_test`, the values e(x) of the derivation basis maps,
+    each a `Mat.apply` vector, spanned by `from_rows_oracle`, must hold d(x)."""
+    basis_maps = fa.derivation_space(a).basis_maps()
+    rng = Random(seed)
+    points = itertools.chain(
+        [a.unit_element()] if a.unit is not None else [],
+        (a.basis_element(i) for i in range(a.dim)),
+        (fa.random_element(a, rng) for _ in range(samples)),
+    )
+    for tested, x in enumerate(points, 1):
+        values = from_rows_oracle(a.dim, [e.apply(x.coeffs) for e in basis_maps])
+        if not values.contains_vector(d_map.apply(x.coeffs)):
+            return fa.LocalDerivationResult(False, x, tested)
+    return fa.LocalDerivationResult(True, None, tested)
+
+
+def inner_similarity_witness_oracle(a: fa.FinAlgebra, x, target, rng: Random, trials: int = 20):
+    """The dense search for invertible u with u x = target u: the null
+    vectors of the `Mat` R_x - L_target by `Mat.kernel`, the unit first when
+    that operator kills it, then `trials` random combinations with weights
+    in {-9, ..., 9}; u is invertible when L_u has full `Mat.rank`."""
+    system = a.mult_operator(x, "right") - a.mult_operator(target, "left")
+    kernel = system.kernel()
+    if not kernel:
+        return fa.SimilaritySearch("infeasible")
+
+    def invertible(u):
+        return any(u) and a.mult_operator(u, "left").rank() == a.dim
+
+    candidates = [a.unit] if not any(system.apply(a.unit)) else []
+    candidates.extend(kernel)
+    for u in candidates:
+        if invertible(u):
+            return fa.SimilaritySearch("witness", a.element(u))
+    for _ in range(trials):
+        weights = [F(rng.randint(-9, 9)) for _ in kernel]
+        u = (fa.Mat([weights]) * fa.Mat(kernel)).row(0)
+        if invertible(u):
+            return fa.SimilaritySearch("witness", a.element(u))
+    return fa.SimilaritySearch("inconclusive")
+
+
 def random_invertible(a: fa.FinAlgebra, rng: Random) -> fa.Element:
     while True:
         u = fa.random_element(a, rng)

@@ -432,14 +432,15 @@ class TestUsageAndErrors:
     def test_non_canonical_rref_exits_through_the_tripwire_code(self, tmp_path, monkeypatch):
         out = tmp_path / "m2.alg"
         CliRunner().invoke(main, ["gen", "matrix", "--n", "2", "-o", str(out)])
-        rref = fa.Mat.rref
+        int_rref = fa.linalg._int_rref
 
-        def doubled(m):
+        def doubled(work, cols):
             # the right rows, but with every pivot entry 2
-            reduced, pivots, rank = rref(m)
-            return fa.Mat([[2 * x for x in row] for row in reduced.data], cols=m.cols), pivots, rank
+            reduced, pivots = int_rref(work, cols)
+            return [tuple(2 * x for x in row) for row in reduced], pivots
 
-        monkeypatch.setattr(fa.Mat, "rref", doubled)
+        # the one elimination core behind every span and kernel
+        monkeypatch.setattr("finalg.linalg._int_rref", doubled)
         result = CliRunner().invoke(main, ["analyze", str(out)])
         assert result.exit_code == EXIT_REFUTATION
         assert result.output.startswith("error: internal ")

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg.linalg import Mat, Subspace, kernel_from_constraints, parse_rational
-from helpers import Infeasible, null_space_oracle, rref_oracle, solve_affine
+from finalg.linalg import Mat, Subspace, _span, kernel_from_constraints, parse_rational
+from helpers import Infeasible, from_rows_oracle, null_space_oracle, rref_oracle, solve_affine
 
 F = Fraction
 
@@ -341,6 +341,52 @@ def _dense(n, row):
     for j, c in row:
         out[j] += c
     return out
+
+
+@st.composite
+def row_lists(draw):
+    """An ambient dimension n and dense rows of one entry kind: square-ish
+    (n from 0), wide (many columns, few rows) or tall (few columns, many
+    rows), with zero rows and duplicate rows mixed in; the list may be empty."""
+    entries = draw(st.sampled_from([coefficients, wide_coefficients, non_unit_entries]))
+    widths, max_rows = draw(st.sampled_from([((0, 6), 7), ((8, 14), 3), ((1, 3), 16)]))
+    n = draw(st.integers(*widths))
+    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=max_rows))
+    for _ in range(draw(st.integers(0, 2))):
+        extra = list(draw(st.sampled_from(data))) if data and draw(st.booleans()) else [0] * n
+        data.insert(draw(st.integers(0, len(data))), extra)
+    return n, data
+
+
+class TestSpan:
+    """`Subspace.from_rows` and `_span`, which read rows sparsely, against the
+    dense `Mat` path."""
+
+    @given(row_lists())
+    @settings(max_examples=300)
+    def test_from_rows_agrees_with_the_dense_path(self, case):
+        n, rows = case
+        span = Subspace.from_rows(n, rows)
+        assert span == from_rows_oracle(n, rows)
+        assert all(type(x) is Fraction for v in span.basis for x in v)
+
+    @given(sparse_systems())
+    @settings(max_examples=150)
+    def test_sparse_rows_with_repeated_indices(self, system):
+        n, rows = system
+        assert _span(n, rows) == from_rows_oracle(n, [_dense(n, row) for row in rows])
+
+    def test_edge_cases(self):
+        assert Subspace.from_rows(3, []) == Subspace.zero(3)
+        assert Subspace.from_rows(0, [(), ()]) == Subspace.zero(0)
+        assert Subspace.from_rows(2, [(0, 0), (2, F(4, 3)), (2, F(4, 3))]).basis == ((F(1), F(2, 3)),)
+
+    @pytest.mark.parametrize("n, rows", [
+        (3, [(1, 2)]), (3, [(1, 2, 3), (1, 2)]), (2, [(1, 2), (0, 0, 0)]), (0, [(0,)]),
+    ])
+    def test_wrong_length_rejected(self, n, rows):
+        with pytest.raises(ValueError, match="row length"):
+            Subspace.from_rows(n, rows)
 
 
 class TestKernelFromConstraintsExact:

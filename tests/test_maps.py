@@ -21,6 +21,8 @@ from helpers import (
     inner_automorphism_map,
     inner_derivation_map,
     inner_derivation_oracle,
+    inner_similarity_witness_oracle,
+    local_derivation_test_oracle,
     matrix_trace,
     non_unital_algebras,
     random_algebra,
@@ -603,6 +605,75 @@ class TestInnerSimilarity:
         a = zero_product_algebra(2)
         with pytest.raises(ValueError, match="unital"):
             fa.local_inner_automorphism_test(a, fa.Mat.identity(2), 1, 1)
+
+
+class TestLocalTestParity:
+    """Both local tests against their dense forms in `helpers`, on every
+    unital member of the test corpus and on M4, T4 and T5 (d up to 16): the
+    same verdicts, counterexamples, points tested, witnesses and random
+    draws."""
+
+    @staticmethod
+    def _maps(name, a, rng):
+        maps = [
+            inner_derivation_map(a, fa.random_element(a, rng)),
+            fa.scaled_identity_map(a.dim, 2),
+            inner_automorphism_map(a, random_invertible(a, rng)),
+            fa.Mat([[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(a.dim)]
+                    for _ in range(a.dim)]),
+        ]
+        if name in ("M2", "M3", "M4"):
+            maps.append(fa.transpose_map(int(name[1])))
+        return maps
+
+    MEMBERS = {
+        **{name: a for name, a in corpus() if a.is_unital},
+        "M4": fa.build_matrix_algebra(4),
+        "T4": fa.build_upper_triangular(4),
+        "T5": fa.build_upper_triangular(5),
+    }
+
+    @pytest.mark.parametrize("name", MEMBERS)
+    def test_local_derivation_test_agrees_with_the_dense_test(self, name):
+        a = self.MEMBERS[name]
+        rng = Random(131)
+        verdicts = set()
+        for seed, t in enumerate(self._maps(name, a, rng)):
+            result = fa.local_derivation_test(a, t, seed=seed, samples=3)
+            assert result == local_derivation_test_oracle(a, t, seed, 3)
+            verdicts.add(result.passed)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", MEMBERS)
+    def test_inner_similarity_witness_agrees_with_the_dense_search(self, name):
+        a = self.MEMBERS[name]
+        rng = Random(137)
+        statuses = set()
+        drew = False
+        for seed, t in enumerate(self._maps(name, a, rng)):
+            points = [a.unit_element(), *(a.basis_element(i) for i in range(a.dim))]
+            points += [fa.random_element(a, Random(seed)) for _ in range(2)]
+            for trials in (20, 1):
+                new, old = Random(seed), Random(seed)
+                for x in points:
+                    target = fa.apply_map(t, x)
+                    before = new.getstate()
+                    found = fa.inner_similarity_witness(a, x, target, new, trials)
+                    assert found == inner_similarity_witness_oracle(a, x, target, old, trials)
+                    assert new.getstate() == old.getstate()
+                    drew |= new.getstate() != before
+                    statuses.add(found.status)
+        # On Q[C2] (d = 2) no point here reaches the random trials.
+        assert (statuses, drew) == ({"witness", "infeasible", "inconclusive"}, True) or name == "QC2"
+
+    def test_element_of_another_algebra_is_rejected(self):
+        a = corpus_algebra("M2")
+        other = dense_copy(a, Random(5))
+        x, y = a.basis_element(1), other.basis_element(1)
+        for point, target in ((y, y), (x, y), (y, x)):
+            for search in (fa.inner_similarity_witness, inner_similarity_witness_oracle):
+                with pytest.raises(ValueError, match="different algebra"):
+                    search(a, point, target, Random(1))
 
 
 class TestCapSize:
