@@ -58,10 +58,12 @@ class FinAlgebra:
     strictly increasing, the shape `product_terms` returns, so
     ``FinAlgebra([[a.product_terms(i, j) for j in basis] for i in basis],
     a.unit, a.labels) == a``.  Zero coefficients are dropped, and the others
-    are kept once, as ``int`` when integral.
+    are kept once, as ``int`` when integral.  ``generators`` holds the basis
+    indices S, increasing, that generate A as an algebra: the middles the
+    associativity check reads (`_generating_middles`).
     """
 
-    __slots__ = ("dim", "unit", "labels", "_pairs", "_derived")
+    __slots__ = ("dim", "unit", "labels", "generators", "_pairs", "_derived")
 
     def __init__(self, terms, unit=None, labels=None):
         dim = len(terms)
@@ -94,7 +96,7 @@ class FinAlgebra:
         # (u,v,w) = (uv)w - u(vw), gives (w,mn,z) = 0 at x = m, y = n.  So
         # the middles in S certify the whole table; a failure found there is
         # looked up again in full for the first failing triple.
-        middles = _generating_middles(pairs)
+        middles = self.generators = tuple(_generating_middles(pairs))
         failure = _first_failure(pairs, middles)
         if failure is not None and len(middles) < d:
             failure = _first_failure(pairs, range(d))

@@ -11,6 +11,7 @@ from functools import lru_cache
 from random import Random
 
 import finalg as fa
+import finalg.maps as fm
 from finalg.document import AlgebraDocument, DocumentError
 
 F = Fraction
@@ -627,6 +628,47 @@ def first_violation_oracle(a: fa.FinAlgebra, identities, t: fa.Mat, key: str):
             if lhs != rhs:
                 return {key: tup, "lhs": lhs, "rhs": rhs}
     return None
+
+
+def verify_jordan_criterion_oracle(a: fa.FinAlgebra, t: fa.Mat) -> fa.VerificationReport:
+    """The Jordan criterion with every check run in full, as the program ran
+    it before deciding (anti)multiplicativity first: the dense `Mat.rank`,
+    the cubic condition at every sorted triple (`cubic_condition_oracle`),
+    and, under the hypotheses, both multiplicativity identities and the
+    Jordan identity at every pair (`first_violation_oracle`)."""
+    unital = a.unit is not None
+    simplicity = fa.is_commutator_simple(a)
+    rank = t.rank()
+    surjective = rank == a.dim
+    unit_preserved = unital and t.apply(a.unit) == a.unit
+    cubic = cubic_condition_oracle(a, t)
+    checks = [
+        fa.TheoremCheck("unital", unital),
+        fa.TheoremCheck(
+            "commutator-simple",
+            bool(simplicity),
+            "" if simplicity else simplicity.witness.certificate,
+        ),
+        fa.TheoremCheck("surjective", surjective, f"rank {rank} of {a.dim}"),
+        fa.TheoremCheck("unit-preserved", unit_preserved),
+        fa.TheoremCheck(
+            "cubic-condition",
+            cubic is None,
+            "" if cubic is None else f"fails at basis triple {cubic['triple']}",
+        ),
+    ]
+    spaces = {"commutators": simplicity.commutators.dim, "rank": rank}
+    if not (unital and simplicity and surjective and unit_preserved and cubic is None):
+        return fa.VerificationReport(tuple(checks), spaces, "hypotheses-not-met")
+    for mode in ("homomorphism", "antihomomorphism"):
+        violation = first_violation_oracle(a, (fm._MULTIPLICATIVITY[mode],), t, "pair")
+        checks.append(fa.TheoremCheck(mode, violation is None))
+    jordan = first_violation_oracle(a, (fm._JORDAN_HOMOMORPHISM,), t, "pair")
+    if jordan is None:
+        return fa.VerificationReport(tuple(checks), spaces, "verified")
+    witness = dict(jordan)
+    witness["direction"] = "cubic condition held but the Jordan identity fails"
+    return fa.VerificationReport(tuple(checks), spaces, "REFUTATION", witness)
 
 
 def inner_derivation_oracle(a: fa.FinAlgebra) -> fa.Subspace:

@@ -27,6 +27,7 @@ from helpers import (
     non_unital_algebras,
     random_algebra,
     random_invertible,
+    verify_jordan_criterion_oracle,
     solve_affine,
     zero_product_algebra,
 )
@@ -561,6 +562,183 @@ class TestVerifyJordanCriterion:
             for t in zoo:
                 report = fa.verify_jordan_criterion(a, t)
                 assert report.verdict in ("verified", "hypotheses-not-met")
+
+
+def _block_diagonal(*blocks):
+    """The map acting as each square block on its own run of coordinates."""
+    d = sum(b.rows for b in blocks)
+    rows, at = [[F(0)] * d for _ in range(d)], 0
+    for b in blocks:
+        for r, row in enumerate(b.data):
+            rows[at + r][at : at + b.cols] = row
+        at += b.rows
+    return fa.Mat(rows)
+
+
+def _block_swap(d):
+    """b_i <-> b_{i + d/2}: on a direct product of two copies of one
+    algebra, the automorphism that swaps the factors."""
+    return fa.Mat([[F(int(k == (j + d // 2) % d)) for j in range(d)] for k in range(d)])
+
+
+def _m2xm2():
+    m2 = corpus_algebra("M2")
+    return fa.direct_product(m2, m2)
+
+
+_GROUPS = {"QC2": lambda: fa.cyclic_group(2), **TestCubicOracle.GROUPS}
+
+# The corpus, a dense copy of each member (few single-term products, so the
+# generators are most or all of the basis), the named algebras without a
+# unit, and M2 x M2.
+_DECISION_MEMBERS = {
+    **dict(corpus()),
+    **{f"dense-{name}": dense_copy(a, Random(k)) for k, (name, a) in enumerate(corpus())},
+    **dict(non_unital_algebras()),
+    "M2xM2": _m2xm2(),
+}
+
+
+def _decision_maps(name, a, rng, late=3):
+    """Homomorphisms (group and unit conjugations), antihomomorphisms
+    (transposes, group inversion) and derivations (inner ones, and the
+    derivation basis, outer where A has outer derivations), each also
+    changed in its last column by `late` basis vectors in turn (b_0, b_d-1
+    and a seeded one), so that the change shows only at the pairs that read
+    that column."""
+    d = a.dim
+    maps = [fa.Mat.identity(d), fa.Mat.zeros(d, d)]
+    if name in ("M2", "M3"):
+        maps.append(fa.transpose_map(int(name[1])))
+    if name == "M2xM2":
+        transpose = fa.transpose_map(2)
+        # the swap, the transpose of both factors, and of one factor only:
+        # a Jordan automorphism that is neither multiplicative nor anti
+        maps += [_block_swap(d), _block_diagonal(transpose, transpose),
+                 _block_diagonal(transpose, fa.Mat.identity(4))]
+    if name in _GROUPS:
+        group = _GROUPS[name]()
+        maps += [conjugation_map(a, group, g) for g in (1, group.order - 1)]
+        maps.append(fa.map_from_basis_images(a, [a.basis_element(group.inverse(h)) for h in range(d)]))
+    if a.is_unital:
+        maps.append(inner_automorphism_map(a, random_invertible(a, rng)))
+    maps.append(inner_derivation_map(a, fa.random_element(a, rng)))
+    derivations = fa.derivation_space(a).basis_maps()
+    maps += derivations[:2] + derivations[-1:]
+    changed = []
+    for t in maps:
+        for k in (0, d - 1, rng.randrange(d))[:late]:
+            rows = [list(row) for row in t.data]
+            rows[k][d - 1] += 1
+            changed.append(fa.Mat(rows))
+    return maps + changed
+
+
+def _has_products(a):
+    return any(a.product_terms(i, j) for i in range(a.dim) for j in range(a.dim))
+
+
+CLOSED = {"leibniz": fm._LEIBNIZ, **fm._MULTIPLICATIVITY}
+
+
+@pytest.mark.parametrize("name", _DECISION_MEMBERS)
+class TestGeneratorDecision:
+    """Leibniz and both multiplicativity identities decided at the pairs
+    whose first letter is a generator of A, against the full dense scan of
+    `first_violation_oracle`: the same verdict, and from `_first_violation`
+    the same first failing pair with the same sides."""
+
+    def test_decision_and_witness_agree_with_the_full_scan(self, name):
+        a = _DECISION_MEMBERS[name]
+        verdicts = {identity: set() for identity in CLOSED}
+        for t in _decision_maps(name, a, Random(149)):
+            for identity, closed in CLOSED.items():
+                expected = first_violation_oracle(a, (closed,), t, "pair")
+                assert fm._holds(a, closed, t) == (expected is None)
+                # repr: the sides are Fractions, as the oracle's are
+                assert repr(fm._first_violation(a, (closed,), t, "pair")) == repr(expected)
+                verdicts[identity].add(expected is None)
+        expected_verdicts = {True, False} if _has_products(a) else {True}
+        assert all(seen == expected_verdicts for seen in verdicts.values())
+
+    def test_generators_generate(self, name):
+        """The closure of the generators under products reaches every basis
+        vector: their span, grown by products until it stops growing, is A."""
+        a = _DECISION_MEMBERS[name]
+        span = fa.Subspace.from_rows(a.dim, [a.basis_element(s).coeffs for s in a.generators])
+        while True:
+            grown = fa.Subspace.from_rows(a.dim, [*span.basis, *(
+                a.mul(x, y) for x in span.basis for y in span.basis)])
+            if grown.dim == span.dim:
+                break
+            span = grown
+        assert span.dim == a.dim
+
+
+def _verdict_maps(name, a):
+    return _decision_maps(name, a, Random(151), late=1) + [fa.scaled_identity_map(a.dim, 2)]
+
+
+# The dense cubic oracle is slow past d = 9, and on dense copies past d = 6.
+@pytest.mark.parametrize("name", [
+    name for name, a in _DECISION_MEMBERS.items() if a.dim <= (6 if name.startswith("dense-") else 9)
+])
+def test_jordan_criterion_agrees_with_the_full_checks(name):
+    """The Jordan criterion against the version that runs every check in
+    full, on the maps above, the zero map and 2 id: whole reports equal."""
+    a = _DECISION_MEMBERS[name]
+    for t in _verdict_maps(name, a):
+        assert repr(fa.verify_jordan_criterion(a, t)) == repr(verify_jordan_criterion_oracle(a, t))
+
+
+@pytest.mark.parametrize("name", _DECISION_MEMBERS)
+class TestLocalDerivationDecision:
+    """The local derivation test against the sampling test, on the maps
+    above and 2 id: whole results equal; derivations pass with no
+    derivation space solved and no point drawn."""
+
+    def test_local_derivation_test_agrees_with_sampling(self, name):
+        a = _DECISION_MEMBERS[name]
+        for seed, t in enumerate(_verdict_maps(name, a)):
+            assert fa.local_derivation_test(a, t, seed, 3) == local_derivation_test_oracle(a, t, seed, 3)
+
+    def test_derivations_pass_without_a_solve_or_a_draw(self, name, monkeypatch):
+        a = _DECISION_MEMBERS[name]
+        derivations = fa.derivation_space(a).basis_maps()
+        calls = []
+        monkeypatch.setattr(fm, "random_element", lambda *args: calls.append("draw"))
+        monkeypatch.setattr(fm, "derivation_space", lambda *args: calls.append("solve"))
+        for t in [*derivations[:3], inner_derivation_map(a, fa.random_element(a, Random(157)))]:
+            result = fa.local_derivation_test(a, t, seed=1, samples=5)
+            assert result == fa.LocalDerivationResult(True, None, a.is_unital + a.dim + 5)
+        assert calls == []
+
+
+class TestBlockSwap:
+    """The swap of the factors of M2 x M2 is an automorphism, but it moves
+    e11 of one factor to the other, out of e11 + [A, A]: its cubic condition
+    takes the full check, which fails at the first triple."""
+
+    def test_cubic_condition_fails_at_the_first_triple(self, monkeypatch):
+        a = _m2xm2()
+        swap = _block_swap(8)
+        assert fm._holds(a, fm._MULTIPLICATIVITY["homomorphism"], swap)
+        full = []
+        check = fm.cubic_condition_check
+        monkeypatch.setattr(fm, "cubic_condition_check", lambda *args: full.append(1) or check(*args))
+        report = fa.verify_jordan_criterion(a, swap)
+        assert full == [1]
+        assert report.verdict == "hypotheses-not-met"
+        cubic = next(c for c in report.checks if c.name == "cubic-condition")
+        assert (cubic.passed, cubic.detail) == (False, "fails at basis triple (0, 0, 0)")
+
+    def test_implied_cubic_condition_runs_no_check(self, monkeypatch):
+        for check in ("multiplicativity_check", "jordan_homomorphism_check", "cubic_condition_check"):
+            monkeypatch.setattr(fm, check, lambda *args: pytest.fail("a full check ran"))
+        a = _m2xm2()
+        transpose = fa.transpose_map(2)
+        for t in (fa.Mat.identity(8), _block_diagonal(transpose, transpose)):
+            assert fa.verify_jordan_criterion(a, t).verdict == "verified"
 
 
 class TestInnerSimilarity:
