@@ -9,7 +9,9 @@ results.  Every canonical subspace comes from sparse rows, lists of
 `Subspace.from_rows` reads a dense row once, at its nonzeros, into
 `_span`, and `kernel_from_constraints` hands over its integer basis
 vectors as they are.  No dense matrix is built on the way.  `Mat.rref`
-reaches the same core, but serves only callers that hold a `Mat`.
+reaches the same core, but serves only callers that hold a `Mat`.  The
+kernel's core `_kernel` can stop pulling rows at a floor dimension, for
+callers that know a subspace of that dimension inside the answer.
 Rationals serialize as ``p/q`` (or just ``p`` when the denominator is 1)
 with the sign on the numerator.
 
@@ -449,7 +451,18 @@ def kernel_from_constraints(
     ``int`` or ``Fraction``.  The current null space is kept as an explicit
     basis, shrunk by one vector per independent constraint, and no further
     row is pulled once it is zero; intended for the long, highly redundant
-    systems produced by polarized identities.
+    systems produced by polarized identities.  It is `_kernel` with floor 0.
+    """
+    return _kernel(n, rows, 0)
+
+
+def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) -> Subspace:
+    """The null space of the rows, except that none is pulled once the
+    basis has ``floor`` vectors or fewer, which is checked before every
+    pull: then it is the null space of the rows read so far.  That holds
+    the full answer, so a caller that knows a ``floor``-dimensional
+    subspace inside the answer has it whole once the dimensions meet, and
+    re-checks that the result equals that subspace.
 
     The loop runs in exact ``int`` arithmetic.  Each row is scaled by the
     lcm of its denominators, which leaves its kernel unchanged (the lcm
@@ -472,7 +485,7 @@ def kernel_from_constraints(
     # deleting keeps the order of the rest.
     vectors: dict[int, dict[int, int]] = {k: {k: 1} for k in range(n)}
     columns: list[dict[int, int]] = [{k: 1} for k in range(n)]
-    for row in rows if vectors else ():
+    for row in rows if len(vectors) > floor else ():
         values: dict[int, int] = {}
         scale = 1
         for j, c in row:
@@ -529,7 +542,7 @@ def kernel_from_constraints(
             vectors[k] = v
             for j, x in v.items():
                 columns[j][k] = x
-        if not vectors:
+        if len(vectors) <= floor:
             break
     basis = []
     for v in vectors.values():

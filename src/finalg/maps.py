@@ -17,7 +17,12 @@ the map.  What a group adds to a tuple's rows depends only on the tuple's
 letters outside that word, so it is built once per such letters, with the
 column offsets folded in, and shifted into place for each tuple; when the
 tuple's mapped letters are distinct, nothing needs adding up.  The stream,
-its order and every value are those of reading the terms one by one.
+its order and every value are those of reading the terms one by one.  A
+solve can be given a floor, a space of maps inside its answer on every
+algebra, as the inner derivations lie in the derivations and in the
+criterion maps.  It then stops once its kernel has shrunk to the floor's
+dimension, so the rows after that are never generated, and it re-checks
+that the kernel equals the floor.
 
 A check evaluates terms as sparse vectors, dense only at a failing tuple.
 Membership in [A, A] is decided exactly through the covectors f that vanish
@@ -52,7 +57,7 @@ from fractions import Fraction
 from random import Random
 
 from .algebras import Element, FinAlgebra, random_element
-from .linalg import InternalError, Mat, Subspace, Vec, _exact, _nonzeros, _null_vectors, _span
+from .linalg import InternalError, Mat, Subspace, Vec, _exact, _kernel, _nonzeros, _null_vectors, _span
 from .linalg import kernel_from_constraints
 from .structure import commutator_subspace, gram_columns
 from .structure import is_commutator_simple, is_semiprime
@@ -475,9 +480,19 @@ def _combination(scaled) -> dict:
     return total
 
 
-def _solve(a: FinAlgebra, *identities: _Identity) -> MapSpace:
+def _solve(a: FinAlgebra, *identities: _Identity, floor: MapSpace | None = None) -> MapSpace:
+    """The maps that satisfy the identities.  With a floor, a space that
+    lies inside the answer whatever the algebra, no row is generated once
+    the kernel has shrunk to its dimension; a result of that dimension
+    must then equal it, else `InternalError` is raised."""
     d = a.dim
-    return MapSpace(d, kernel_from_constraints(d * d, _constraint_rows(a, identities)))
+    rows = _constraint_rows(a, identities)
+    if floor is None:
+        return MapSpace(d, kernel_from_constraints(d * d, rows))
+    kernel = _kernel(d * d, rows, floor.dim)
+    if kernel.dim <= floor.dim and kernel != floor.space:
+        raise InternalError("internal error: a solve stopped at its floor, which it does not equal")
+    return MapSpace(d, kernel)
 
 
 def _terms(a: FinAlgebra, word: tuple[int, ...]):
@@ -499,9 +514,11 @@ def _at(tup: tuple[int, ...], positions: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([tup[p] for p in positions])
 
 
-def derivation_space(a: FinAlgebra) -> MapSpace:
-    """Solutions of D(b_i b_j) = D(b_i) b_j + b_i D(b_j) over all basis pairs."""
-    return _solve(a, _LEIBNIZ)
+def derivation_space(a: FinAlgebra, *, floor: MapSpace | None = None) -> MapSpace:
+    """Solutions of D(b_i b_j) = D(b_i) b_j + b_i D(b_j) over all basis
+    pairs; a floor inside them (such as the inner derivations) goes to
+    `_solve`."""
+    return _solve(a, _LEIBNIZ, floor=floor)
 
 
 def inner_derivation_space(a: FinAlgebra) -> MapSpace:
@@ -525,7 +542,7 @@ def jordan_derivation_space(a: FinAlgebra) -> MapSpace:
     return _solve(a, _JORDAN_DERIVATION)
 
 
-def derivation_criterion_space(a: FinAlgebra) -> MapSpace:
+def derivation_criterion_space(a: FinAlgebra, *, floor: MapSpace | None = None) -> MapSpace:
     """Maps D with D(x) x and D(x) x^2 in [A, A] for every x.
 
     Encoded exactly by polarization: the degree-2 identity becomes
@@ -533,9 +550,10 @@ def derivation_criterion_space(a: FinAlgebra) -> MapSpace:
     becomes the full symmetrization over triples i <= j <= k.  Each
     membership is a linear constraint modulo the commutator subspace.
     On semiprime commutator-simple algebras these maps are exactly the
-    derivations.
+    derivations.  A floor inside them (such as the inner derivations)
+    goes to `_solve`.
     """
-    return _solve(a, *_CRITERION)
+    return _solve(a, *_CRITERION, floor=floor)
 
 
 @dataclass(frozen=True)
@@ -564,12 +582,14 @@ def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
     D(x)x, D(x)x^2 in [A,A] are exactly the derivations; check that the two
     spaces agree.  A disagreement under the hypotheses is a refutation and
     carries a witness map; one without a witness is a fault of the program
-    and raises `InternalError`."""
+    and raises `InternalError`.  The inner derivations lie in both spaces,
+    as [a, x] x = [a x, x] and [a, x] x^2 = [a x^2, x], so each solve
+    stops once it has shrunk to them."""
     semiprime = is_semiprime(a)
     simplicity = is_commutator_simple(a)
-    derivations = derivation_space(a)
-    criterion = derivation_criterion_space(a)
     inner = inner_derivation_space(a)
+    derivations = derivation_space(a, floor=inner)
+    criterion = derivation_criterion_space(a, floor=inner)
     checks = (
         TheoremCheck("semiprime", semiprime, "radical is zero" if semiprime else "radical is nonzero"),
         TheoremCheck(

@@ -457,7 +457,7 @@ class TestUsageAndErrors:
         CliRunner().invoke(main, ["gen", "matrix", "--n", "2", "-o", str(out)])
         space = getattr(fa.Subspace, criterion)(16)
         monkeypatch.setattr("finalg.maps.derivation_criterion_space",
-                            lambda a: fa.MapSpace(a.dim, space))
+                            lambda a, **_: fa.MapSpace(a.dim, space))
         monkeypatch.setattr("finalg.maps._first_violation", lambda *args: None)
         result = CliRunner().invoke(main, ["verify-derivation-criterion", str(out)])
         assert result.exit_code == EXIT_REFUTATION
@@ -470,7 +470,7 @@ class TestUsageAndErrors:
         out = tmp_path / "m2.alg"
         CliRunner().invoke(main, ["gen", "matrix", "--n", "2", "-o", str(out)])
         monkeypatch.setattr("finalg.maps.derivation_criterion_space",
-                            lambda a: fa.MapSpace.full(a.dim))
+                            lambda a, **_: fa.MapSpace.full(a.dim))
         monkeypatch.setattr(fa.MapSpace, "contains_map", lambda self, t: True)
         result = CliRunner().invoke(main, ["verify-derivation-criterion", str(out)])
         assert result.exit_code == EXIT_REFUTATION

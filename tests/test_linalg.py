@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg.linalg import Mat, Subspace, _span, kernel_from_constraints, parse_rational
+from finalg.linalg import Mat, Subspace, _kernel, _span, kernel_from_constraints, parse_rational
 from helpers import Infeasible, from_rows_oracle, null_space_oracle, rref_oracle, solve_affine
 
 F = Fraction
@@ -313,6 +313,22 @@ class TestKernelFromConstraints:
             assert kernel_from_constraints(n, counted(pulled)) == Subspace.zero(n)
             assert len(pulled) == expected
 
+    def test_stops_pulling_rows_at_the_floor(self):
+        """Rows [(0, 1)], [(1, 1)], ... on Q^4 with floor f pull 4 - f rows
+        and leave the span of the last f unit vectors; at floor 4 or more,
+        checked before the first pull, none is pulled."""
+
+        def counted(pulled):
+            for j in itertools.count():
+                pulled.append(j)
+                yield [(j, F(1))]
+
+        for floor in range(6):
+            pulled = []
+            kept = [[F(j == k) for j in range(4)] for k in range(4 - floor, 4)]
+            assert _kernel(4, counted(pulled), floor) == Subspace.from_rows(4, kept)
+            assert len(pulled) == max(4 - floor, 0)
+
 
 @st.composite
 def sparse_systems(draw, max_rows=12, max_unknowns=8, values=coefficients):
@@ -402,6 +418,19 @@ class TestKernelFromConstraintsExact:
     @settings(max_examples=150)
     def test_agrees_with_dense_kernel_on_wide_coefficients(self, system):
         self._check(system)
+
+    @given(sparse_systems(), st.integers(0, 8))
+    @settings(max_examples=100)
+    def test_a_floor_stops_at_a_kernel_that_holds_the_whole_one(self, system, floor):
+        """With a floor, the result holds the full kernel, and is it unless
+        the stop came first, at the floor's dimension or below."""
+        n, rows = system
+        full = kernel_from_constraints(n, rows)
+        stopped = _kernel(n, rows, floor)
+        assert stopped >= full
+        assert stopped == full or stopped.dim <= floor
+        if floor < full.dim:
+            assert stopped == full
 
     @staticmethod
     def _check(system):

@@ -504,7 +504,7 @@ class TestCubicOracle:
                 assert derivations.contains_map(m) == (expected is None)
                 if expected is None:
                     continue
-                monkeypatch.setattr(fm, "derivation_criterion_space", lambda a, s=space: s)
+                monkeypatch.setattr(fm, "derivation_criterion_space", lambda a, s=space, **_: s)
                 report = fa.verify_derivation_criterion(a)
                 assert report.verdict == "REFUTATION"
                 witness = dict(report.witness)
@@ -870,7 +870,10 @@ class TestCapSize:
         (lambda: fa.build_matrix_algebra(4), 1),
         # M5: d = 25, above the cap, which only the CLI enforces.
         (lambda: fa.build_matrix_algebra(5), 1),
-    ], ids=["QS4", "QS3tM2", "M4", "M5"])
+        # Q[S4 x C2], d = 48: one block per conjugacy class, 5 x 2 of them.
+        (lambda: fa.tensor_product(
+            fa.build_group_algebra(fa.symmetric_group(4)), fa.build_group_algebra(fa.cyclic_group(2))), 10),
+    ], ids=["QS4", "QS3tM2", "M4", "M5", "QS4tQC2"])
     def test_semisimple_spaces_agree(self, build, blocks):
         a = build()
         expected = a.dim - blocks
@@ -911,6 +914,91 @@ class TestCapSize:
         assert {c.name: c.passed for c in report.checks}["semiprime"] is False
         assert report.spaces["inner-derivations"] == report.spaces["derivations"] == 14
         assert fa.jordan_derivation_space(a).dim == 14
+
+
+# The members of `TestCapSize` up to d = 25, and T5.
+BUILDS = {
+    "QS4": lambda: fa.build_group_algebra(fa.symmetric_group(4)),
+    "QS3tM2": lambda: fa.tensor_product(
+        fa.build_group_algebra(fa.symmetric_group(3)), fa.build_matrix_algebra(2)),
+    "M4": lambda: fa.build_matrix_algebra(4),
+    "M5": lambda: fa.build_matrix_algebra(5),
+    "T5": lambda: fa.build_upper_triangular(5),
+}
+
+
+def _floor_members():
+    """The corpus, a dense copy of each member, `BUILDS` and the named
+    algebras without a unit."""
+    members = list(corpus())
+    members += [(f"dense-{name}", dense_copy(a, Random(k))) for k, (name, a) in enumerate(corpus())]
+    members += [(name, build()) for name, build in BUILDS.items()]
+    return members + list(non_unital_algebras())
+
+
+# name -> system -> (rows pulled with the inner floor, rows in the full
+# stream).  The criterion maps of T5 (dimension 150) hold more than the 14
+# inner derivations, so that solve never stops early.
+FLOORED_ROWS = {
+    "QS4": {"derivation": (3748, 13824), "criterion": (1764, 14500)},
+    "QS3tM2": {"derivation": (4175, 11808), "criterion": (1422, 8364)},
+    "T5": {"derivation": (459, 1215), "criterion": (150, 150)},
+}
+
+FLOORED_SPACES = {"derivation": fm.derivation_space, "criterion": fm.derivation_criterion_space}
+
+
+class TestInnerFloor:
+    """The derivation and criterion solves with the inner derivations as
+    their floor, which lie in both spaces on every algebra."""
+
+    @pytest.mark.parametrize("system", sorted(FLOORED_SPACES))
+    def test_floored_equals_full(self, system):
+        space = FLOORED_SPACES[system]
+        for name, a in _floor_members():
+            floored = space(a, floor=fa.inner_derivation_space(a))
+            assert floored.space == space(a).space, (name, system)
+
+    @pytest.mark.parametrize("name", sorted(FLOORED_ROWS))
+    def test_rows_pulled(self, name, monkeypatch):
+        a = BUILDS[name]()
+        inner = fa.inner_derivation_space(a)
+        rows = fm._constraint_rows
+        pulled = []
+
+        def counted(a, identities):
+            for row in rows(a, identities):
+                pulled[-1] += 1
+                yield row
+
+        monkeypatch.setattr(fm, "_constraint_rows", counted)
+        for system, expected in FLOORED_ROWS[name].items():
+            seen = []
+            for floor in (inner, None):
+                pulled.append(0)
+                FLOORED_SPACES[system](a, floor=floor)
+                seen.append(pulled[-1])
+            assert tuple(seen) == expected, (name, system)
+
+    @pytest.mark.parametrize("system", sorted(FLOORED_SPACES))
+    def test_a_floor_unequal_to_where_the_solve_stops_is_an_internal_error(self, system, monkeypatch):
+        """On M3, whose derivations and criterion maps are the 8 inner
+        derivations, a floor of 8 unit maps stops the solve at dimension 8,
+        at a kernel that is not that floor."""
+        a = corpus_algebra("M3")
+        units = fa.Subspace.from_rows(81, [[int(j == k) for j in range(81)] for k in range(8)])
+        kernel = fm._kernel
+        stopped = []
+
+        def recording(n, rows, floor):
+            result = kernel(n, rows, floor)
+            stopped.append(result.dim)
+            return result
+
+        monkeypatch.setattr(fm, "_kernel", recording)
+        with pytest.raises(fa.InternalError):
+            FLOORED_SPACES[system](a, floor=fa.MapSpace(9, units))
+        assert stopped == [8]
 
 
 SYSTEMS = {

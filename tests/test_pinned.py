@@ -57,7 +57,7 @@ class TestRefutationWitnesses:
     replacing one of the two solved spaces."""
 
     def test_criterion_map_that_is_not_a_derivation(self, monkeypatch):
-        monkeypatch.setattr(fm, "derivation_criterion_space", lambda a: fm.MapSpace.full(a.dim))
+        monkeypatch.setattr(fm, "derivation_criterion_space", lambda a, **_: fm.MapSpace.full(a.dim))
         report = fa.verify_derivation_criterion(corpus_algebra("M2"))
         assert report.verdict == "REFUTATION"
         assert report.spaces == {"inner-derivations": 3, "derivations": 3, "criterion-maps": 16}
@@ -70,7 +70,7 @@ class TestRefutationWitnesses:
         }
 
     def test_derivation_failing_a_degree_2_membership(self, monkeypatch):
-        monkeypatch.setattr(fm, "derivation_space", lambda a: fm.MapSpace.full(a.dim))
+        monkeypatch.setattr(fm, "derivation_space", lambda a, **_: fm.MapSpace.full(a.dim))
         report = fa.verify_derivation_criterion(corpus_algebra("QS3"))
         assert report.verdict == "REFUTATION"
         assert report.spaces == {"inner-derivations": 3, "derivations": 36, "criterion-maps": 3}
@@ -83,7 +83,7 @@ class TestRefutationWitnesses:
     def test_derivation_failing_a_degree_3_membership(self, monkeypatch):
         a = corpus_algebra("QS3")
         space = _degree2_space(a)
-        monkeypatch.setattr(fm, "derivation_space", lambda _: space)
+        monkeypatch.setattr(fm, "derivation_space", lambda a, **_: space)
         report = fa.verify_derivation_criterion(a)
         assert report.verdict == "REFUTATION"
         assert report.spaces == {"inner-derivations": 3, "derivations": 6, "criterion-maps": 3}
