@@ -33,7 +33,8 @@ from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
-from .linalg import _ONE, _ZERO, Mat, Subspace, Vec, _exact, as_vector, kernel_from_constraints
+from .linalg import _ONE, _ZERO, Mat, Subspace, Vec, _exact, _nonzeros, _span, as_vector
+from .linalg import kernel_from_constraints
 
 
 class AssociativityError(ValueError):
@@ -635,6 +636,24 @@ def center(a: FinAlgebra) -> Subspace:
     return kernel_from_constraints(d, rows())
 
 
+def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
+    """v + A v (side "left") or v + v A (side "right")."""
+    terms = a.product_terms if side == "left" else lambda i, j: a.product_terms(j, i)
+    rows = [_nonzeros(u) for u in v.basis]
+    products = [[(k, x * c) for j, x in u for k, c in terms(i, j)] for u in rows for i in range(a.dim)]
+    return _span(a.dim, rows + products)
+
+
+def _unclosed_side(a: FinAlgebra, v: Subspace) -> str | None:
+    """The first of "left" and "right" on whose side A moves the subspace v
+    out of itself, or None when v is a two-sided ideal: v + A v holds v, so
+    it is v exactly when it has v's dimension, and so is v + v A."""
+    for side in ("left", "right"):
+        if _with_products(a, v, side).dim != v.dim:
+            return side
+    return None
+
+
 def quotient_algebra(a: FinAlgebra, ideal: Subspace) -> FinAlgebra:
     """The quotient A / I for a two-sided ideal I, on the non-pivot coordinates.
 
@@ -643,12 +662,9 @@ def quotient_algebra(a: FinAlgebra, ideal: Subspace) -> FinAlgebra:
     """
     if ideal.ambient_dim != a.dim:
         raise ValueError("ideal lives in a different ambient space")
-    for u in ideal.basis:
-        for i in range(a.dim):
-            if not ideal.contains_vector(a.mul_basis(i, u, "left")):
-                raise ValueError("subspace is not a left ideal")
-            if not ideal.contains_vector(a.mul_basis(i, u, "right")):
-                raise ValueError("subspace is not a right ideal")
+    side = _unclosed_side(a, ideal)
+    if side is not None:
+        raise ValueError(f"subspace is not a {side} ideal")
     pivot_set = set(ideal.pivots)
     keep = [q for q in range(a.dim) if q not in pivot_set]
     terms = [

@@ -25,8 +25,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
+from operator import is_not, itemgetter
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -331,11 +332,15 @@ class Subspace:
     pivots: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
+        n = self.ambient_dim
         pivots: list[int] = []
         for i, row in enumerate(self.basis):
-            if len(row) != self.ambient_dim:
+            if len(row) != n:
                 raise ValueError("basis row has wrong length")
-            lead = next((j for j, x in enumerate(row) if x), None)
+            # Entries that are the shared `_ZERO`, as the eliminations fill
+            # in, are passed over by identity, without a call to
+            # `Fraction.__bool__`; any other entry is tested for zero.
+            lead = next((j for j in compress(range(n), map(is_not, row, repeat(_ZERO))) if row[j]), None)
             if lead is None:
                 raise ValueError("zero basis row")
             if pivots and lead <= pivots[-1]:
@@ -344,7 +349,8 @@ class Subspace:
                 raise ValueError("pivot entries must be 1")
             # Later rows are zero left of their leads, so at the pivots
             # found so far; only the earlier rows remain to check here.
-            if any(earlier[lead] for earlier in self.basis[:i]):
+            column = [*map(itemgetter(lead), self.basis[:i])]
+            if any(map(is_not, column, repeat(_ZERO))) and any(column):
                 raise ValueError("pivot columns must be zero in other rows")
             pivots.append(lead)
         object.__setattr__(self, "pivots", tuple(pivots))

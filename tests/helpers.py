@@ -218,6 +218,18 @@ def is_ideal_direct(a: fa.FinAlgebra, sub: fa.Subspace) -> bool:
     return True
 
 
+def unclosed_side_oracle(a: fa.FinAlgebra, sub: fa.Subspace) -> str | None:
+    """The first of "left" and "right" on which a product b_i u (left) or
+    u b_i (right), u in the basis of sub, leaves sub, by dense products and
+    reductions; None for a two-sided ideal."""
+    for side in ("left", "right"):
+        for u in sub.basis:
+            for i in range(a.dim):
+                if not sub.contains_vector(a.mul_basis(i, u, side)):
+                    return side
+    return None
+
+
 def largest_ideal_oracle(a: fa.FinAlgebra, v: fa.Subspace) -> fa.Subspace:
     """The largest ideal inside v as a decreasing fixed point:
     V_{t+1} = {x in V_t : b_i x and x b_i in V_t for all i}, solved in the

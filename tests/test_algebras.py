@@ -741,6 +741,17 @@ class TestQuotient:
         with pytest.raises(ValueError, match="ideal"):
             fa.quotient_algebra(a, line)
 
+    def test_one_sided_ideals_name_the_side_that_fails(self):
+        # On M2 (e11, e12, e21, e22) the first column is a left ideal and the
+        # first row a right one; neither is two-sided.
+        a = fa.build_matrix_algebra(2)
+        column = fa.Subspace.from_rows(4, [(1, 0, 0, 0), (0, 0, 1, 0)])
+        row = fa.Subspace.from_rows(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+        with pytest.raises(ValueError, match="^subspace is not a right ideal$"):
+            fa.quotient_algebra(a, column)
+        with pytest.raises(ValueError, match="^subspace is not a left ideal$"):
+            fa.quotient_algebra(a, row)
+
     def test_quotient_by_whole_algebra_is_zero_dimensional(self):
         a = zero_product_algebra(2)
         q = fa.quotient_algebra(a, fa.Subspace.full(2))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg.linalg import Mat, Subspace, _kernel, _span, kernel_from_constraints, parse_rational
+from finalg.linalg import _ONE, _ZERO, Mat, Subspace, _kernel, _span, kernel_from_constraints, parse_rational
 from helpers import Infeasible, from_rows_oracle, null_space_oracle, rref_oracle, solve_affine
 
 F = Fraction
@@ -270,6 +270,16 @@ class TestSubspaceLattice:
             Subspace(2, ((F(1), F(0)), (F(0), F(0))))
         with pytest.raises(ValueError, match="zero in other rows"):
             Subspace(3, ((F(1), F(2), F(0)), (F(0), F(1), F(1))))  # row 0 at pivot 1
+        # the same with the shared zero that eliminations fill in, and with
+        # int zeros, which are not that object
+        zero, one = _ZERO, _ONE
+        with pytest.raises(ValueError, match="zero basis row"):
+            Subspace(2, ((one, zero), (zero, 0)))
+        with pytest.raises(ValueError, match="zero in other rows"):
+            Subspace(3, ((one, F(2), zero), (zero, one, one)))
+        with pytest.raises(ValueError, match="zero in other rows"):
+            Subspace(3, ((one, 0, F(2)), (0, one, zero), (zero, 0, one)))
+        assert Subspace(3, ((one, 0, F(2)), (zero, one, zero))).pivots == (0, 1)
 
     @given(subspaces(), st.data())
     @settings(max_examples=40)

@@ -916,14 +916,17 @@ class TestCapSize:
         assert fa.jordan_derivation_space(a).dim == 14
 
 
-# The members of `TestCapSize` up to d = 25, and T5.
+# The members of `TestCapSize` up to d = 25, T4, T5 and a seeded dense
+# copy of T4.
 BUILDS = {
     "QS4": lambda: fa.build_group_algebra(fa.symmetric_group(4)),
     "QS3tM2": lambda: fa.tensor_product(
         fa.build_group_algebra(fa.symmetric_group(3)), fa.build_matrix_algebra(2)),
     "M4": lambda: fa.build_matrix_algebra(4),
     "M5": lambda: fa.build_matrix_algebra(5),
+    "T4": lambda: fa.build_upper_triangular(4),
     "T5": lambda: fa.build_upper_triangular(5),
+    "dense-T4": lambda: dense_copy(fa.build_upper_triangular(4), Random(1)),
 }
 
 
@@ -936,9 +939,27 @@ def _floor_members():
     return members + list(non_unital_algebras())
 
 
+def _counting_rows(monkeypatch):
+    """Counts, per system, the rows `_constraint_rows` hands out from now on."""
+    rows = fm._constraint_rows
+    pulled = {}
+
+    def counted(a, identities):
+        system = "criterion" if identities == fm._CRITERION else "derivation"
+        pulled.setdefault(system, 0)
+        for row in rows(a, identities):
+            pulled[system] += 1
+            yield row
+
+    monkeypatch.setattr(fm, "_constraint_rows", counted)
+    return pulled
+
+
 # name -> system -> (rows pulled with the inner floor, rows in the full
 # stream).  The criterion maps of T5 (dimension 150) hold more than the 14
-# inner derivations, so that solve never stops early.
+# inner derivations, so a criterion solve floored at Inn alone never stops
+# early; `verify_derivation_criterion` floors it at Inn + Hom(A, I), see
+# `VERIFY_CRITERION_ROWS`.
 FLOORED_ROWS = {
     "QS4": {"derivation": (3748, 13824), "criterion": (1764, 14500)},
     "QS3tM2": {"derivation": (4175, 11808), "criterion": (1422, 8364)},
@@ -963,21 +984,13 @@ class TestInnerFloor:
     def test_rows_pulled(self, name, monkeypatch):
         a = BUILDS[name]()
         inner = fa.inner_derivation_space(a)
-        rows = fm._constraint_rows
-        pulled = []
-
-        def counted(a, identities):
-            for row in rows(a, identities):
-                pulled[-1] += 1
-                yield row
-
-        monkeypatch.setattr(fm, "_constraint_rows", counted)
+        pulled = _counting_rows(monkeypatch)
         for system, expected in FLOORED_ROWS[name].items():
             seen = []
             for floor in (inner, None):
-                pulled.append(0)
+                pulled.clear()
                 FLOORED_SPACES[system](a, floor=floor)
-                seen.append(pulled[-1])
+                seen.append(pulled[system])
             assert tuple(seen) == expected, (name, system)
 
     @pytest.mark.parametrize("system", sorted(FLOORED_SPACES))
@@ -999,6 +1012,74 @@ class TestInnerFloor:
         with pytest.raises(fa.InternalError):
             FLOORED_SPACES[system](a, floor=fa.MapSpace(9, units))
         assert stopped == [8]
+
+
+# name -> (criterion rows that verify pulls with the floor Inn + Hom(A, I),
+# rows in the full stream).  On T_n, I = [A, A] is the strictly upper
+# triangular N and the criterion maps are exactly Hom(A, N), of dimension
+# d dim N: 150 on T5, 60 on T4 and its dense copy.
+VERIFY_CRITERION_ROWS = {
+    "T4": (70, 80),
+    "T5": (135, 150),
+    "dense-T4": (115, 1069),
+}
+
+
+class TestCriterionFloor:
+    """The criterion solve of `verify_derivation_criterion`, floored at
+    Inn + Hom(A, I) for I the largest ideal of A inside [A, A]."""
+
+    def test_floor_lies_in_the_criterion_maps(self):
+        """On every member that is not commutator-simple, each basis map of
+        the floor passes the pointwise check, the floor is the plain span of
+        Inn and the maps u (x) e_t, and the floored solve is the full one."""
+        checked = []
+        for name, a in _floor_members():
+            simplicity = fa.is_commutator_simple(a)
+            if simplicity:
+                continue
+            checked.append(name)
+            inner = fa.inner_derivation_space(a)
+            floor = fm._criterion_floor(a, inner, simplicity)
+            d = a.dim
+            units = [[u[s // d] if s % d == t else 0 for s in range(d * d)]
+                     for u in simplicity.witness.ideal.basis for t in range(d)]
+            assert floor.space == fa.Subspace.from_rows(d * d, list(inner.space.basis) + units), name
+            for m in floor.basis_maps():
+                assert fm._first_violation(a, fm._CRITERION, m, "tuple") is None, name
+            full = fa.derivation_criterion_space(a)
+            assert fa.derivation_criterion_space(a, floor=floor).space == full.space, name
+        # T_n and their dense copies, and algebras without a unit, among them
+        # ones where Inn does not map into I (on N3 x M2, I is the line of
+        # e13 and [A, A] = I + sl2)
+        assert {"T2", "T3", "dense-T2", "dense-T3", "T4", "T5", "dense-T4", "N3xM2"} <= set(checked)
+
+    def test_floor_is_inn_on_commutator_simple_algebras(self):
+        for name in ("M2", "QS3", "QD4"):
+            a = corpus_algebra(name)
+            inner = fa.inner_derivation_space(a)
+            assert fm._criterion_floor(a, inner, fa.is_commutator_simple(a)) is inner
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_CRITERION_ROWS))
+    def test_rows_verify_pulls(self, name, monkeypatch):
+        a = BUILDS[name]()
+        pulled = _counting_rows(monkeypatch)
+        report = fa.verify_derivation_criterion(a)
+        seen = pulled.pop("criterion")
+        fa.derivation_criterion_space(a)
+        assert (seen, pulled["criterion"]) == VERIFY_CRITERION_ROWS[name]
+        assert report.spaces["criterion-maps"] == a.dim * fa.commutator_subspace(a).dim
+
+    def test_a_floor_outside_the_criterion_maps_is_an_internal_error(self):
+        """On M3, Hom(A, [A, A]) holds maps outside the criterion maps, the
+        8 inner derivations: the solve stops at its dimension, 72, at a
+        kernel that is not that floor."""
+        a = corpus_algebra("M3")
+        floor = fm._maps_into(a, fa.commutator_subspace(a))
+        assert floor.dim == 72
+        assert any(fm._first_violation(a, fm._CRITERION, m, "tuple") for m in floor.basis_maps())
+        with pytest.raises(fa.InternalError, match="stopped at its floor"):
+            fa.derivation_criterion_space(a, floor=floor)
 
 
 SYSTEMS = {

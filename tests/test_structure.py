@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 import finalg as fa
+from finalg.algebras import _unclosed_side
 from finalg.structure import _common_gram_radical, gram_columns
 from helpers import (
     SEMIPRIME_NAMES,
@@ -25,6 +26,7 @@ from helpers import (
     row_algebra,
     trace_functional_from_covector,
     trace_space_oracle,
+    unclosed_side_oracle,
     zero_product_algebra,
 )
 
@@ -405,6 +407,15 @@ class TestClosedFormsAgainstOracles:
         for name, a in _oracle_algebras():
             for v in _test_subspaces(a, rng):
                 assert fa.largest_ideal_within(a, v) == largest_ideal_oracle(a, v), name
+
+    def test_unclosed_side_matches_the_dense_products(self):
+        """The side, left first, on which A moves a subspace out of itself,
+        decided by one span per side, against the dense product loop that
+        the simplicity witness and the quotient re-checked with before."""
+        rng = Random(9)
+        for name, a in _oracle_algebras() + _dense_corpus():
+            for v in _test_subspaces(a, rng):
+                assert _unclosed_side(a, v) == unclosed_side_oracle(a, v), name
 
     def test_ideal_closure_matches_the_fixed_point(self):
         rng = Random(8)
