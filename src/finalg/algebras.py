@@ -33,7 +33,7 @@ from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
-from .linalg import _ONE, _ZERO, Mat, Subspace, Vec, _exact, _nonzeros, _span, as_vector
+from .linalg import _ONE, _ZERO, Mat, Subspace, Vec, _combination, _exact, _nonzeros, _span, as_vector
 from .linalg import kernel_from_constraints
 
 
@@ -149,20 +149,11 @@ class FinAlgebra:
         return tuple(out)
 
     def mul_basis(self, i: int, v: Sequence[Fraction], side: str = "left") -> Vec:
-        """b_i * v (left) or v * b_i (right) without building a basis vector."""
-        out = [_ZERO] * self.dim
-        pairs = self._pairs
-        if side == "left":
-            for j, vj in enumerate(v):
-                if vj:
-                    for k, coef in pairs[i][j]:
-                        out[k] += vj * coef
-        else:
-            for j, vj in enumerate(v):
-                if vj:
-                    for k, coef in pairs[j][i]:
-                        out[k] += vj * coef
-        return tuple(out)
+        """b_i * v (left) or v * b_i (right)."""
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        b = self.basis_element(i).coeffs
+        return self.mul(b, v) if side == "left" else self.mul(v, b)
 
     # -- public interface ----------------------------------------------------
 
@@ -293,16 +284,6 @@ def _first_failure(pairs, middles) -> tuple | None:
                 if left != right:
                     return (i, j, k), left, right
     return None
-
-
-def _combination(weighted) -> dict[int, Fraction | int]:
-    """sum of w c b_k over the (w, terms) given, terms the (k, c) of a basis
-    product, as its nonzero k -> coefficient."""
-    out: dict[int, Fraction | int] = {}
-    for w, terms in weighted:
-        for k, c in terms:
-            out[k] = out.get(k, 0) + w * c
-    return {k: x for k, x in out.items() if x}
 
 
 def _checked_terms(pairs, dim: int) -> tuple:
@@ -619,19 +600,25 @@ def adjoin_unit(a: FinAlgebra) -> FinAlgebra:
     return FinAlgebra(terms, unit, labels)
 
 
+def _bracket(a: FinAlgebra, i: int, j: int) -> dict[int, Fraction | int]:
+    """[b_i, b_j] = b_i b_j - b_j b_i as its nonzero k -> coefficient."""
+    return _combination(((1, a.product_terms(i, j)), (-1, a.product_terms(j, i))))
+
+
 def center(a: FinAlgebra) -> Subspace:
-    """{x : x b_i = b_i x for all i}, computed as a kernel."""
+    """{x : x b_s = b_s x for the generators b_s of A}, computed as a kernel.
+    The elements that commute with x form a subalgebra, so one that holds
+    the generators is A, and this is the center."""
     d = a.dim
 
     def rows():
-        for i in range(d):
-            brackets = [
-                tuple(x - y for x, y in zip(a.product(j, i), a.product(i, j))) for j in range(d)
-            ]
-            for k in range(d):
-                row = [(j, bracket[k]) for j, bracket in enumerate(brackets) if bracket[k]]
-                if row:
-                    yield row
+        for s in a.generators:
+            # row k holds the k-th coordinates of the [b_j, b_s]
+            by_coordinate = [[] for _ in range(d)]
+            for j in range(d):
+                for k, c in _bracket(a, j, s).items():
+                    by_coordinate[k].append((j, c))
+            yield from filter(None, by_coordinate)
 
     return kernel_from_constraints(d, rows())
 

@@ -165,7 +165,7 @@ def _run_analyze(path: str, max_dim: int | None) -> Report:
 
     simplicity = structure.is_commutator_simple(algebra)
     sec = rep.section("commutator")
-    products = structure.product_span(algebra)
+    products = algebra.derived(structure.product_span)
     sec.add("dim-products", products.dim)
     sec.add("dim-commutators", simplicity.commutators.dim)
     sec.add("commutator-simple", bool(simplicity))
@@ -179,7 +179,7 @@ def _run_analyze(path: str, max_dim: int | None) -> Report:
     sec.add("dim-radical", rad.dim)
     sec.add("semiprime", rad.dim == 0)
 
-    basis = structure.trace_functional_space(algebra, products)
+    basis = structure.trace_functional_space(algebra)
     forms = structure._gram_forms(algebra, basis)
     common = structure._common_gram_radical(algebra, basis, forms)
     sec = rep.section("trace")

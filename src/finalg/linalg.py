@@ -63,6 +63,27 @@ def _nonzeros(v: Iterable) -> list[tuple[int, Fraction | int]]:
     return [(j, _exact(x)) for j, x in enumerate(v) if x]
 
 
+def _combination(scaled) -> dict:
+    """The sparse sum of c v over the pairs (c, v), v given by its
+    (index, value) pairs, without zeros."""
+    total: dict[int, Fraction | int] = {}
+    for c, vec in scaled:
+        for k, x in vec:
+            _accumulate(total, k, c * x)
+    return total
+
+
+def _accumulate(row: dict[int, Fraction], idx: int, value: Fraction) -> None:
+    """Add value to row[idx], leaving the entry out when the sum is zero."""
+    total = row.get(idx)
+    if total is None:
+        row[idx] = value
+    elif total := total + value:
+        row[idx] = total
+    else:
+        del row[idx]
+
+
 def as_vector(values: Iterable) -> Vec:
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
@@ -430,7 +451,7 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._ambient_check(other)
-        return Subspace.from_rows(self.ambient_dim, self.basis + other.basis)
+        return _span(self.ambient_dim, [_nonzeros(u) for u in self.basis + other.basis])
 
     def __and__(self, other: "Subspace") -> "Subspace":
         self._ambient_check(other)
@@ -438,8 +459,6 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """Covectors vanishing on this subspace (kernel of the stacked basis)."""
-        if not self.basis:
-            return Subspace.full(self.ambient_dim)
         n = self.ambient_dim
         return _span(n, _null_rows(self.basis, self.pivots, n))
 

@@ -39,15 +39,16 @@ term H b_z gives f(H b_z) = (G_f H)_z, for the Gram form G_f[u][v] =
 f(b_u b_v), which is symmetric, and a term H T(b_z) gives ((G_f H) T)_z.
 So each f gives one covector over z per prefix, added up from the sparse
 columns of G_f and those columns times T, and the least z at which one is
-nonzero is the first failing tuple.  The Gram columns are built once per
-algebra by `structure.gram_columns`, from the product table `FinAlgebra`
-keeps.
+nonzero is the first failing tuple.  The covectors and their Gram columns
+are built once per algebra by `structure._commutator_forms`, from the
+product table `FinAlgebra` keeps.
 
 The Leibniz rule and both multiplicativity identities are closed in their
 first letter: the x at which one holds for every y form a subalgebra.  So
-they are decided at the pairs whose first letter is one of the generators S
-of A (`FinAlgebra.generators`), d |S| of the d^2, and every pair is scanned
-in order only after one of those fails, for the first failing pair.  The
+`_first_violation` decides them at the pairs whose first letter is one of
+the generators S of A (`FinAlgebra.generators`), d |S| of the d^2, and
+scans every pair in order only after one of those fails, for the first
+failing pair; a map passes exactly when it returns None.  The
 verdicts that follow from them are not checked again: a homomorphism or an
 antihomomorphism satisfies the Jordan identity, and the cubic condition
 when T - id maps A into [A, A]; a derivation is a local derivation.
@@ -61,10 +62,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .algebras import Element, FinAlgebra, random_element
-from .linalg import _ONE, _ZERO, InternalError, Mat, Subspace, Vec, _exact, _kernel, _nonzeros, _null_vectors
-from .linalg import _span, kernel_from_constraints
-from .structure import commutator_subspace, gram_columns
+from .algebras import Element, FinAlgebra, _bracket, random_element
+from .linalg import _ONE, _ZERO, InternalError, Mat, Subspace, Vec, _accumulate, _combination, _exact, _kernel
+from .linalg import _nonzeros, _null_vectors, _span, kernel_from_constraints
+from .structure import _commutator_covectors, _commutator_forms
 from .structure import SimplicityVerdict, is_commutator_simple, is_semiprime
 
 VERDICT_VERIFIED = "verified"
@@ -239,18 +240,6 @@ _CUBIC = _Identity(
 )
 
 
-def _commutator_covectors(a: FinAlgebra) -> tuple:
-    """The canonical basis of the covectors f vanishing on [A, A]: r in
-    [A, A] iff all f(r) = 0."""
-    return a.derived(commutator_subspace).annihilator().basis
-
-
-def _commutator_forms(a: FinAlgebra) -> list:
-    """The Gram columns r -> [(k, f(b_k b_r))] (`gram_columns`) of each f of
-    `_commutator_covectors`."""
-    return [gram_columns(a, f) for f in a.derived(_commutator_covectors)]
-
-
 def _constraint_rows(a: FinAlgebra, identities):
     """Sparse rows, over the row-major entries D[k][t] of D, of identities
     linear in D: a term L D(M) R puts M_t (L b_k R)_r on D[k][t] in the row
@@ -371,16 +360,14 @@ def _letters_at(positions):
     return operator.itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
-def _first_violation(a: FinAlgebra, identities, t: Mat, key: str, letters=None) -> dict | None:
+def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None:
     """The first basis tuple, under `key`, at which the map t fails one of
     the identities, with both evaluated sides, or with the residual lhs - rhs
     for identities modulo [A, A]; None when t satisfies them all.
 
     A closed identity is first decided at the tuples whose first letter is a
     generator of A, when those are not every index, and the ordered scan
-    runs only when one of them fails.  With `letters`, only the tuples whose
-    first letter is among these indices are read, and the first failing one
-    among them is returned.
+    runs only when one of them fails.
 
     Terms are sparse, from `product_terms` and the nonzero entries of each
     T(b_j).  Modulo [A, A] the tuples are read per prefix, the tuple without
@@ -417,12 +404,12 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str, letters=None) 
         values = [(s, value(tuple((m, _at(tup, p)) for m, p in fs))) for s, fs in identity.terms]
         return [_combination((1, v) for s, v in values if s == side) for side in (1, -1)]
 
-    def failing(identity, letters):
+    def failing(identity, first=None):
         """The tuples at which the identity fails, in `tuples` order, with
-        letters, only those whose first letter is among them; modulo [A, A],
-        only the first."""
+        `first`, only those whose first letter is among these indices;
+        modulo [A, A], only the first."""
         if not identity.modulo_commutators:
-            for tup in identity.tuples(d, first=letters):
+            for tup in identity.tuples(d, first=first):
                 if operator.ne(*sides(identity, tup)):
                     yield tup
             return
@@ -449,10 +436,9 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str, letters=None) 
 
     generators = a.generators
     for identity in identities:
-        if (letters is None and identity.closed and len(generators) < d
-                and next(failing(identity, generators), None) is None):
+        if identity.closed and len(generators) < d and next(failing(identity, generators), None) is None:
             continue
-        for tup in failing(identity, letters):
+        for tup in failing(identity):
             lhs, rhs = (tuple(_ZERO + side.get(r, 0) for r in range(d)) for side in sides(identity, tup))
             if forms is not None:
                 return {key: tup, "value": tuple(x - y for x, y in zip(lhs, rhs))}
@@ -460,26 +446,10 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str, letters=None) 
     return None
 
 
-def _holds(a: FinAlgebra, identity: _Identity, t: Mat) -> bool:
-    """Whether t satisfies a closed identity, read only at the d |S| tuples
-    whose first letter is one of the generators S of A."""
-    return _first_violation(a, (identity,), t, "pair", a.generators) is None
-
-
 def _images(t: Mat) -> list:
     """Each column T(b_j) of the map t as its nonzero (k, value) pairs, k
     increasing, integral values as int."""
     return [[(k, _exact(x)) for k, row in enumerate(t.data) if (x := row[j])] for j in range(t.cols)]
-
-
-def _combination(scaled) -> dict:
-    """The sparse sum of c v over the pairs (c, v), v given by its
-    (index, value) pairs, without zeros."""
-    total: dict[int, Fraction | int] = {}
-    for c, vec in scaled:
-        for k, x in vec:
-            _accumulate(total, k, c * x)
-    return total
 
 
 def _solve(a: FinAlgebra, *identities: _Identity, floor: MapSpace | None = None) -> MapSpace:
@@ -502,16 +472,6 @@ def _terms(a: FinAlgebra, word: tuple[int, ...]):
     return ((word[0], 1),) if len(word) == 1 else a.product_terms(word[0], word[1])
 
 
-def _accumulate(row: dict[int, Fraction], idx: int, value: Fraction) -> None:
-    total = row.get(idx)
-    if total is None:
-        row[idx] = value
-    elif total := total + value:
-        row[idx] = total
-    else:
-        del row[idx]
-
-
 def _at(tup: tuple[int, ...], positions: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([tup[p] for p in positions])
 
@@ -527,13 +487,7 @@ def inner_derivation_space(a: FinAlgebra) -> MapSpace:
     """The span of the maps ad_{b_k} : x -> [x, b_k] = x b_k - b_k x.  The
     row-major flattening of ad_{b_k} holds (b_j b_k - b_k b_j)_s at s d + j."""
     d = a.dim
-    rows = []
-    for k in range(d):
-        row = []
-        for j in range(d):
-            row += [(s * d + j, c) for s, c in a.product_terms(j, k)]
-            row += [(s * d + j, -c) for s, c in a.product_terms(k, j)]
-        rows.append(row)
+    rows = [[(s * d + j, c) for j in range(d) for s, c in _bracket(a, j, k).items()] for k in range(d)]
     return MapSpace(d, _span(d * d, rows))
 
 
@@ -572,8 +526,7 @@ def _criterion_floor(a: FinAlgebra, inner: MapSpace, simplicity: SimplicityVerdi
     into = _maps_into(a, ideal)
     if ideal.dim == simplicity.commutators.dim:
         return into
-    rows = [_nonzeros(m) for m in inner.space.basis + into.space.basis]
-    return MapSpace(a.dim, _span(a.dim ** 2, rows))
+    return MapSpace(a.dim, inner.space + into.space)
 
 
 def derivation_criterion_space(a: FinAlgebra, *, floor: MapSpace | None = None) -> MapSpace:
@@ -695,7 +648,7 @@ def local_derivation_test(a: FinAlgebra, d_map: Mat, seed: int, samples: int) ->
         raise ValueError("samples must be at least 1")
     _square_check(a, d_map)
     d = a.dim
-    if _holds(a, _LEIBNIZ, d_map):
+    if _first_violation(a, (_LEIBNIZ,), d_map, "pair") is None:
         return LocalDerivationResult(True, None, (a.unit is not None) + d + samples)
     columns = [_images(e) for e in derivation_space(a).basis_maps()]
     images = _images(d_map)
@@ -772,7 +725,9 @@ def verify_jordan_criterion(a: FinAlgebra, t: Mat) -> VerificationReport:
     rank = _span(d, images).dim
     surjective = rank == d
     unit_preserved = unital and t.apply(a.unit) == a.unit
-    homo, anti = (_holds(a, identity, t) for identity in _MULTIPLICATIVITY.values())
+    homo, anti = (
+        _first_violation(a, (identity,), t, "pair") is None for identity in _MULTIPLICATIVITY.values()
+    )
     if (homo or anti) and all(
         sum((f[k] * x for k, x in images[i]), _ZERO) == f[i]
         for f in a.derived(_commutator_covectors)

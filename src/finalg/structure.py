@@ -9,7 +9,10 @@ a kernel or a span each, so nothing iterates to a fixed point.
 A covector f is read through the products only by `gram_columns`: the rows
 or columns of its Gram form G[u][v] = f(b_u b_v), from `FinAlgebra`'s own
 product table.  The stable parts, the radical, the Gram matrices and
-their common radical read it, and so do the tests modulo [A, A] in `maps`.
+their common radical read it.  So do the tests modulo [A, A] in `maps`,
+through the covectors that vanish on [A, A] and their Gram forms, which
+are built here once per algebra (`_commutator_covectors`,
+`_commutator_forms`) and shared with the trace functionals.
 """
 
 from __future__ import annotations
@@ -19,11 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .algebras import Element, FinAlgebra, _unclosed_side, _with_products
-from .linalg import InternalError, Mat, Subspace, Vec, _exact, _nonzeros, _span, as_vector, dot
+from .algebras import Element, FinAlgebra, _bracket, _unclosed_side, _with_products
+from .linalg import _ZERO, InternalError, Mat, Subspace, Vec, _exact, _span, as_vector, dot
 from .linalg import kernel_from_constraints
-
-_ZERO = Fraction(0)
 
 
 def product_span(a: FinAlgebra) -> Subspace:
@@ -36,11 +37,13 @@ def product_span(a: FinAlgebra) -> Subspace:
 
 def commutator_subspace(a: FinAlgebra) -> Subspace:
     """[A, A]: the span of the basis-pair commutators b_i b_j - b_j b_i."""
-    return _span(a.dim, [
-        [*a.product_terms(i, j), *((k, -c) for k, c in a.product_terms(j, i))]
-        for i in range(a.dim)
-        for j in range(i + 1, a.dim)
-    ])
+    return _span(a.dim, [_bracket(a, i, j).items() for i in range(a.dim) for j in range(i + 1, a.dim)])
+
+
+def _commutator_covectors(a: FinAlgebra) -> tuple:
+    """The canonical basis of the covectors f vanishing on [A, A]: r in
+    [A, A] iff all f(r) = 0."""
+    return a.derived(commutator_subspace).annihilator().basis
 
 
 def gram_columns(a: FinAlgebra, f, side: str = "right") -> list:
@@ -54,6 +57,12 @@ def gram_columns(a: FinAlgebra, f, side: str = "right") -> list:
         [(k, _exact(g)) for k in basis if (g := sum(c * f[s] for s, c in terms(u, k)))]
         for u in basis
     ]
+
+
+def _commutator_forms(a: FinAlgebra) -> list:
+    """The Gram columns r -> [(k, f(b_k b_r))] (`gram_columns`) of each f of
+    `_commutator_covectors`."""
+    return [gram_columns(a, f) for f in a.derived(_commutator_covectors)]
 
 
 def _stable_part(a: FinAlgebra, covectors, side: str) -> Subspace:
@@ -120,7 +129,7 @@ def is_commutator_simple(a: FinAlgebra) -> SimplicityVerdict:
     side = _unclosed_side(a, ideal)
     if side is not None:
         raise InternalError(f"internal error: witness is not a {side} ideal")
-    if _span(a.dim, [_nonzeros(u) for u in commutators.basis + ideal.basis]).dim != commutators.dim:
+    if (commutators + ideal).dim != commutators.dim:
         raise InternalError("internal error: witness escapes the commutator subspace")
     certificate = (
         f"verified A*I <= I, I*A <= I, and I <= [A,A] for dim-{ideal.dim} ideal I"
@@ -198,20 +207,16 @@ def _validate_trace(a: FinAlgebra, tf: TraceFunctional) -> None:
                 )
 
 
-def trace_functional_space(
-    a: FinAlgebra, domain: Subspace | None = None
-) -> tuple[TraceFunctional, ...]:
+def trace_functional_space(a: FinAlgebra) -> tuple[TraceFunctional, ...]:
     """A basis of all functionals on A^2 with t(b_i b_j) = t(b_j b_i).
 
     These are the functionals on A^2 vanishing on [A,A], which lies in
     A^2.  Each extends to a covector on A vanishing on [A,A], so they are
     the restrictions of those covectors to the canonical basis of A^2, and
     the returned basis is the canonical one of that span of restrictions.
-    ``domain`` is A^2 (``product_span``) when the caller has it already.
     """
-    if domain is None:
-        domain = product_span(a)
-    covectors = a.derived(commutator_subspace).annihilator().basis
+    domain = a.derived(product_span)
+    covectors = a.derived(_commutator_covectors)
     restricted = _span(
         domain.dim, [[(t, x) for t, u in enumerate(domain.basis) if (x := dot(f, u))] for f in covectors]
     )

@@ -610,6 +610,24 @@ def product_span_oracle(a: fa.FinAlgebra) -> fa.Subspace:
     )
 
 
+def center_oracle(a: fa.FinAlgebra) -> fa.Subspace:
+    """{x : x b_i = b_i x for all i}, as a kernel over every basis index,
+    with each bracket built from the dense products."""
+    d = a.dim
+
+    def rows():
+        for i in range(d):
+            brackets = [
+                tuple(x - y for x, y in zip(a.product(j, i), a.product(i, j))) for j in range(d)
+            ]
+            for k in range(d):
+                row = [(j, bracket[k]) for j, bracket in enumerate(brackets) if bracket[k]]
+                if row:
+                    yield row
+
+    return fa.kernel_from_constraints(d, rows())
+
+
 def first_violation_oracle(a: fa.FinAlgebra, identities, t: fa.Mat, key: str):
     """The first basis tuple, under `key`, at which t fails one of the
     identities (none modulo [A, A]), read from the program's `_Identity`

@@ -12,6 +12,7 @@ from helpers import (
     adjoin_unit_oracle,
     algebra_from_tensor,
     associativity_oracle,
+    center_oracle,
     corpus,
     corpus_algebra,
     dense_copy,
@@ -456,6 +457,22 @@ class TestProductTable:
             assert all(type(v) is Fraction for v in values), name
         assert seen == {int, Fraction}
 
+    def test_mul_basis_agrees_with_the_multiplication_operator(self):
+        rng = Random(7)
+        for name, a in _table_members():
+            v = fa.random_element(a, rng).coeffs
+            for i, side in itertools.product(range(a.dim), ("left", "right")):
+                expected = a.mult_operator(a.basis_element(i), side).apply(v)
+                assert a.mul_basis(i, v, side) == expected, name
+
+    def test_mul_basis_checks_its_index_and_side(self):
+        a = corpus_algebra("M2")
+        for i in (-1, a.dim):
+            with pytest.raises(ValueError, match="basis index out of range"):
+                a.mul_basis(i, a.unit)
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            a.mul_basis(0, a.unit, "up")
+
     def test_shape_is_checked(self):
         for terms in ([[()], [(), ()]], [[(), ()]], [[(), ()], [()]]):
             with pytest.raises(ValueError, match="dim x dim"):
@@ -723,6 +740,27 @@ class TestCenter:
             for g in cls:
                 vec[g] = F(1)
             assert z.contains_vector(vec)
+
+    @staticmethod
+    def _members():
+        """The product-table members above and M2 x M2."""
+        m2 = corpus_algebra("M2")
+        return [*_table_members(), ("M2xM2", fa.direct_product(m2, m2))]
+
+    def test_center_agrees_with_the_dense_kernel(self):
+        for name, a in self._members():
+            assert fa.center(a) == center_oracle(a), name
+
+    def test_every_generator_is_needed(self):
+        """Mutation: with the last generator left out, the kernel is the
+        centralizer of the others, which is larger on some member."""
+        differs = []
+        for name, a in self._members():
+            fewer = fa.FinAlgebra(_table(a), a.unit)
+            fewer.generators = fewer.generators[:-1]
+            if fa.center(fewer) != center_oracle(a):
+                differs.append(name)
+        assert "M2" in differs
 
 
 class TestQuotient:

@@ -493,12 +493,11 @@ class TestUsageAndErrors:
 
 class TestSharedSubspaces:
     """Each command computes [A, A] and the trace-functional space once;
-    maps imports commutator_subspace by name, so the counter is installed
-    in both modules."""
+    every reader of [A, A] reaches it through `structure`, so the counter
+    is installed there alone."""
 
     @pytest.fixture()
     def counted(self, monkeypatch):
-        import finalg.maps
         import finalg.structure
 
         calls = {"commutators": 0, "trace-space": 0}
@@ -511,7 +510,6 @@ class TestSharedSubspaces:
 
         commutators = counting("commutators", finalg.structure.commutator_subspace)
         monkeypatch.setattr(finalg.structure, "commutator_subspace", commutators)
-        monkeypatch.setattr(finalg.maps, "commutator_subspace", commutators)
         monkeypatch.setattr(
             finalg.structure, "trace_functional_space",
             counting("trace-space", finalg.structure.trace_functional_space),

@@ -254,10 +254,13 @@ class TestSubspaceLattice:
         assert ann.annihilator() == v
 
     def test_dimension_mismatch_rejected(self):
-        v = Subspace.zero(2)
-        w = Subspace.zero(3)
-        with pytest.raises(ValueError, match="ambient dimension"):
-            v + w
+        for v, w in ((Subspace.zero(2), Subspace.zero(3)), (Subspace.full(3), Subspace.full(2))):
+            with pytest.raises(ValueError, match="ambient dimension"):
+                v + w
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_annihilator_of_zero_is_full(self, n):
+        assert Subspace.zero(n).annihilator() == Subspace.full(n)
 
     def test_canonical_form_is_validated(self):
         with pytest.raises(ValueError):
@@ -384,9 +387,31 @@ def row_lists(draw):
     return n, data
 
 
+def _with_int_entries(v, as_int):
+    """The subspace v with its basis as given, or with every integral entry an int."""
+    if not as_int:
+        return v
+    return Subspace(v.ambient_dim, tuple(
+        tuple(x.numerator if x.denominator == 1 else x for x in u) for u in v.basis
+    ))
+
+
 class TestSpan:
-    """`Subspace.from_rows` and `_span`, which read rows sparsely, against the
-    dense `Mat` path."""
+    """`Subspace.from_rows`, `_span` and `Subspace.__add__`, which read rows
+    sparsely, against the dense `Mat` path."""
+
+    @given(row_lists(), st.data())
+    @settings(max_examples=150)
+    def test_sum_agrees_with_the_dense_span(self, case, data):
+        """v + w against the dense span of both bases, for the spans of two
+        parts of a row list, with integral entries held as int or Fraction."""
+        n, rows = case
+        cut = data.draw(st.integers(0, len(rows)))
+        v, w = (_with_int_entries(Subspace.from_rows(n, part), data.draw(st.booleans()))
+                for part in (rows[:cut], rows[cut:]))
+        total = v + w
+        assert total == from_rows_oracle(n, v.basis + w.basis)
+        assert all(type(x) is Fraction for u in total.basis for x in u)
 
     @given(row_lists())
     @settings(max_examples=300)

@@ -654,7 +654,6 @@ class TestGeneratorDecision:
         for t in _decision_maps(name, a, Random(149)):
             for identity, closed in CLOSED.items():
                 expected = first_violation_oracle(a, (closed,), t, "pair")
-                assert fm._holds(a, closed, t) == (expected is None)
                 # repr: the sides are Fractions, as the oracle's are
                 assert repr(fm._first_violation(a, (closed,), t, "pair")) == repr(expected)
                 verdicts[identity].add(expected is None)
@@ -722,7 +721,7 @@ class TestBlockSwap:
     def test_cubic_condition_fails_at_the_first_triple(self, monkeypatch):
         a = _m2xm2()
         swap = _block_swap(8)
-        assert fm._holds(a, fm._MULTIPLICATIVITY["homomorphism"], swap)
+        assert fm._first_violation(a, (fm._MULTIPLICATIVITY["homomorphism"],), swap, "pair") is None
         full = []
         check = fm.cubic_condition_check
         monkeypatch.setattr(fm, "cubic_condition_check", lambda *args: full.append(1) or check(*args))
