@@ -33,7 +33,7 @@ from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
-from .linalg import _ONE, _ZERO, Mat, Subspace, Vec, _combination, _exact, _nonzeros, _span, as_vector
+from .linalg import _ONE, _ZERO, Mat, Subspace, Vec, _combination, _exact, _int_rref, as_vector
 from .linalg import kernel_from_constraints
 
 
@@ -134,7 +134,9 @@ class FinAlgebra:
         return tuple(out)
 
     def mul(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
-        """The product of two coefficient vectors."""
+        """The product of two coefficient vectors, each of length dim."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("coefficient vector has wrong length")
         out = [_ZERO] * self.dim
         pairs = self._pairs
         y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
@@ -624,11 +626,32 @@ def center(a: FinAlgebra) -> Subspace:
 
 
 def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
-    """v + A v (side "left") or v + v A (side "right")."""
+    """v + A v (side "left") or v + v A (side "right"), spanned by integer
+    rows: each basis vector u of v times the lcm of its denominators, and
+    for each i, b_i u (or u b_i) from those integers and the structure
+    constants times their common denominator.  Scaling a row keeps the
+    span."""
+    d = a.dim
     terms = a.product_terms if side == "left" else lambda i, j: a.product_terms(j, i)
-    rows = [_nonzeros(u) for u in v.basis]
-    products = [[(k, x * c) for j, x in u for k, c in terms(i, j)] for u in rows for i in range(a.dim)]
-    return _span(a.dim, rows + products)
+    table = [[terms(i, j) for j in range(d)] for i in range(d)]
+    scale = lcm(*[c.denominator for row in table for pairs in row for _, c in pairs])
+    if scale != 1:
+        table = [[[(k, c.numerator * (scale // c.denominator)) for k, c in pairs] for pairs in row]
+                 for row in table]
+    work = []
+    for u in v.basis:
+        lifted = lcm(*[x.denominator for x in u])
+        u = [x.numerator * (lifted // x.denominator) if x else 0 for x in u]
+        work.append(u)
+        nonzero = [(j, x) for j, x in enumerate(u) if x]
+        for plane in table:
+            row = [0] * d
+            for j, x in nonzero:
+                for k, c in plane[j]:
+                    row[k] += x * c
+            if any(row):
+                work.append(row)
+    return Subspace._of_reduced(d, _int_rref(work, d)[0])
 
 
 def _unclosed_side(a: FinAlgebra, v: Subspace) -> str | None:

@@ -496,14 +496,19 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
     a column index lists, for each coordinate, the vectors that are nonzero
     there.  A row's values on the whole basis therefore cost the nonzeros
     of the columns the row touches, which is all a redundant row costs.  An
-    independent row takes as pivot p a hit vector whose value pval is
-    smallest in absolute value and updates only the other hit vectors: v
+    independent row takes as pivot p the hit vector with the fewest
+    nonzeros, ties broken by the least absolute value pval, as in
+    Markowitz's rule (H. M. Markowitz, Management Science 3, 1957): each
+    other hit vector gains at most the pivot's nonzeros, so a sparse pivot
+    keeps the basis sparse.  Only the other hit vectors are updated: v
     with value val becomes v - (val/pval) p when pval divides val, else
     (pval/g) v - (val/g) p divided by its content, g = gcd(pval, val).
     Either keeps the span, and the division keeps v primitive, so its
-    entries stay small.  The surviving integer vectors go to `_int_rref`
-    as they are, and the result is their canonical `Subspace`, with
-    ``Fraction`` entries; nothing is ever rounded.
+    entries stay small.  Whatever the pivot, the span after each row is
+    the null space of the rows read so far, so the rows pulled do not
+    depend on it.  The surviving integer vectors go to `_int_rref` as they
+    are, and the result is their canonical `Subspace`, with ``Fraction``
+    entries; nothing is ever rounded.
     """
     # vectors[k] maps coordinate -> nonzero int; columns[j] maps vector key
     # -> its nonzero value at j.  Keys follow the original order, and
@@ -533,7 +538,7 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
         hits = [k for k, s in values.items() if s]
         if not hits:
             continue
-        pivot = min(hits, key=lambda k: abs(values[k]))
+        pivot = min(hits, key=lambda k: (len(vectors[k]), abs(values[k])))
         pvec = vectors.pop(pivot)
         pval = values[pivot]
         for j in pvec:

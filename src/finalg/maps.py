@@ -27,7 +27,8 @@ and on T_n, where I = [A, A], it is the whole answer (row 135 of 150 on
 T5, rows 115 to 334 of about 1 050 on dense copies of T4).  A floored
 solve stops once its kernel has shrunk to the floor's dimension, so the
 rows after that are never generated, and it re-checks that the kernel
-equals the floor.
+equals the floor.  It reads the Leibniz rule, which is closed in its first
+letter (see below), only at the pairs whose first letter is a generator.
 
 A check evaluates terms as sparse vectors, dense only at a failing tuple.
 Membership in [A, A] is decided exactly through the covectors f that vanish
@@ -240,10 +241,11 @@ _CUBIC = _Identity(
 )
 
 
-def _constraint_rows(a: FinAlgebra, identities):
+def _constraint_rows(a: FinAlgebra, identities, first=None):
     """Sparse rows, over the row-major entries D[k][t] of D, of identities
     linear in D: a term L D(M) R puts M_t (L b_k R)_r on D[k][t] in the row
-    of output coordinate r.
+    of output coordinate r.  With `first`, a closed identity gives only the
+    rows of the tuples whose first letter is among these indices.
 
     Modulo [A, A], each functional f vanishing on [A, A] gives one row, and
     f(L D(M) R) = f(D(M) R L).  A sum of such terms with the same M is
@@ -263,7 +265,7 @@ def _constraint_rows(a: FinAlgebra, identities):
                         _accumulate(sums.setdefault(r, {}), k * d, v if sign > 0 else -v)
             return sums
 
-        yield from _rows(a, identities, d, context)
+        yield from _rows(a, identities, d, context, first)
         return
     for form in a.derived(_commutator_forms):
         columns = [[(k * d, g) for k, g in column] for column in form]
@@ -274,12 +276,13 @@ def _constraint_rows(a: FinAlgebra, identities):
             )
             return {0: _combination((c, columns[r]) for r, c in word.items())}
 
-        yield from _rows(a, identities, 1, projected)
+        yield from _rows(a, identities, 1, projected, first)
 
 
-def _rows(a: FinAlgebra, identities, outputs: int, context):
+def _rows(a: FinAlgebra, identities, outputs: int, context, first=None):
     """The rows of each basis tuple in turn, by increasing output coordinate
-    r < outputs.
+    r < outputs; with `first`, of a closed identity only the tuples whose
+    first letter is among these indices.
 
     The terms of an identity are grouped by the word M in the map.  What a
     group adds to a tuple's rows, with M left out, depends only on the
@@ -313,7 +316,7 @@ def _rows(a: FinAlgebra, identities, outputs: int, context):
         # the positions of the one-letter words M, when every M is one letter
         single = [word[0] for word in groups] if all(len(word) == 1 for word in groups) else []
         mapped = _letters_at(single)
-        for tup in identity.tuples(d):
+        for tup in identity.tuples(d, first=first if identity.closed else None):
             distinct = len(single) > 1 and len(set(mapped(tup))) == len(single)
             rows = [{} for _ in range(outputs)]
             disjoint = True
@@ -456,12 +459,18 @@ def _solve(a: FinAlgebra, *identities: _Identity, floor: MapSpace | None = None)
     """The maps that satisfy the identities.  With a floor, a space that
     lies inside the answer whatever the algebra, no row is generated once
     the kernel has shrunk to its dimension; a result of that dimension
-    must then equal it, else `InternalError` is raised."""
+    must then equal it, else `InternalError` is raised.
+
+    A floored solve also reads a closed identity, such as the Leibniz rule,
+    only at the tuples whose first letter is a generator of A: the x at
+    which a map satisfies it for every other letter form a subalgebra, so
+    a map that satisfies it at the generators satisfies it everywhere, and
+    those rows have the same kernel as the full stream.  Without a floor
+    the full stream is read."""
     d = a.dim
-    rows = _constraint_rows(a, identities)
     if floor is None:
-        return MapSpace(d, kernel_from_constraints(d * d, rows))
-    kernel = _kernel(d * d, rows, floor.dim)
+        return MapSpace(d, kernel_from_constraints(d * d, _constraint_rows(a, identities)))
+    kernel = _kernel(d * d, _constraint_rows(a, identities, a.generators), floor.dim)
     if kernel.dim <= floor.dim and kernel != floor.space:
         raise InternalError("internal error: a solve stopped at its floor, which it does not equal")
     return MapSpace(d, kernel)
@@ -478,8 +487,10 @@ def _at(tup: tuple[int, ...], positions: tuple[int, ...]) -> tuple[int, ...]:
 
 def derivation_space(a: FinAlgebra, *, floor: MapSpace | None = None) -> MapSpace:
     """Solutions of D(b_i b_j) = D(b_i) b_j + b_i D(b_j) over all basis
-    pairs; a floor inside them (such as the inner derivations) goes to
-    `_solve`."""
+    pairs.  A floor inside them (such as the inner derivations) goes to
+    `_solve`, which then reads only the pairs whose first letter is a
+    generator of A: the Leibniz rule is closed in its first letter, so
+    those rows have the derivations as their kernel too."""
     return _solve(a, _LEIBNIZ, floor=floor)
 
 
@@ -571,7 +582,10 @@ def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
     carries a witness map; one without a witness is a fault of the program
     and raises `InternalError`.  The inner derivations lie in both spaces,
     as [a, x] x = [a x, x] and [a, x] x^2 = [a x^2, x], so the derivation
-    solve stops once it has shrunk to them.  The criterion solve stops at
+    solve stops once it has shrunk to them.  It reads the Leibniz rule
+    only at the pairs whose first letter is a generator of A, which is
+    exact: the x at which a map satisfies the rule for every y form a
+    subalgebra (`_solve`).  The criterion solve stops at
     Inn + Hom(A, I) (`_criterion_floor`), for I the largest ideal inside
     [A, A]: a map D into I has D(x) x and D(x) x^2 in I <= [A, A].  When
     A is commutator-simple, I = 0 and that floor is Inn; on T5 it stops

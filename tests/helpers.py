@@ -13,6 +13,7 @@ from random import Random
 import finalg as fa
 import finalg.maps as fm
 from finalg.document import AlgebraDocument, DocumentError
+from finalg.linalg import _nonzeros, _span
 
 F = Fraction
 F0 = Fraction(0)
@@ -514,6 +515,27 @@ def dense_copy(a: fa.FinAlgebra, rng: Random) -> fa.FinAlgebra:
     c = [[inverse.apply((x * y).coeffs) for y in new_basis] for x in new_basis]
     unit = None if a.unit is None else inverse.apply(a.unit)
     return algebra_from_tensor(c, unit)
+
+
+def rescaled_copy(a: fa.FinAlgebra, scales) -> fa.FinAlgebra:
+    """The same algebra on the basis s_i b_i, whose structure constants
+    s_i s_j c[i][j][k] / s_k are fractions for fractional scales."""
+    basis = range(a.dim)
+    terms = [[[(k, scales[i] * scales[j] * x / scales[k]) for k, x in a.product_terms(i, j)]
+              for j in basis] for i in basis]
+    unit = None if a.unit is None else [x / s for x, s in zip(a.unit, scales)]
+    return fa.FinAlgebra(terms, unit)
+
+
+def with_products_oracle(a: fa.FinAlgebra, v: fa.Subspace, side: str) -> fa.Subspace:
+    """v + A v (side "left") or v + v A (side "right"), spanned by the
+    products b_i u (or u b_i) of the basis vectors u of v as sparse rows of
+    `Fraction` products, as `algebras._with_products` read them before it
+    built integer rows."""
+    terms = a.product_terms if side == "left" else lambda i, j: a.product_terms(j, i)
+    rows = [_nonzeros(u) for u in v.basis]
+    products = [[(k, x * c) for j, x in u for k, c in terms(i, j)] for u in rows for i in range(a.dim)]
+    return _span(a.dim, rows + products)
 
 
 def cubic_condition_oracle(a: fa.FinAlgebra, t: fa.Mat):

@@ -605,6 +605,24 @@ class TestMul:
         assert product == tuple(expected)
         assert all(type(c) is Fraction for c in product)
 
+    @pytest.mark.parametrize("x, y", [
+        ((1, 0, 0, 0), (1,)),
+        ((1,), (1, 0, 0, 0, 0, 0)),
+        ((0, 0, 0, 0, 1), (1, 0, 0, 0)),
+        ((1, 0, 0, 0), (0, 0, 0, 0, 1)),
+    ])
+    def test_vector_lengths_are_checked(self, x, y):
+        """On M2 a short vector is not padded with zeros, and an entry past
+        index d - 1 is not looked up: mul and mul_basis refuse both."""
+        a = corpus_algebra("M2")
+        with pytest.raises(ValueError, match="coefficient vector has wrong length"):
+            a.mul(x, y)
+        for v in (x, y):
+            if len(v) != a.dim:
+                for side in ("left", "right"):
+                    with pytest.raises(ValueError, match="coefficient vector has wrong length"):
+                        a.mul_basis(0, v, side)
+
 
 class TestMultOperator:
     def test_unit_gives_identity(self):

@@ -27,6 +27,7 @@ from helpers import (
     non_unital_algebras,
     random_algebra,
     random_invertible,
+    rescaled_copy,
     verify_jordan_criterion_oracle,
     solve_affine,
     zero_product_algebra,
@@ -943,10 +944,10 @@ def _counting_rows(monkeypatch):
     rows = fm._constraint_rows
     pulled = {}
 
-    def counted(a, identities):
+    def counted(a, identities, first=None):
         system = "criterion" if identities == fm._CRITERION else "derivation"
         pulled.setdefault(system, 0)
-        for row in rows(a, identities):
+        for row in rows(a, identities, first):
             pulled[system] += 1
             yield row
 
@@ -955,14 +956,17 @@ def _counting_rows(monkeypatch):
 
 
 # name -> system -> (rows pulled with the inner floor, rows in the full
-# stream).  The criterion maps of T5 (dimension 150) hold more than the 14
-# inner derivations, so a criterion solve floored at Inn alone never stops
-# early; `verify_derivation_criterion` floors it at Inn + Hom(A, I), see
-# `VERIFY_CRITERION_ROWS`.
+# stream).  The floored Leibniz solve reads only the pairs whose first
+# letter is a generator.  On T5, whose generators are 9 of its 15
+# indices, it reaches the floor at row 760, where the full stream reached
+# it at row 459.  The criterion maps of T5 (dimension 150) hold more than
+# the 14 inner derivations, so a criterion solve floored at Inn alone
+# never stops early; `verify_derivation_criterion` floors it at
+# Inn + Hom(A, I), see `VERIFY_CRITERION_ROWS`.
 FLOORED_ROWS = {
-    "QS4": {"derivation": (3748, 13824), "criterion": (1764, 14500)},
-    "QS3tM2": {"derivation": (4175, 11808), "criterion": (1422, 8364)},
-    "T5": {"derivation": (459, 1215), "criterion": (150, 150)},
+    "QS4": {"derivation": (2020, 13824), "criterion": (1764, 14500)},
+    "QS3tM2": {"derivation": (2255, 11808), "criterion": (1422, 8364)},
+    "T5": {"derivation": (760, 1215), "criterion": (150, 150)},
 }
 
 FLOORED_SPACES = {"derivation": fm.derivation_space, "criterion": fm.derivation_criterion_space}
@@ -1011,6 +1015,49 @@ class TestInnerFloor:
         with pytest.raises(fa.InternalError):
             FLOORED_SPACES[system](a, floor=fa.MapSpace(9, units))
         assert stopped == [8]
+
+
+def _truncated_polynomials(n):
+    """Q[x]/(x^n) on the basis 1, x, ..., x^(n-1), and its derivations: the
+    D_m with x -> x^m for 1 <= m < n, so x^k -> k x^(k-1+m), zero when
+    k - 1 + m >= n."""
+    basis = range(n)
+    a = fa.FinAlgebra([[((i + j, 1),) if i + j < n else () for j in basis] for i in basis],
+                      [1] + [0] * (n - 1))
+    maps = []
+    for m in range(1, n):
+        images = [[0] * n for _ in basis]
+        for k in range(1, n - m + 1):
+            images[k][k - 1 + m] = k
+        maps.append(fm.flatten_map(fm.map_from_basis_images(a, images)))
+    return a, fa.Subspace.from_rows(n * n, maps)
+
+
+class TestGeneratorRows:
+    """A floored Leibniz solve reads only the pairs whose first letter is a
+    generator.  On Q[x]/(x^n), Inn = 0, so the floor never stops the solve:
+    its kernel must be the derivations from those rows alone."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_generator_rows_give_the_derivations(self, n):
+        a, derivations = _truncated_polynomials(n)
+        inner = fa.inner_derivation_space(a)
+        assert inner.dim == 0 and len(a.generators) < a.dim
+        floored = fa.derivation_space(a, floor=inner)
+        assert floored.space == fa.derivation_space(a).space == derivations
+        assert floored.dim == n - 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rows_at_a_set_that_does_not_generate_give_more_maps(self, n):
+        """With x dropped from the generators 1, x, the rows read no longer
+        pin down D(x), and the floored solve returns a larger space: it
+        reads only the rows at `a.generators`, and the equality above
+        holds because that set generates A."""
+        a, derivations = _truncated_polynomials(n)
+        assert a.generators == (0, 1)
+        a.generators = (0,)
+        floored = fa.derivation_space(a, floor=fa.inner_derivation_space(a))
+        assert floored.space >= derivations and floored.dim > derivations.dim
 
 
 # name -> (criterion rows that verify pulls with the floor Inn + Hom(A, I),
@@ -1088,16 +1135,6 @@ SYSTEMS = {
 }
 
 
-def _rescaled(a, scales):
-    """The same algebra on the basis s_i b_i, whose structure constants
-    s_i s_j c[i][j][k] / s_k are fractions for fractional scales."""
-    basis = range(a.dim)
-    terms = [[[(k, scales[i] * scales[j] * x / scales[k]) for k, x in a.product_terms(i, j)]
-              for j in basis] for i in basis]
-    unit = None if a.unit is None else [x / s for x, s in zip(a.unit, scales)]
-    return fa.FinAlgebra(terms, unit)
-
-
 def _row_engine_members():
     """The corpus, a dense copy of each member, seeded random draws, the
     named algebras without a unit, and copies on rescaled bases, with
@@ -1108,7 +1145,7 @@ def _row_engine_members():
     members += [(f"random-{k}", random_algebra(rng)) for k in range(12)]
     scales = [F(2), F(1, 3), F(-1), F(5, 2)]
     members += [
-        (f"rescaled-{name}", _rescaled(a, (scales * a.dim)[start : start + a.dim]))
+        (f"rescaled-{name}", rescaled_copy(a, (scales * a.dim)[start : start + a.dim]))
         for start, (name, a) in enumerate([
             ("M1", fa.build_matrix_algebra(1)),
             ("M1", fa.build_matrix_algebra(1)),

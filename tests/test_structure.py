@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 import finalg as fa
-from finalg.algebras import _unclosed_side
+from finalg.algebras import _unclosed_side, _with_products
 from finalg.structure import _common_gram_radical, gram_columns
 from helpers import (
     SEMIPRIME_NAMES,
@@ -23,10 +23,12 @@ from helpers import (
     radical_oracle,
     random_algebra,
     random_subspace,
+    rescaled_copy,
     row_algebra,
     trace_functional_from_covector,
     trace_space_oracle,
     unclosed_side_oracle,
+    with_products_oracle,
     zero_product_algebra,
 )
 
@@ -416,6 +418,21 @@ class TestClosedFormsAgainstOracles:
         for name, a in _oracle_algebras() + _dense_corpus():
             for v in _test_subspaces(a, rng):
                 assert _unclosed_side(a, v) == unclosed_side_oracle(a, v), name
+
+    def test_with_products_matches_the_fraction_rows(self):
+        """v + A v and v + v A from integer rows against the sparse
+        `Fraction` rows they replaced, on random subspaces with fractional
+        entries, and on tables with fractional constants too."""
+        rng = Random(10)
+        scales = [Fraction(2), Fraction(1, 3), Fraction(-1), Fraction(5, 2)]
+        rescaled = [
+            (f"rescaled-{name}", rescaled_copy(corpus_algebra(name), (scales * 9)[start:]))
+            for start, name in enumerate(("M2", "QS3", "T3"))
+        ]
+        for name, a in _oracle_algebras() + _dense_corpus() + rescaled:
+            for v in _test_subspaces(a, rng):
+                for side in ("left", "right"):
+                    assert _with_products(a, v, side) == with_products_oracle(a, v, side), (name, side)
 
     def test_ideal_closure_matches_the_fixed_point(self):
         rng = Random(8)
