@@ -5,9 +5,10 @@ basis b_0..b_{d-1}: for each basis pair, the nonzero (k, c) pairs of
 ``b_i * b_j = sum_k c b_k``, k increasing.  That table is the only copy of
 the products.  It holds each coefficient once, as an ``int`` when it is
 integral, and is read through the product API of `FinAlgebra`: `product`,
-`product_terms`, `mul` and `mul_basis`.  Associativity (and the unit law,
-when a unit is declared) is checked at construction; instances are
-immutable afterwards, apart from the cache behind `FinAlgebra.derived`.
+`product_terms`, `mul` and `mul_basis`.  A reader by side takes the table,
+or its transpose for the right side, from `_sided`.  Associativity (and the
+unit law, when a unit is declared) is checked at construction; instances
+are immutable afterwards, apart from the cache behind `FinAlgebra.derived`.
 
 Associativity is certified on a generating set.  For any bilinear product
 the middle nucleus {m : (x m) y = x (m y) for all x, y} is a subalgebra
@@ -33,8 +34,8 @@ from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
-from .linalg import _ONE, _ZERO, Mat, Subspace, Vec, _combination, _exact, _int_rref, as_vector
-from .linalg import kernel_from_constraints
+from .linalg import _ONE, _ZERO, Mat, Subspace, Vec, _combination, _dense, _exact, _int_rref, _nonzeros
+from .linalg import as_vector, kernel_from_constraints
 
 
 class AssociativityError(ValueError):
@@ -111,12 +112,10 @@ class FinAlgebra:
             )
         if self.unit is not None:
             # u b_i and b_i u, summed over the nonzero terms of u, must be b_i
-            unit = [(k, _exact(u)) for k, u in enumerate(self.unit) if u]
-            planes = self._pairs
+            unit = _nonzeros(self.unit)
+            tables = [_sided(self, side) for side in ("left", "right")]
             for i in range(d):
-                e = {i: 1}
-                if (_combination((u, planes[k][i]) for k, u in unit) != e
-                        or _combination((u, planes[i][k]) for k, u in unit) != e):
+                if any(_combination((u, table[k][i]) for k, u in unit) != {i: 1} for table in tables):
                     raise ValueError(f"claimed unit fails the unit law on basis element {i}")
 
     # -- products on coefficient vectors -----------------------------------
@@ -124,31 +123,21 @@ class FinAlgebra:
     def product_terms(self, i: int, j: int) -> tuple[tuple[int, Fraction | int], ...]:
         """b_i * b_j as its nonzero (k, coefficient) pairs, k increasing,
         integral coefficients as int."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise ValueError("basis index out of range")
         return self._pairs[i][j]
 
     def product(self, i: int, j: int) -> Vec:
         """The coefficient vector of b_i * b_j."""
-        out = [_ZERO] * self.dim
-        for k, coef in self._pairs[i][j]:
-            out[k] += coef
-        return tuple(out)
+        return _dense(self.product_terms(i, j), self.dim)
 
     def mul(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
         """The product of two coefficient vectors, each of length dim."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("coefficient vector has wrong length")
-        out = [_ZERO] * self.dim
-        pairs = self._pairs
-        y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row_pairs = pairs[i]
-            for j, yj in y_nonzero:
-                f = xi * yj
-                for k, coef in row_pairs[j]:
-                    out[k] += f * coef
-        return tuple(out)
+        pairs, ys = self._pairs, _nonzeros(y)
+        products = _combination((c * e, pairs[i][j]) for i, c in _nonzeros(x) for j, e in ys)
+        return _dense(products.items(), self.dim)
 
     def mul_basis(self, i: int, v: Sequence[Fraction], side: str = "left") -> Vec:
         """b_i * v (left) or v * b_i (right)."""
@@ -184,8 +173,7 @@ class FinAlgebra:
 
     def mult_operator(self, x, side: str = "left") -> Mat:
         """Matrix of y -> xy (left) or y -> yx (right) on coefficient columns."""
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
+        table = _sided(self, side)
         if isinstance(x, Element):
             self._element_check(x)
             xs = x.coeffs
@@ -195,12 +183,10 @@ class FinAlgebra:
             raise ValueError("coefficient vector has wrong length")
         d = self.dim
         m = [[_ZERO] * d for _ in range(d)]
-        pairs = self._pairs
         for i, xi in enumerate(xs):
             if not xi:
                 continue
-            for j in range(d):
-                row_pairs = pairs[i][j] if side == "left" else pairs[j][i]
+            for j, row_pairs in enumerate(table[i]):
                 for k, coef in row_pairs:
                     m[k][j] += xi * coef
         return Mat(m)
@@ -227,6 +213,22 @@ class FinAlgebra:
 
     def __repr__(self) -> str:
         return f"FinAlgebra(dim={self.dim}, unital={self.is_unital})"
+
+
+def _sided(a: FinAlgebra, side: str) -> tuple:
+    """The product table read from one side: [u][v] holds the terms of
+    b_u b_v for side "left", and of b_v b_u for side "right", the transpose,
+    built once per algebra."""
+    if side == "left":
+        return a._pairs
+    if side == "right":
+        return a.derived(_transposed)
+    raise ValueError("side must be 'left' or 'right'")
+
+
+def _transposed(a: FinAlgebra) -> tuple:
+    """The product table with [u][v] holding the terms of b_v b_u."""
+    return tuple(zip(*a._pairs))
 
 
 def _generating_middles(pairs) -> list[int]:
@@ -379,17 +381,9 @@ class Element:
         return " + ".join(terms) if terms else "0"
 
 
-def random_element(a: FinAlgebra, rng: Random, numerator_bound: int = 9,
-                   denominator_bound: int = 4) -> Element:
-    """A seeded random element with small rational coefficients."""
-    return Element(
-        a,
-        tuple(
-            Fraction(rng.randint(-numerator_bound, numerator_bound),
-                     rng.randint(1, denominator_bound))
-            for _ in range(a.dim)
-        ),
-    )
+def random_element(a: FinAlgebra, rng: Random) -> Element:
+    """A seeded random element with coefficients p/q, |p| <= 9 and 1 <= q <= 4."""
+    return Element(a, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(a.dim)))
 
 
 class FiniteGroup:
@@ -604,25 +598,35 @@ def adjoin_unit(a: FinAlgebra) -> FinAlgebra:
 
 def _bracket(a: FinAlgebra, i: int, j: int) -> dict[int, Fraction | int]:
     """[b_i, b_j] = b_i b_j - b_j b_i as its nonzero k -> coefficient."""
-    return _combination(((1, a.product_terms(i, j)), (-1, a.product_terms(j, i))))
+    return _combination(((1, a.product_terms(i, j)), (-1, _sided(a, "right")[i][j])))
 
 
 def center(a: FinAlgebra) -> Subspace:
-    """{x : x b_s = b_s x for the generators b_s of A}, computed as a kernel.
-    The elements that commute with x form a subalgebra, so one that holds
-    the generators is A, and this is the center."""
-    d = a.dim
+    """{x : x b_s = b_s x for the generators b_s of A}, computed as a kernel
+    of the rows of y -> y b_s - b_s y (`_operator_rows`).  The elements that
+    commute with x form a subalgebra, so one that holds the generators is
+    A, and this is the center."""
 
     def rows():
         for s in a.generators:
-            # row k holds the k-th coordinates of the [b_j, b_s]
-            by_coordinate = [[] for _ in range(d)]
-            for j in range(d):
-                for k, c in _bracket(a, j, s).items():
-                    by_coordinate[k].append((j, c))
-            yield from filter(None, by_coordinate)
+            b = a.basis_element(s).coeffs
+            right, left = _operator_rows(a, b, "right"), _operator_rows(a, [-x for x in b], "left")
+            yield from map(list.__add__, right, left)
 
-    return kernel_from_constraints(d, rows())
+    return kernel_from_constraints(a.dim, rows())
+
+
+def _operator_rows(a: FinAlgebra, u, side: str) -> list:
+    """The rows of y -> u y (side "left") or y -> y u (side "right"): row k
+    as (j, value) pairs, values int or `Fraction`, whose values at one j add
+    up to the operator's entry (k, j)."""
+    table = _sided(a, side)
+    rows: list[list] = [[] for _ in range(a.dim)]
+    for i, c in _nonzeros(u):
+        for j, pairs in enumerate(table[i]):
+            for k, v in pairs:
+                rows[k].append((j, c * v))
+    return rows
 
 
 def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
@@ -632,8 +636,7 @@ def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
     constants times their common denominator.  Scaling a row keeps the
     span."""
     d = a.dim
-    terms = a.product_terms if side == "left" else lambda i, j: a.product_terms(j, i)
-    table = [[terms(i, j) for j in range(d)] for i in range(d)]
+    table = _sided(a, side)
     scale = lcm(*[c.denominator for row in table for pairs in row for _, c in pairs])
     if scale != 1:
         table = [[[(k, c.numerator * (scale // c.denominator)) for k, c in pairs] for pairs in row]
@@ -643,7 +646,7 @@ def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
         lifted = lcm(*[x.denominator for x in u])
         u = [x.numerator * (lifted // x.denominator) if x else 0 for x in u]
         work.append(u)
-        nonzero = [(j, x) for j, x in enumerate(u) if x]
+        nonzero = _nonzeros(u)
         for plane in table:
             row = [0] * d
             for j, x in nonzero:

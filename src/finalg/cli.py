@@ -39,7 +39,7 @@ from .document import (
     parse_map_file,
     serialize_document,
 )
-from .linalg import InternalError
+from .linalg import InternalError, _echo
 from .report import (
     Report,
     VERDICT_HYPOTHESES_NOT_MET,
@@ -79,7 +79,7 @@ def _max_dim(max_dim: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise DocumentError(f"{MAX_DIM_ENV} must be an integer, got {env!r}") from None
+            raise DocumentError(f"{MAX_DIM_ENV} must be an integer, got {_echo(env)}") from None
     return DEFAULT_MAX_DIM
 
 

@@ -35,7 +35,7 @@ from itertools import compress, repeat
 from operator import is_not, itemgetter
 
 from .algebras import FinAlgebra, FiniteGroup
-from .linalg import _ZERO, Mat, Vec, parse_rational
+from .linalg import _ZERO, Mat, Vec, _dense, _echo, parse_rational
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -99,7 +99,7 @@ def _int_value(token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"expected an integer, got {token!r}") from None
+        raise ValueError(f"expected an integer, got {_echo(token)}") from None
 
 
 def _rational_value(token: str) -> Fraction:
@@ -140,10 +140,7 @@ def _vector(toks: list[str], first: int, dim: int, what: str, seen: dict, at) ->
 
 def parse_document(text: str) -> AlgebraDocument:
     """Parse the document syntax; '#' starts a comment, blank lines are skipped."""
-    name: str | None = None
-    dim: int | None = None
-    labels: tuple[str, ...] | None = None
-    unit: Vec | None = None
+    header: dict[str, object] = {}  # keyword -> value, of the header lines read so far
     products: dict[tuple[int, int], Vec] = {}
     seen: dict[str, Fraction] = {}
     rows: dict[tuple[str, ...], Vec] = {}  # equal product lines share one vector
@@ -154,9 +151,12 @@ def parse_document(text: str) -> AlgebraDocument:
 
     for lineno, line, toks in _lines(text):
         keyword = toks[0]
+        if keyword in ("product", "labels", "unit") and "dim" not in header:
+            raise DocumentError(f"'{keyword}' must come after 'dim'", *at(0))
+        if keyword in header:
+            raise DocumentError(f"duplicate '{keyword}' line", *at(0))
+        dim = header.get("dim")
         if keyword == "product":
-            if dim is None:
-                raise DocumentError("'product' must come after 'dim'", *at(0))
             if len(toks) < 4 or toks[3] != "=":
                 raise DocumentError("expected 'product i j = ...'", *at(0))
             i = _parse(_int_value, toks[1], 1, at)
@@ -170,41 +170,31 @@ def parse_document(text: str) -> AlgebraDocument:
                 rows[key] = _vector(toks, 4, dim, "'product'", seen, at)
             products[(i, j)] = rows[key]
         elif keyword == "algebra":
-            if name is not None:
-                raise DocumentError("duplicate 'algebra' line", *at(0))
             if len(toks) != 2:
                 raise DocumentError("'algebra' takes exactly one name token", *at(0))
-            name = toks[1]
+            header["algebra"] = toks[1]
         elif keyword == "dim":
-            if dim is not None:
-                raise DocumentError("duplicate 'dim' line", *at(0))
             if len(toks) != 2:
                 raise DocumentError("'dim' takes exactly one integer", *at(0))
             dim = _parse(_int_value, toks[1], 1, at)
             if dim < 0:
                 raise DocumentError("dimension must be nonnegative", *at(1))
+            header["dim"] = dim
         elif keyword == "labels":
-            if dim is None:
-                raise DocumentError("'labels' must come after 'dim'", *at(0))
-            if labels is not None:
-                raise DocumentError("duplicate 'labels' line", *at(0))
             if len(toks) - 1 != dim:
                 raise DocumentError(f"'labels' needs exactly {dim} tokens", *at(0))
-            labels = tuple(toks[1:])
+            header["labels"] = tuple(toks[1:])
         elif keyword == "unit":
-            if dim is None:
-                raise DocumentError("'unit' must come after 'dim'", *at(0))
-            if unit is not None:
-                raise DocumentError("duplicate 'unit' line", *at(0))
-            unit = _vector(toks, 1, dim, "'unit'", seen, at)
+            header["unit"] = _vector(toks, 1, dim, "'unit'", seen, at)
         else:
-            raise DocumentError(f"unknown keyword {keyword!r}", *at(0))
-    if name is None:
+            raise DocumentError(f"unknown keyword {_echo(keyword)}", *at(0))
+    if "algebra" not in header:
         raise DocumentError("missing 'algebra' line")
-    if dim is None:
+    if "dim" not in header:
         raise DocumentError("missing 'dim' line")
     return AlgebraDocument(
-        name, dim, unit, labels, tuple((i, j, coeffs) for (i, j), coeffs in products.items())
+        header["algebra"], header["dim"], header.get("unit"), header.get("labels"),
+        tuple((i, j, coeffs) for (i, j), coeffs in products.items()),
     )
 
 
@@ -223,10 +213,7 @@ def document_from_algebra(name: str, a: FinAlgebra) -> AlgebraDocument:
             terms = a.product_terms(i, j)
             if terms:
                 if terms not in vectors:
-                    coeffs = [_ZERO] * a.dim
-                    for k, c in terms:
-                        coeffs[k] = Fraction(c)
-                    vectors[terms] = tuple(coeffs)
+                    vectors[terms] = _dense(terms, a.dim)
                 products.append((i, j, vectors[terms]))
     return AlgebraDocument(name, a.dim, a.unit, a.labels, tuple(products))
 

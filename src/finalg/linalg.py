@@ -47,10 +47,18 @@ def parse_rational(token: str) -> Fraction:
     """Parse ``p`` or ``p/q`` with integer numerator and positive denominator."""
     match = _RATIONAL_RE.match(token)
     if match is None:
-        raise ValueError(f"malformed rational literal {token!r}")
+        raise ValueError(f"malformed rational literal {_echo(token)}")
     if match.group(1) is not None and int(match.group(1)) == 0:
-        raise ValueError(f"zero denominator in {token!r}")
+        raise ValueError(f"zero denominator in {_echo(token)}")
     return Fraction(token)
+
+
+def _echo(token: str) -> str:
+    """A token as an error message shows it: its repr when it has at most
+    40 characters, else the repr of its first 40 and its length."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"
 
 
 def _exact(x: Fraction) -> Fraction | int:
@@ -61,6 +69,15 @@ def _exact(x: Fraction) -> Fraction | int:
 def _nonzeros(v: Iterable) -> list[tuple[int, Fraction | int]]:
     """The nonzero (index, value) pairs of a dense vector, integral values as int."""
     return [(j, _exact(x)) for j, x in enumerate(v) if x]
+
+
+def _dense(pairs: Iterable, n: int) -> Vec:
+    """The `Fraction` vector of length n with these distinct (index, value)
+    pairs, every other entry the shared `_ZERO`."""
+    v = [_ZERO] * n
+    for j, x in pairs:
+        v[j] = x if isinstance(x, Fraction) else Fraction(x)
+    return tuple(v)
 
 
 def _combination(scaled) -> dict:
@@ -199,7 +216,7 @@ class Mat:
         x = as_vector(v)
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
-        nonzero = [(j, c) for j, c in enumerate(x) if c]
+        nonzero = _nonzeros(x)
         return tuple(sum([r[j] * c for j, c in nonzero if r[j]], _ZERO) for r in self.data)
 
     def _shape_check(self, other: "Mat") -> None:
@@ -214,7 +231,7 @@ class Mat:
         row.  It serves callers that hold a `Mat`; a subspace is built
         from sparse rows by `_span`, with no `Mat`.
         """
-        rows = [[(j, x) for j, x in enumerate(row) if x] for row in self.data]
+        rows = [_nonzeros(row) for row in self.data]
         reduced, pivots = _int_rref(_int_rows(self.cols, rows), self.cols)
         r = len(pivots)
         reduced += [(_ZERO,) * self.cols] * (self.rows - r)
@@ -328,13 +345,7 @@ def _null_rows(reduced: Sequence[Vec], pivots: Sequence[int], cols: int) -> list
 
 def _null_vectors(reduced: Sequence[Vec], pivots: Sequence[int], cols: int) -> tuple[Vec, ...]:
     """The vectors of `_null_rows`, dense."""
-    vectors = []
-    for pairs in _null_rows(reduced, pivots, cols):
-        v = [_ZERO] * cols
-        for j, x in pairs:
-            v[j] = x
-        vectors.append(tuple(v))
-    return tuple(vectors)
+    return tuple(_dense(pairs, cols) for pairs in _null_rows(reduced, pivots, cols))
 
 
 @dataclass(frozen=True)
@@ -384,7 +395,7 @@ class Subspace:
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError("row length does not match ambient dimension")
-            sparse.append([(j, x) for j, x in enumerate(row) if x])
+            sparse.append(_nonzeros(row))
         return _span(ambient_dim, sparse)
 
     @classmethod

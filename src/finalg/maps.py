@@ -9,8 +9,8 @@ over the rationals a homogeneous identity of degree d holds for all x iff
 all of its multilinear symmetrizations over basis d-tuples hold.  Each
 polarized identity is written once, and the same description yields both
 the linear constraint rows of a map space and the first violating basis
-tuple of a concrete map.  Products are read only through the public
-product API of `FinAlgebra`.
+tuple of a concrete map.  Products are read from the product table of
+`FinAlgebra`, through `algebras._sided`.
 
 Rows come from one engine, which groups an identity's terms by the word in
 the map.  What a group adds to a tuple's rows depends only on the tuple's
@@ -63,9 +63,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .algebras import Element, FinAlgebra, _bracket, random_element
-from .linalg import _ONE, _ZERO, InternalError, Mat, Subspace, Vec, _accumulate, _combination, _exact, _kernel
-from .linalg import _nonzeros, _null_vectors, _span, kernel_from_constraints
+from .algebras import Element, FinAlgebra, _bracket, _operator_rows, _sided, random_element
+from .linalg import _ONE, _ZERO, InternalError, Mat, Subspace, Vec, _accumulate, _combination, _dense, _exact
+from .linalg import _kernel, _nonzeros, _null_vectors, _span, kernel_from_constraints
 from .structure import _commutator_covectors, _commutator_forms
 from .structure import SimplicityVerdict, is_commutator_simple, is_semiprime
 
@@ -372,7 +372,7 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
     generator of A, when those are not every index, and the ordered scan
     runs only when one of them fails.
 
-    Terms are sparse, from `product_terms` and the nonzero entries of each
+    Terms are sparse, from the product table and the nonzero entries of each
     T(b_j).  Modulo [A, A] the tuples are read per prefix, the tuple without
     its last letter z.  As G_f is symmetric, a cyclic term H L has
     f(H b_z) = (G_f H)_z and f(H T(b_z)) = ((G_f H) T)_z, so for each f of
@@ -442,7 +442,7 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
         if identity.closed and len(generators) < d and next(failing(identity, generators), None) is None:
             continue
         for tup in failing(identity):
-            lhs, rhs = (tuple(_ZERO + side.get(r, 0) for r in range(d)) for side in sides(identity, tup))
+            lhs, rhs = (_dense(side.items(), d) for side in sides(identity, tup))
             if forms is not None:
                 return {key: tup, "value": tuple(x - y for x, y in zip(lhs, rhs))}
             return {key: tup, "lhs": lhs, "rhs": rhs}
@@ -477,8 +477,10 @@ def _solve(a: FinAlgebra, *identities: _Identity, floor: MapSpace | None = None)
 
 
 def _terms(a: FinAlgebra, word: tuple[int, ...]):
-    """b_w, or the product b_v b_w, as sparse (index, coefficient) pairs, ints where integral."""
-    return ((word[0], 1),) if len(word) == 1 else a.product_terms(word[0], word[1])
+    """b_w, or the product b_v b_w, as sparse (index, coefficient) pairs, ints
+    where integral, read from the table without `product_terms`' index check:
+    the words hold basis indices."""
+    return ((word[0], 1),) if len(word) == 1 else _sided(a, "left")[word[0]][word[1]]
 
 
 def _at(tup: tuple[int, ...], positions: tuple[int, ...]) -> tuple[int, ...]:
@@ -677,7 +679,7 @@ def local_derivation_test(a: FinAlgebra, d_map: Mat, seed: int, samples: int) ->
         xs = _nonzeros(x.coeffs)
         values = _span(d, [[(s, c * v) for t, c in xs for s, v in e[t]] for e in columns])
         value = _combination((c, images[t]) for t, c in xs)
-        if not values.contains_vector([value.get(s, 0) for s in range(d)]):
+        if not values.contains_vector(_dense(value.items(), d)):
             return LocalDerivationResult(False, x, tested)
     return LocalDerivationResult(True, None, tested)
 
@@ -819,23 +821,10 @@ def inner_similarity_witness(
             return SimilaritySearch("witness", a.element(u))
     for _ in range(trials):
         weights = [Fraction(rng.randint(-9, 9)) for _ in kernel]
-        u = tuple(sum([w * v[j] for w, v in zip(weights, kernel) if w and v[j]], _ZERO) for j in range(d))
+        u = _dense(_combination((w, _nonzeros(v)) for w, v in zip(weights, kernel) if w).items(), d)
         if invertible(u):
             return SimilaritySearch("witness", a.element(u))
     return SimilaritySearch("inconclusive")
-
-
-def _operator_rows(a: FinAlgebra, u, side: str) -> list:
-    """The rows of y -> u y (side "left") or y -> y u (side "right"): row k
-    as (j, value) pairs whose values at one j add up to the operator's
-    entry (k, j), integral values as int."""
-    terms = a.product_terms if side == "left" else lambda i, j: a.product_terms(j, i)
-    rows: list[list] = [[] for _ in range(a.dim)]
-    for i, c in _nonzeros(u):
-        for j in range(a.dim):
-            for k, v in terms(i, j):
-                rows[k].append((j, c * v))
-    return rows
 
 
 @dataclass(frozen=True)

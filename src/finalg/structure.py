@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .algebras import Element, FinAlgebra, _bracket, _unclosed_side, _with_products
-from .linalg import _ZERO, InternalError, Mat, Subspace, Vec, _exact, _span, as_vector, dot
-from .linalg import kernel_from_constraints
+from .algebras import Element, FinAlgebra, _bracket, _sided, _unclosed_side, _with_products
+from .linalg import _ZERO, InternalError, Mat, Subspace, Vec, _combination, _dense, _exact, _nonzeros, _span
+from .linalg import as_vector, dot, kernel_from_constraints
 
 
 def product_span(a: FinAlgebra) -> Subspace:
@@ -36,8 +36,18 @@ def product_span(a: FinAlgebra) -> Subspace:
 
 
 def commutator_subspace(a: FinAlgebra) -> Subspace:
-    """[A, A]: the span of the basis-pair commutators b_i b_j - b_j b_i."""
-    return _span(a.dim, [_bracket(a, i, j).items() for i in range(a.dim) for j in range(i + 1, a.dim)])
+    """[A, A]: the span of the commutators [b_s, b_j] = b_s b_j - b_j b_s
+    for s among the generators S of A (`FinAlgebra.generators`).
+
+    [xy, z] = [x, yz] + [y, zx], so the x with [x, A] inside that span form
+    a subalgebra.  It holds the generators, so it is A, and
+    [A, A] = sum over s in S of [b_s, A].  A pair of generators is read
+    once, with s < j, and [b_s, b_s] = 0 is not read.
+    """
+    generators = set(a.generators)
+    return _span(a.dim, [
+        _bracket(a, s, j).items() for s in a.generators for j in range(a.dim) if j not in generators or j > s
+    ])
 
 
 def _commutator_covectors(a: FinAlgebra) -> tuple:
@@ -51,11 +61,10 @@ def gram_columns(a: FinAlgebra, f, side: str = "right") -> list:
     u, x -> f(x b_u) (side "right"), or row u, x -> f(b_u x) (side "left"),
     as its nonzero (k, value) pairs, k increasing, integral values as int."""
     f = [_exact(x) for x in f]
-    basis = range(a.dim)
-    terms = a.product_terms if side == "left" else lambda u, k: a.product_terms(k, u)
+    table = _sided(a, side)
     return [
-        [(k, _exact(g)) for k in basis if (g := sum(c * f[s] for s, c in terms(u, k)))]
-        for u in basis
+        [(k, _exact(g)) for k, terms in enumerate(row) if (g := sum(c * f[s] for s, c in terms))]
+        for row in table
     ]
 
 
@@ -72,7 +81,7 @@ def _stable_part(a: FinAlgebra, covectors, side: str) -> Subspace:
 
     def rows():
         for f in covectors:
-            yield [(k, x) for k, x in enumerate(f) if x]
+            yield _nonzeros(f)
         for f in covectors:
             yield from gram_columns(a, f, side)
 
@@ -223,15 +232,12 @@ def trace_functional_space(a: FinAlgebra) -> tuple[TraceFunctional, ...]:
     return tuple(TraceFunctional(a.dim, domain, row) for row in restricted.basis)
 
 
-def _covector(a: FinAlgebra, tf: TraceFunctional) -> list:
+def _covector(a: FinAlgebra, tf: TraceFunctional) -> Vec:
     """t extended to A: its coefficients at the pivots of A^2, 0 elsewhere, since
     a product's coordinates on the canonical basis of A^2 are its pivot entries."""
     if tf.algebra_dim != a.dim:
         raise ValueError("functional belongs to a different algebra")
-    f = [0] * a.dim
-    for p, c in zip(tf.domain.pivots, tf.coeffs):
-        f[p] = c
-    return f
+    return _dense(zip(tf.domain.pivots, tf.coeffs), a.dim)
 
 
 def _gram_rows(a: FinAlgebra, tf: TraceFunctional) -> list:
@@ -248,8 +254,7 @@ def _gram_forms(a: FinAlgebra, functionals) -> list:
 
 def gram_matrix(a: FinAlgebra, tf: TraceFunctional) -> Mat:
     """The dim x dim matrix G[i][j] = t(b_i b_j), the Gram rows made dense."""
-    d = a.dim
-    return Mat([[dict(row).get(j, _ZERO) for j in range(d)] for row in _gram_rows(a, tf)])
+    return Mat([_dense(row, a.dim) for row in _gram_rows(a, tf)])
 
 
 def _nondegenerate(a: FinAlgebra, tf: TraceFunctional, form=None) -> bool:
@@ -323,14 +328,9 @@ def has_nondegenerate_trace(a: FinAlgebra, seed: int, trials: int) -> TraceSearc
         ]
         if not any(weights):
             continue
-        coeffs = [_ZERO] * s
-        for w, tf in zip(weights, basis):
-            if w:
-                for t, x in enumerate(tf.coeffs):
-                    if x:
-                        coeffs[t] += w * x
+        coeffs = _combination((w, _nonzeros(tf.coeffs)) for w, tf in zip(weights, basis) if w)
         # a combination of trace functionals is one: no re-validation
-        candidate = TraceFunctional(a.dim, domain, tuple(coeffs))
+        candidate = TraceFunctional(a.dim, domain, _dense(coeffs.items(), s))
         if _nondegenerate(a, candidate):
             return TraceSearchResult(candidate, False, None, trial, len(basis))
     return TraceSearchResult(None, False, None, trials, len(basis))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finalg as fa
-from finalg.algebras import _first_failure, _generating_middles
+from finalg.algebras import _first_failure, _generating_middles, _operator_rows, _sided, _with_products
+from finalg.structure import gram_columns
 from helpers import (
     adjoin_unit_oracle,
     algebra_from_tensor,
@@ -472,6 +473,59 @@ class TestProductTable:
                 a.mul_basis(i, a.unit)
         with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
             a.mul_basis(0, a.unit, "up")
+
+    @pytest.mark.parametrize("i, j", [(-1, 3), (3, -1), (4, 0), (0, 4), (-5, 0)])
+    def test_product_reads_check_their_indices(self, i, j):
+        """On M2, -1 is not read as index 3 and 4 is no bare IndexError:
+        product and product_terms raise the message basis_element uses."""
+        a = corpus_algebra("M2")
+        for read in (a.product, a.product_terms):
+            with pytest.raises(ValueError, match="^basis index out of range$"):
+                read(i, j)
+
+    def test_every_sided_reader_rejects_a_bad_side(self):
+        """One ValueError from each reader of the product table by side; a
+        bad side is never read as "right"."""
+        a = corpus_algebra("M2")
+        readers = (
+            lambda side: a.mult_operator(a.unit, side),
+            lambda side: a.mul_basis(0, a.unit, side),
+            lambda side: gram_columns(a, a.unit, side),
+            lambda side: _with_products(a, fa.Subspace.full(a.dim), side),
+            lambda side: _operator_rows(a, a.unit, side),
+            lambda side: _sided(a, side),
+        )
+        for read in readers:
+            for side in ("left", "right"):
+                read(side)
+            for side in ("up", "Left", None):
+                with pytest.raises(ValueError, match="^side must be 'left' or 'right'$"):
+                    read(side)
+
+    def test_sided_tables(self):
+        """The left table is the product table and the right one its
+        transpose, built once per algebra."""
+        for name, a in _table_members():
+            left, right = _sided(a, "left"), _sided(a, "right")
+            assert _sided(a, "right") is right, name
+            for u, v in itertools.product(range(a.dim), repeat=2):
+                assert left[u][v] == a.product_terms(u, v), name
+                assert right[u][v] == a.product_terms(v, u), name
+
+    def test_operator_rows_agree_with_the_multiplication_operator(self):
+        """Row k of _operator_rows, its values at one j added up, is row k of
+        mult_operator on both sides."""
+        rng = Random(11)
+        for name, a in _table_members():
+            u = fa.random_element(a, rng).coeffs
+            for side in ("left", "right"):
+                rows = _operator_rows(a, u, side)
+                dense = [[F(0)] * a.dim for _ in range(a.dim)]
+                for k, row in enumerate(rows):
+                    for j, x in row:
+                        assert type(x) in (int, Fraction), name
+                        dense[k][j] += x
+                assert fa.Mat(dense, cols=a.dim) == a.mult_operator(u, side), name
 
     def test_shape_is_checked(self):
         for terms in ([[()], [(), ()]], [[(), ()]], [[(), ()], [()]]):

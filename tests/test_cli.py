@@ -413,6 +413,27 @@ class TestUsageAndErrors:
         result = CliRunner().invoke(main, ["analyze", str(bad)])
         assert result.exit_code == EXIT_PARSE
 
+    def test_a_huge_token_is_echoed_bounded(self, tmp_path):
+        """A document that is one 3 000 000-character token exits 3 with a
+        short message that still names line 1, column 1."""
+        doc = tmp_path / "huge.alg"
+        doc.write_text("x" * 3_000_000)
+        result = CliRunner().invoke(main, ["analyze", str(doc)])
+        assert result.exit_code == EXIT_PARSE
+        assert len(result.stderr.encode()) < 300
+        assert result.stderr == (
+            "error: line 1, column 1: unknown keyword " + repr("x" * 40) + "... (3000000 characters)\n"
+        )
+
+    def test_a_long_max_dim_setting_is_echoed_bounded(self, tmp_path):
+        doc = tmp_path / "m2.alg"
+        doc.write_text(fa.serialize_document(fa.document_from_algebra("M2", fa.build_matrix_algebra(2))))
+        result = CliRunner().invoke(main, ["analyze", str(doc)], env={"FINALG_MAX_DIM": "z" * 10_000})
+        assert result.exit_code == EXIT_PARSE
+        assert result.stderr == (
+            "error: FINALG_MAX_DIM must be an integer, got " + repr("z" * 40) + "... (10000 characters)\n"
+        )
+
     def test_missing_file_exit_code(self, tmp_path):
         result = CliRunner().invoke(main, ["analyze", str(tmp_path / "nope.alg")])
         assert result.exit_code == EXIT_PARSE

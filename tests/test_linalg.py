@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg.linalg import _ONE, _ZERO, Mat, Subspace, _kernel, _span, kernel_from_constraints, parse_rational
+from finalg import linalg
+from finalg.linalg import _ONE, _ZERO, Mat, Subspace, _echo, _kernel, _span, kernel_from_constraints
+from finalg.linalg import parse_rational
 from helpers import Infeasible, from_rows_oracle, null_space_oracle, rref_oracle, solve_affine
 
 F = Fraction
@@ -84,6 +86,29 @@ class TestRationals:
     @given(rationals)
     def test_round_trip(self, x):
         assert parse_rational(str(x)) == x
+
+    def test_long_tokens_are_echoed_bounded(self):
+        """A token of up to 40 characters is echoed as its repr; a longer one
+        as the repr of its first 40 characters and its length."""
+        assert _echo("1/0") == "'1/0'"
+        assert _echo("x" * 40) == repr("x" * 40)
+        assert _echo("x" * 41) == repr("x" * 40) + "... (41 characters)"
+        with pytest.raises(ValueError) as excinfo:
+            parse_rational("1/" + "0" * 50)
+        assert str(excinfo.value) == "zero denominator in " + repr("1/" + "0" * 38) + "... (52 characters)"
+        with pytest.raises(ValueError) as excinfo:
+            parse_rational("y" * 100_000)
+        assert str(excinfo.value) == "malformed rational literal " + repr("y" * 40) + "... (100000 characters)"
+
+
+class TestDense:
+    def test_entries_are_fractions_and_zeros_are_shared(self):
+        v = linalg._dense([(3, 2), (0, F(-1, 2)), (1, F(5))], 5)
+        assert v == (F(-1, 2), F(5), F(0), F(2), F(0))
+        assert all(type(x) is Fraction for x in v)
+        assert v[2] is _ZERO and v[4] is _ZERO
+        assert all(x is _ZERO for x in linalg._dense([], 3))
+        assert linalg._dense([], 0) == ()
 
 
 # All entries multiples of 6, so that no pivot is +-1 at the start.

@@ -4,7 +4,8 @@ from random import Random
 import pytest
 
 import finalg as fa
-from finalg.algebras import _unclosed_side, _with_products
+from finalg.algebras import _bracket, _unclosed_side, _with_products
+from finalg.linalg import _span
 from finalg.structure import _common_gram_radical, gram_columns
 from helpers import (
     SEMIPRIME_NAMES,
@@ -73,6 +74,29 @@ class TestCommutatorSubspace:
             basis = [a.basis_element(i) for i in range(a.dim)]
             rows = [(x * y - y * x).coeffs for x in basis for y in basis]
             assert fa.commutator_subspace(a) == fa.Subspace.from_rows(a.dim, rows)
+
+    def test_generator_pairs_span_the_all_pairs_span(self):
+        """[A, A] from the commutators [b_s, b_j], s a generator, equals the
+        span of all d(d-1)/2 basis-pair commutators."""
+        rng = Random(83)
+        algebras = (
+            list(corpus()) + _dense_corpus() + list(non_unital_algebras())
+            + [(f"random-{k}", random_algebra(rng)) for k in range(40)]
+            + [("T4", fa.build_upper_triangular(4)), ("M4", fa.build_matrix_algebra(4))]
+        )
+        for name, a in algebras:
+            pairs = _span(a.dim, [_bracket(a, i, j).items() for i in range(a.dim) for j in range(i + 1, a.dim)])
+            assert fa.commutator_subspace(a) == pairs, name
+
+    def test_a_dropped_generator_loses_commutators(self):
+        """Mutation check: M2 is generated by e12 and e21, and the
+        commutators of either one alone span 2 of the 3 dimensions of
+        [A, A], so the comparison above sees a lost generator."""
+        a = corpus_algebra("M2")
+        assert a.generators == (1, 2)
+        for kept in a.generators:
+            span = _span(a.dim, [_bracket(a, kept, j).items() for j in range(a.dim)])
+            assert span.dim == 2 < fa.commutator_subspace(a).dim == 3
 
     def test_product_span_of_unital_is_everything(self):
         for _, a in corpus():
