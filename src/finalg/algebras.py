@@ -22,7 +22,12 @@ middles.  Where the closure adds no index, as on tables without
 single-term products, S is the whole basis and the scan is the full one.
 When a triple fails, the scan runs again over every middle, so that the
 error names the first failing basis triple (i, j, k) in lexicographic
-order, with both evaluated sides.
+order, with both evaluated sides.  The scan compares ints: each product of
+the denominator-cleared table is packed into one int with a slot of
+w = bits(2 L |c|) + 1 bits per coordinate, for L the largest sum of
+|coefficient| over one product and |c| the largest constant, so the slots
+of the difference of two sides stay below 2^(w - 1) and two sides are
+equal exactly when their packed ints are (`_first_failure`).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from random import Random
 from typing import Iterable, Sequence
 
@@ -83,33 +89,18 @@ class FinAlgebra:
         self._validate()
 
     def _validate(self) -> None:
-        # Associativity is checked on the constants times their common
-        # denominator L, in exact int arithmetic: both sides are homogeneous
-        # of degree 2 in the constants, so they agree exactly when the
-        # rational sides, the integer sides divided by L^2, agree.
-        d = self.dim
-        scale = lcm(*[c.denominator for plane in self._pairs for row in plane for _, c in row])
-        pairs = [
-            [[(k, c.numerator * (scale // c.denominator)) for k, c in row] for row in plane]
-            for plane in self._pairs
-        ]
         # The middle nucleus is a subalgebra: for m, n in it, Teichmueller's
         # identity (wx,y,z) - (w,xy,z) + (w,x,yz) = w(x,y,z) + (w,x,y)z, with
         # (u,v,w) = (uv)w - u(vw), gives (w,mn,z) = 0 at x = m, y = n.  So
         # the middles in S certify the whole table; a failure found there is
         # looked up again in full for the first failing triple.
-        middles = self.generators = tuple(_generating_middles(pairs))
-        failure = _first_failure(pairs, middles)
+        d = self.dim
+        middles = self.generators = tuple(_generating_middles(self._pairs))
+        failure = _first_failure(self._pairs, middles)
         if failure is not None and len(middles) < d:
-            failure = _first_failure(pairs, range(d))
+            failure = _first_failure(self._pairs, range(d))
         if failure is not None:
-            triple, left, right = failure
-            square = scale * scale
-            raise AssociativityError(
-                triple,
-                tuple(Fraction(x, square) for x in left),
-                tuple(Fraction(x, square) for x in right),
-            )
+            raise AssociativityError(*failure)
         if self.unit is not None:
             # u b_i and b_i u, summed over the nonzero terms of u, must be b_i
             unit = _nonzeros(self.unit)
@@ -270,24 +261,52 @@ def _generating_middles(pairs) -> list[int]:
 def _first_failure(pairs, middles) -> tuple | None:
     """The first basis triple (i, j, k), in lexicographic order, with j among
     the middles, at which (b_i b_j) b_k != b_i (b_j b_k), with both sides as
-    dense lists, or None."""
+    `Fraction` vectors, or None.
+
+    The sides are compared as ints.  Both are homogeneous of degree 2 in the
+    constants, so they agree exactly when they agree on the constants times
+    their common denominator (`_cleared`).  Each product b_t b_k of that
+    table is packed once into one int, coefficient c_s times 2^(w s); a
+    side is then sum_t a_t times a packed product, whose slot s holds a sum
+    of at most L |c| in absolute value, for L the largest sum of |a_t| over
+    one product and |c| the largest constant.  With w = bits(2 L |c|) + 1,
+    every slot of the difference of two sides lies below 2^(w - 1) in
+    absolute value, so the two ints are equal exactly when the sides are.
+    For each pair (i, j) the sides at every k are compared as two lists.
+    """
     d = len(pairs)
+    table = _cleared(pairs)[1]
+    top = max((abs(c) for row in table for terms in row for _, c in terms), default=0)
+    widest = max((sum(abs(c) for _, c in terms) for row in table for terms in row), default=0)
+    w = (2 * widest * top).bit_length() + 1
+    packed = [[sum([c << (w * s) for s, c in terms]) for terms in row] for row in table]
     for i in range(d):
-        row_i = pairs[i]
+        row_i, packed_i = table[i], packed[i]
         for j in middles:
-            pij, row_j = row_i[j], pairs[j]
-            for k in range(d):
-                left = [0] * d
-                for t, a in pij:
-                    for s, x in pairs[t][k]:
-                        left[s] += a * x
-                right = [0] * d
-                for t, b in row_j[k]:
-                    for s, x in row_i[t]:
-                        right[s] += b * x
-                if left != right:
-                    return (i, j, k), left, right
+            # (b_i b_j) b_k and b_i (b_j b_k) for every k
+            left = _packed_sums(row_i[j], packed)
+            right = [sum([b * packed_i[t] for t, b in terms]) for terms in table[j]]
+            if left != right:
+                k = next(k for k in range(d) if left[k] != right[k])
+                sides = (((a, pairs[t][k]) for t, a in pairs[i][j]), ((b, pairs[i][t]) for t, b in pairs[j][k]))
+                return (i, j, k), *(_dense(_combination(side).items(), d) for side in sides)
     return None
+
+
+def _packed_sums(terms, packed) -> list:
+    """sum_t a_t packed[t] over the (t, a) pairs, entry by entry."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return packed[terms[0][0]]
+    if not terms:
+        return [0] * len(packed)
+    return [sum(map(mul, [a for _, a in terms], column)) for column in zip(*[packed[t] for t, _ in terms])]
+
+
+def _cleared(table) -> tuple[int, list]:
+    """The common denominator L of a product table's constants, and the
+    table with each constant times L, as an int."""
+    scale = lcm(*[c.denominator for row in table for terms in row for _, c in terms])
+    return scale, [[[(k, c.numerator * (scale // c.denominator)) for k, c in terms] for terms in row] for row in table]
 
 
 def _checked_terms(pairs, dim: int) -> tuple:
@@ -633,14 +652,10 @@ def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
     """v + A v (side "left") or v + v A (side "right"), spanned by integer
     rows: each basis vector u of v times the lcm of its denominators, and
     for each i, b_i u (or u b_i) from those integers and the structure
-    constants times their common denominator.  Scaling a row keeps the
-    span."""
+    constants times their common denominator (`_cleared_sided`).  Scaling a
+    row keeps the span."""
     d = a.dim
-    table = _sided(a, side)
-    scale = lcm(*[c.denominator for row in table for pairs in row for _, c in pairs])
-    if scale != 1:
-        table = [[[(k, c.numerator * (scale // c.denominator)) for k, c in pairs] for pairs in row]
-                 for row in table]
+    table = _cleared_sided(a, side)[1]
     work = []
     for u in v.basis:
         lifted = lcm(*[x.denominator for x in u])
@@ -655,6 +670,22 @@ def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
             if any(row):
                 work.append(row)
     return Subspace._of_reduced(d, _int_rref(work, d)[0])
+
+
+def _cleared_sided(a: FinAlgebra, side: str) -> tuple[int, tuple]:
+    """The common denominator L of A's constants and the `_sided` table with
+    each constant times L, as an int, built once per algebra; when L is 1
+    that is the table itself, as `FinAlgebra` keeps integral constants as
+    int."""
+    _sided(a, side)
+    return a.derived(_cleared_tables)[side]
+
+
+def _cleared_tables(a: FinAlgebra) -> dict:
+    scale, left = _cleared(a._pairs)
+    if scale == 1:
+        return {side: (1, _sided(a, side)) for side in ("left", "right")}
+    return {"left": (scale, left), "right": (scale, tuple(zip(*left)))}
 
 
 def _unclosed_side(a: FinAlgebra, v: Subspace) -> str | None:

@@ -35,7 +35,7 @@ from itertools import compress, repeat
 from operator import is_not, itemgetter
 
 from .algebras import FinAlgebra, FiniteGroup
-from .linalg import _ZERO, Mat, Vec, _dense, _echo, parse_rational
+from .linalg import _RATIONAL_RE, _ZERO, Mat, Vec, _dense, _digit_check, _echo, parse_rational
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -99,6 +99,9 @@ def _int_value(token: str) -> int:
     try:
         return int(token)
     except ValueError:
+        match = _RATIONAL_RE.match(token)
+        if match and match.group(2) is None:
+            _digit_check(token, match.group(1))
         raise ValueError(f"expected an integer, got {_echo(token)}") from None
 
 

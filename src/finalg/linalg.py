@@ -11,8 +11,13 @@ results.  Every canonical subspace comes from sparse rows, lists of
 vectors as they are.  No dense matrix is built on the way.  `Mat.rref`
 reaches the same core, but serves only callers that hold a `Mat`.  The
 kernel's core `_kernel` can stop pulling rows at a floor dimension, for
-callers that know a subspace of that dimension inside the answer.
-Rationals serialize as ``p/q`` (or just ``p`` when the denominator is 1)
+callers that know a subspace of that dimension inside the answer.  Where
+its basis is dense, it tests a row for redundancy as one integer sum
+(Kronecker substitution): each column is packed into one ``int``, the k-th
+live vector's value times 2^(w k) with w = bits(max |entry|) + 66, and a row
+of integer L1 norm below 2^64 is redundant exactly when the sum of its
+entries times their packed columns is zero, as every slot then holds less
+than 2^(w - 2) in absolute value.  Rationals serialize as ``p/q`` (or just ``p`` when the denominator is 1)
 with the sign on the numerator.
 
 Subspaces of Q^n are stored by their reduced-row-echelon basis.  That
@@ -23,11 +28,12 @@ and ``==`` decides set equality structurally.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd, lcm
-from operator import is_not, itemgetter
+from math import gcd, inf
+from operator import is_not, itemgetter, mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -35,7 +41,7 @@ Vec = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/(\d+))?\Z")
+_RATIONAL_RE = re.compile(r"[+-]?(\d+)(?:/(\d+))?\Z")
 
 
 class InternalError(ValueError):
@@ -48,9 +54,18 @@ def parse_rational(token: str) -> Fraction:
     match = _RATIONAL_RE.match(token)
     if match is None:
         raise ValueError(f"malformed rational literal {_echo(token)}")
-    if match.group(1) is not None and int(match.group(1)) == 0:
+    _digit_check(token, *filter(None, match.groups()))
+    if match.group(2) is not None and int(match.group(2)) == 0:
         raise ValueError(f"zero denominator in {_echo(token)}")
     return Fraction(token)
+
+
+def _digit_check(token: str, *digits: str) -> None:
+    """Refuse a number token with a run of more digits than the interpreter
+    converts (`sys.get_int_max_str_digits`, 0 for no limit), naming both."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(token) > limit and (longest := max(map(len, digits))) > limit:
+        raise ValueError(f"number {_echo(token)} has {longest} digits, over the limit of {limit}")
 
 
 def _echo(token: str) -> str:
@@ -311,17 +326,17 @@ def _int_rref(work: list[list[int]], cols: int) -> tuple[list[Vec], tuple[int, .
 def _int_rows(cols: int, rows: Iterable[Sequence[tuple[int, Fraction | int]]]) -> list[list[int]]:
     """Sparse rows of (index, coefficient) pairs, the coefficients ``int``
     or `Fraction` and an index allowed more than once (its values add up),
-    as dense ``int`` rows: each scaled by the lcm of its denominators, which
-    keeps the row space.  Empty rows are left out."""
+    as dense ``int`` rows: each scaled by the lcm of its denominators
+    (`_integral`), which keeps the row space.  Rows without a nonzero
+    coefficient are left out."""
     work = []
     for row in rows:
-        if not row:
-            continue
-        scale = lcm(*[c.denominator for _, c in row])
-        v = [0] * cols
-        for j, c in row:
-            v[j] += c.numerator * (scale // c.denominator)
-        work.append(v)
+        indices, values = _integral(row)
+        if indices:
+            v = [0] * cols
+            for j, p in zip(indices, values):
+                v[j] += p
+            work.append(v)
     return work
 
 
@@ -520,13 +535,31 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
     depend on it.  The surviving integer vectors go to `_int_rref` as they
     are, and the result is their canonical `Subspace`, with ``Fraction``
     entries; nothing is ever rounded.
+
+    Redundant rows on a dense basis cost the most, so once the redundant
+    rows since the last independent row have hit more vectors than are
+    live, the basis's nonzeros are counted, and if the average column holds
+    at least 4 (below that a packed test costs more than the column reads
+    it replaces), the columns are packed (`_packed`).  A row of L1 norm
+    below 2^64 whose packed sum is zero is then passed over; any other row
+    takes the column path above, and an independent row drops the packed
+    columns.  So the pivots, the basis and the rows pulled are unchanged.
     """
     # vectors[k] maps coordinate -> nonzero int; columns[j] maps vector key
     # -> its nonzero value at j.  Keys follow the original order, and
     # deleting keeps the order of the rest.
     vectors: dict[int, dict[int, int]] = {k: {k: 1} for k in range(n)}
     columns: list[dict[int, int]] = [{k: 1} for k in range(n)]
+    # packed[j] is column j as one int (`_packed`) while the basis is
+    # unchanged; touched counts the vectors hit by redundant rows since the
+    # last independent row, and the basis's density is read once it is due.
+    packed, touched, due = None, 0, len(vectors)
     for row in rows if len(vectors) > floor else ():
+        if packed is not None:
+            indices, ints = _integral(row)
+            if sum(map(abs, ints)) < _NARROW and not sum(map(mul, ints, map(packed.__getitem__, indices))):
+                continue
+            row = zip(indices, ints)
         values: dict[int, int] = {}
         scale = 1
         for j, c in row:
@@ -546,11 +579,17 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
                 p *= scale
             for k, x in columns[j].items():
                 values[k] = values.get(k, 0) + p * x
-        hits = [k for k, s in values.items() if s]
-        if not hits:
+        if not any(values.values()):
+            touched += len(values)
+            if touched > due:
+                due = inf
+                if sum(map(len, vectors.values())) >= 4 * n:
+                    packed = _packed(vectors, columns)
             continue
+        hits = [k for k, s in values.items() if s]
         pivot = min(hits, key=lambda k: (len(vectors[k]), abs(values[k])))
         pvec = vectors.pop(pivot)
+        packed, touched, due = None, 0, len(vectors)
         pval = values[pivot]
         for j in pvec:
             del columns[j][pivot]
@@ -592,3 +631,42 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
             dense[j] = x
         basis.append(dense)
     return Subspace._of_reduced(n, _int_rref(basis, n)[0])
+
+
+def _integral(row) -> tuple[list[int], list[int]]:
+    """The indices and values of the nonzero entries of a sparse row of
+    (index, coefficient) pairs, the values times the lcm of the row's
+    denominators, as ints.  One pass: the values found so far are lifted
+    when the lcm grows.  Scaling a row keeps its kernel and its span."""
+    indices, values = [], []
+    scale = 1
+    for j, c in row:
+        p = c.numerator
+        if not p:
+            continue
+        q = c.denominator
+        if q != 1:
+            if scale % q:
+                m = q // gcd(scale, q)
+                scale *= m
+                values = [x * m for x in values]
+            p *= scale // q
+        elif scale != 1:
+            p *= scale
+        indices.append(j)
+        values.append(p)
+    return indices, values
+
+
+# the integer L1 norm below which `_packed` decides a row
+_NARROW = 1 << 64
+
+
+def _packed(vectors: dict, columns: list) -> list[int]:
+    """Each column as one int: the s-th live vector's value there times
+    2^(w s), with w = bits(max |entry|) + 66.  For an integer row p of L1
+    norm below 2^64, sum_j p_j packed[j] is sum_s v_s 2^(w s) with each
+    |v_s| below 2^(w - 2), so it is zero exactly when every value v_s is."""
+    w = max(abs(x) for v in vectors.values() for x in v.values()).bit_length() + 66
+    shift = {k: w * s for s, k in enumerate(vectors)}
+    return [sum([x << shift[k] for k, x in column.items()]) for column in columns]

@@ -41,8 +41,12 @@ f(b_u b_v), which is symmetric, and a term H T(b_z) gives ((G_f H) T)_z.
 So each f gives one covector over z per prefix, added up from the sparse
 columns of G_f and those columns times T, and the least z at which one is
 nonzero is the first failing tuple.  The covectors and their Gram columns
-are built once per algebra by `structure._commutator_forms`, from the
-product table `FinAlgebra` keeps.
+are built once per algebra by `structure._commutator_forms`, in ints with a
+denominator D, from the product table `FinAlgebra` keeps; a zero test
+reads them as they are.  A criterion row's context is built in ints too,
+from the Gram columns and the denominator-cleared table, and divided by
+L D once, when it is cached, so every row holds the rational values of
+the forms themselves.
 
 The Leibniz rule and both multiplicativity identities are closed in their
 first letter: the x at which one holds for every y form a subalgebra.  So
@@ -63,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .algebras import Element, FinAlgebra, _bracket, _operator_rows, _sided, random_element
+from .algebras import Element, FinAlgebra, _bracket, _cleared_sided, _operator_rows, _sided, random_element
 from .linalg import _ONE, _ZERO, InternalError, Mat, Subspace, Vec, _accumulate, _combination, _dense, _exact
 from .linalg import _kernel, _nonzeros, _null_vectors, _span, kernel_from_constraints
 from .structure import _commutator_covectors, _commutator_forms
@@ -267,14 +271,19 @@ def _constraint_rows(a: FinAlgebra, identities, first=None):
 
         yield from _rows(a, identities, d, context, first)
         return
-    for form in a.derived(_commutator_forms):
+    scale, table = _cleared_sided(a, "left")
+    for form, denominator in a.derived(_commutator_forms):
         columns = [[(k * d, g) for k, g in column] for column in form]
 
-        def projected(terms, letters, columns=columns):
+        def projected(terms, letters, columns=columns, denominator=denominator * scale):
             word = _combination(
-                (sign, _terms(a, _at(letters, right + left))) for sign, left, right in terms
+                (sign, table[w[0]][w[1]] if len(w := _at(letters, right + left)) == 2 else ((w[0], scale),))
+                for sign, left, right in terms
             )
-            return {0: _combination((c, columns[r]) for r, c in word.items())}
+            context = _combination((c, columns[r]) for r, c in word.items())
+            if denominator != 1:
+                context = {o: Fraction(v, denominator) for o, v in context.items()}
+            return {0: context}
 
         yield from _rows(a, identities, 1, projected, first)
 
@@ -386,7 +395,7 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
         rows = [_nonzeros(row) for row in t.data]
         forms = [
             (form, [_combination((g, rows[v]) for v, g in column).items() for column in form])
-            for form in a.derived(_commutator_forms)
+            for form, _ in a.derived(_commutator_forms)
         ]
     heads = {}
 

@@ -12,7 +12,11 @@ product table.  The stable parts, the radical, the Gram matrices and
 their common radical read it.  So do the tests modulo [A, A] in `maps`,
 through the covectors that vanish on [A, A] and their Gram forms, which
 are built here once per algebra (`_commutator_covectors`,
-`_commutator_forms`) and shared with the trace functionals.
+`_commutator_forms`) and shared with the trace functionals.  A Gram form
+is built in ints, from the constants times their common denominator L and
+f times the lcm h of its denominators, and comes with its denominator
+L h (`_integer_gram`); for integral tables and covectors that is 1, and
+nothing is built beyond the form itself.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 
-from .algebras import Element, FinAlgebra, _bracket, _sided, _unclosed_side, _with_products
+from .algebras import Element, FinAlgebra, _bracket, _cleared_sided, _unclosed_side, _with_products
 from .linalg import _ZERO, InternalError, Mat, Subspace, Vec, _combination, _dense, _exact, _nonzeros, _span
 from .linalg import as_vector, dot, kernel_from_constraints
 
@@ -59,19 +64,31 @@ def _commutator_covectors(a: FinAlgebra) -> tuple:
 def gram_columns(a: FinAlgebra, f, side: str = "right") -> list:
     """The Gram form G[u][v] = f(b_u b_v) of the covector f: for each u, column
     u, x -> f(x b_u) (side "right"), or row u, x -> f(b_u x) (side "left"),
-    as its nonzero (k, value) pairs, k increasing, integral values as int."""
-    f = [_exact(x) for x in f]
-    table = _sided(a, side)
-    return [
-        [(k, _exact(g)) for k, terms in enumerate(row) if (g := sum(c * f[s] for s, c in terms))]
-        for row in table
-    ]
+    as its nonzero (k, value) pairs, k increasing, integral values as int:
+    the `_integer_gram` divided by its denominator."""
+    form, denominator = _integer_gram(a, f, side)
+    if denominator == 1:
+        return form
+    return [[(k, _exact(Fraction(g, denominator))) for k, g in column] for column in form]
+
+
+def _integer_gram(a: FinAlgebra, f, side: str) -> tuple[list, int]:
+    """The `gram_columns` of f times an integer D, with int values, and D:
+    read from the constants times their common denominator L
+    (`_cleared_sided`) and f times the lcm h of its denominators, so
+    D = L h.  For a covector with an entry 1, as every canonical basis
+    vector has, h f is primitive."""
+    scale, table = _cleared_sided(a, side)
+    lifted = lcm(*[x.denominator for x in f])
+    f = [x.numerator * (lifted // x.denominator) for x in f]
+    form = [[(k, g) for k, terms in enumerate(row) if (g := sum(c * f[s] for s, c in terms))] for row in table]
+    return form, scale * lifted
 
 
 def _commutator_forms(a: FinAlgebra) -> list:
-    """The Gram columns r -> [(k, f(b_k b_r))] (`gram_columns`) of each f of
-    `_commutator_covectors`."""
-    return [gram_columns(a, f) for f in a.derived(_commutator_covectors)]
+    """The `_integer_gram` columns r -> [(k, D f(b_k b_r))] of each f of
+    `_commutator_covectors`, with D."""
+    return [_integer_gram(a, f, "right") for f in a.derived(_commutator_covectors)]
 
 
 def _stable_part(a: FinAlgebra, covectors, side: str) -> Subspace:
@@ -254,7 +271,7 @@ def _gram_forms(a: FinAlgebra, functionals) -> list:
 
 def gram_matrix(a: FinAlgebra, tf: TraceFunctional) -> Mat:
     """The dim x dim matrix G[i][j] = t(b_i b_j), the Gram rows made dense."""
-    return Mat([_dense(row, a.dim) for row in _gram_rows(a, tf)])
+    return Mat([_dense(row, a.dim) for row in _gram_rows(a, tf)], cols=a.dim)
 
 
 def _nondegenerate(a: FinAlgebra, tf: TraceFunctional, form=None) -> bool:

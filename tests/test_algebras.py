@@ -20,6 +20,7 @@ from helpers import (
     direct_product_oracle,
     non_unital_algebras,
     random_algebra,
+    rescaled_copy,
     tensor_product_oracle,
     unit_law_oracle,
     zero_product_algebra,
@@ -361,6 +362,37 @@ class TestValidationParity:
                         f"claimed unit fails the unit law on basis element {expected}"
                     ), name
         assert failures > 100
+
+    def test_the_packed_scan_matches_the_oracle_in_triple_and_sides(self):
+        """`_first_failure` over every middle compares packed ints; its triple
+        and both sides must be the Fraction oracle's on seeded single-constant
+        corruptions of every corpus member, its dense copy, the algebras
+        without a unit and a rescaled Q[S3], whose tables hold fractions."""
+        rng = Random(41)
+        failures = 0
+        for name, a in _table_members():
+            for _ in range(3):
+                table = _corrupted(_table(a), rng)
+                found = _first_failure(table, range(a.dim))
+                assert found == associativity_oracle(table), name
+                failures += found is not None
+        assert failures > 50
+
+    @pytest.mark.parametrize("name", ["M2", "QS3", "T3"])
+    def test_constants_near_2_to_the_200(self, name):
+        """On bases scaled by about 2^200 the constants reach 2^200 (one
+        common scale) or are fractions of such numbers (seeded scales): the
+        slots widen with them, and every seeded corruption is found where the
+        oracle finds it."""
+        a = fa.build_upper_triangular(3) if name == "T3" else corpus_algebra(name)
+        rng = Random(47)
+        for scales in ([F(1 << 200)] * a.dim, [F((1 << 200) + rng.randrange(1, 1 << 20)) for _ in range(a.dim)]):
+            wide = rescaled_copy(a, scales)
+            assert max(abs(c) for i in range(a.dim) for j in range(a.dim) for _, c in wide.product_terms(i, j)) > 1 << 190
+            assert _first_failure(_table(wide), range(a.dim)) is None
+            for _ in range(4):
+                table = _corrupted(_table(wide), rng)
+                assert _first_failure(table, range(a.dim)) == associativity_oracle(table), name
 
     def test_a_failure_among_the_middles_is_looked_up_in_full(self):
         # e22 e22 = 2 e22 in M2: the generating middles e12, e21 fail

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -424,6 +425,53 @@ class TestUsageAndErrors:
         assert result.stderr == (
             "error: line 1, column 1: unknown keyword " + repr("x" * 40) + "... (3000000 characters)\n"
         )
+
+    @pytest.mark.parametrize("line, column, token", [
+        ("dim {}", 5, "1" * 5000),
+        ("algebra Z\ndim 1\nproduct 0 0 = {}", 15, "-" + "7" * 5000),
+        ("algebra Z\ndim 1\nproduct 0 0 = {}", 15, "1/" + "3" * 5000),
+    ])
+    def test_integers_over_the_digit_limit_get_one_message(self, tmp_path, line, column, token):
+        """A valid integer, or a rational with a part, of more digits than
+        `sys.get_int_max_str_digits()` (4300 by default) is refused at its
+        line and column with its digit count and the limit."""
+        limit = sys.get_int_max_str_digits()
+        assert limit == 4300
+        doc = tmp_path / "long.alg"
+        text = line.format(token)
+        doc.write_text(text + "\n")
+        result = CliRunner().invoke(main, ["analyze", str(doc)])
+        assert result.exit_code == EXIT_PARSE
+        assert len(result.stderr.encode()) < 300
+        lineno = text.count("\n") + 1
+        assert result.stderr == (
+            f"error: line {lineno}, column {column}: number {token[:40]!r}... ({len(token)} characters) "
+            f"has 5000 digits, over the limit of {limit}\n"
+        )
+
+    @pytest.mark.parametrize("args", [
+        ("local-test", "--map", "transpose", "--kind", "inner-auto", "--seed", "1", "--samples"),
+        ("local-test", "--map", "transpose", "--kind", "derivation", "--seed", "1", "--samples", "1", "--trials"),
+        ("trace", "--seed", "1", "--trials"),
+    ])
+    def test_counts_over_the_bound_are_usage_errors(self, tmp_path, args, monkeypatch):
+        """--samples and --trials above MAX_COUNT exit 2 before any point is
+        drawn."""
+        from finalg import cli as finalg_cli
+
+        doc = tmp_path / "m2.alg"
+        doc.write_text(fa.serialize_document(fa.document_from_algebra("M2", fa.build_matrix_algebra(2))))
+        monkeypatch.setattr("finalg.maps.random_element", None)
+        command, *rest = args
+        result = CliRunner().invoke(main, [command, str(doc), *rest, str(finalg_cli.MAX_COUNT + 1)])
+        assert result.exit_code == EXIT_USAGE
+        assert f"must be at most {finalg_cli.MAX_COUNT}" in result.stderr
+
+    def test_the_count_bound_itself_is_accepted(self, workdir):
+        from finalg.cli import MAX_COUNT
+
+        tmp_path, cli = workdir
+        assert cli("trace", tmp_path / "m2.alg", "--seed", "1", "--trials", MAX_COUNT).exit_code == 0
 
     def test_a_long_max_dim_setting_is_echoed_bounded(self, tmp_path):
         doc = tmp_path / "m2.alg"

@@ -508,3 +508,72 @@ class TestKernelFromConstraintsExact:
         kernel = kernel_from_constraints(2, [[(0, 3), (1, 2)]])
         assert kernel.basis == ((F(1), F(-3, 2)),)
         assert all(type(x) is Fraction for x in kernel.basis[0])
+
+
+class TestPackedZeroTest:
+    """Once redundant rows have read enough of a dense basis, `_kernel` tests
+    a row for redundancy as one packed integer sum (`linalg._packed`); a
+    nonzero sum, a row of L1 norm 2^64 or more, or an independent row takes
+    the column path.  The result must be the dense kernel's."""
+
+    @staticmethod
+    def _stream(rng, n, rank, late, wide):
+        """rank dense rational rows on Q^n, then seeded combinations of them,
+        with ``late`` independent rows and ``wide`` rows scaled by 2^64 or
+        more placed among the combinations, each scaled row a combination."""
+        base = [[(j, F(rng.randint(-9, 9), rng.randint(1, 4))) for j in range(n)] for _ in range(rank)]
+
+        def combination(scale):
+            picked = rng.sample(base, 2)
+            weights = (F(rng.randint(1, 5), rng.randint(1, 3)), F(-rng.randint(1, 5), rng.randint(1, 3)))
+            return [(j, scale * w * c) for w, row in zip(weights, picked) for j, c in row]
+
+        rows = [combination(1) for _ in range(60)]
+        for _ in range(late):
+            rows.insert(rng.randrange(20, len(rows)), [(j, F(rng.randint(-9, 9), rng.randint(1, 3))) for j in range(n)])
+        for _ in range(wide):
+            rows.insert(rng.randrange(20, len(rows)), combination(rng.choice((1 << 64, 3 << 70, (1 << 200) + 1))))
+        return base + rows
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_streams_with_late_and_wide_rows_match_the_dense_kernel(self, seed, monkeypatch):
+        from random import Random
+
+        rng = Random(seed)
+        n = 20
+        rows = self._stream(rng, n, rank=8, late=2, wide=3)
+        builds = []
+        packed = linalg._packed
+        monkeypatch.setattr(linalg, "_packed", lambda *args: builds.append(1) or packed(*args))
+        streamed = kernel_from_constraints(n, rows)
+        dense = [_dense(n, row) for row in rows]
+        assert streamed.basis == null_space_oracle(Mat(dense, cols=n))
+        # the packed index was built, dropped by a late independent row and built again
+        assert len(builds) >= 2
+        assert _kernel(n, rows, 1) == streamed
+
+    def test_a_wide_independent_row_in_packed_mode(self, monkeypatch):
+        """A row of L1 norm 2^70 that is independent: it is read on the column path."""
+        from random import Random
+
+        rng = Random(11)
+        n = 20
+        rows = self._stream(rng, n, rank=8, late=0, wide=0)
+        rows.append([(0, F(1 << 70)), (1, F(3))])
+        builds = []
+        packed = linalg._packed
+        monkeypatch.setattr(linalg, "_packed", lambda *args: builds.append(1) or packed(*args))
+        streamed = kernel_from_constraints(n, rows)
+        assert builds
+        assert streamed.basis == null_space_oracle(Mat([_dense(n, row) for row in rows], cols=n))
+
+    def test_the_slots_hold_every_value_exactly(self):
+        """Values of opposite sign in neighbouring slots do not cancel: each
+        slot of w bits holds a value below 2^(w - 2)."""
+        vectors = {0: {0: 1, 1: -(1 << 40)}, 1: {0: 1 << 40, 1: 1}}
+        columns = [{0: 1, 1: 1 << 40}, {0: -(1 << 40), 1: 1}]
+        packed = linalg._packed(vectors, columns)
+        # row (p0, p1) gives the values p0 + p1 (1 << 40) ... per vector
+        for p in ((1 << 40, 1), ((1 << 63) - 1, 0), (1, 1)):
+            values = [p[0] * columns[0].get(k, 0) + p[1] * columns[1].get(k, 0) for k in vectors]
+            assert (sum(x * y for x, y in zip(p, packed)) == 0) == (not any(values))

@@ -486,6 +486,15 @@ class TestClosedFormsAgainstOracles:
                 expected = [[tf(a.product(i, j)) for j in range(a.dim)] for i in range(a.dim)]
                 assert fa.gram_matrix(a, tf) == fa.Mat(expected), name
 
+    def test_gram_matrix_of_the_dimension_0_algebra(self):
+        """On `algebra Z / dim 0` the functional that has_nondegenerate_trace
+        returns has a 0 x 0 Gram matrix, which is nondegenerate."""
+        a = fa.parse_algebra_document("algebra Z\ndim 0\n")
+        result = fa.has_nondegenerate_trace(a, seed=1, trials=1)
+        gram = fa.gram_matrix(a, result.functional)
+        assert (gram.rows, gram.cols) == (0, 0)
+        assert fa.is_nondegenerate_trace(a, result.functional)
+
     def test_radical_matches_the_dense_trace_kernel(self):
         rng = Random(11)
         m2n3 = fa.direct_product(fa.build_matrix_algebra(2), n3_algebra())
