@@ -280,12 +280,20 @@ def _first_failure(pairs, middles) -> tuple | None:
     widest = max((sum(abs(c) for _, c in terms) for row in table for terms in row), default=0)
     w = (2 * widest * top).bit_length() + 1
     packed = [[sum([c << (w * s) for s, c in terms]) for terms in row] for row in table]
+    # the (k, t, b) with b_j b_k holding b b_t, for each middle j
+    products = {j: [(k, t, b) for k, terms in enumerate(table[j]) for t, b in terms] for j in middles}
     for i in range(d):
         row_i, packed_i = table[i], packed[i]
         for j in middles:
             # (b_i b_j) b_k and b_i (b_j b_k) for every k
-            left = _packed_sums(row_i[j], packed)
-            right = [sum([b * packed_i[t] for t, b in terms]) for terms in table[j]]
+            terms = row_i[j]
+            if len(terms) == 1 and terms[0][1] == 1:
+                left = packed[terms[0][0]]
+            else:
+                left = [sum(map(mul, [a for _, a in terms], column)) for column in zip(*[packed[t] for t, _ in terms])] or [0] * d
+            right = [0] * d
+            for k, t, b in products[j]:
+                right[k] += b * packed_i[t]
             if left != right:
                 k = next(k for k in range(d) if left[k] != right[k])
                 sides = (((a, pairs[t][k]) for t, a in pairs[i][j]), ((b, pairs[i][t]) for t, b in pairs[j][k]))
@@ -293,19 +301,13 @@ def _first_failure(pairs, middles) -> tuple | None:
     return None
 
 
-def _packed_sums(terms, packed) -> list:
-    """sum_t a_t packed[t] over the (t, a) pairs, entry by entry."""
-    if len(terms) == 1 and terms[0][1] == 1:
-        return packed[terms[0][0]]
-    if not terms:
-        return [0] * len(packed)
-    return [sum(map(mul, [a for _, a in terms], column)) for column in zip(*[packed[t] for t, _ in terms])]
-
-
 def _cleared(table) -> tuple[int, list]:
     """The common denominator L of a product table's constants, and the
-    table with each constant times L, as an int."""
+    table with each constant times L, as an int: the table itself when its
+    constants are ints already."""
     scale = lcm(*[c.denominator for row in table for terms in row for _, c in terms])
+    if scale == 1 and all(type(c) is int for row in table for terms in row for _, c in terms):
+        return 1, table
     return scale, [[[(k, c.numerator * (scale // c.denominator)) for k, c in terms] for terms in row] for row in table]
 
 
@@ -683,7 +685,7 @@ def _cleared_sided(a: FinAlgebra, side: str) -> tuple[int, tuple]:
 
 def _cleared_tables(a: FinAlgebra) -> dict:
     scale, left = _cleared(a._pairs)
-    if scale == 1:
+    if left is a._pairs:
         return {side: (1, _sided(a, side)) for side in ("left", "right")}
     return {"left": (scale, left), "right": (scale, tuple(zip(*left)))}
 
