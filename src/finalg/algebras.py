@@ -24,10 +24,9 @@ When a triple fails, the scan runs again over every middle, so that the
 error names the first failing basis triple (i, j, k) in lexicographic
 order, with both evaluated sides.  The scan compares ints: each product of
 the denominator-cleared table is packed into one int with a slot of
-w = bits(2 L |c|) + 1 bits per coordinate, for L the largest sum of
-|coefficient| over one product and |c| the largest constant, so the slots
-of the difference of two sides stay below 2^(w - 1) and two sides are
-equal exactly when their packed ints are (`_first_failure`).
+w = bits(2 L |c|) + 1 bits per coordinate, L the largest sum of |c| over
+one product and |c| the largest constant, so every slot of the difference
+of two sides is below 2^(w - 1) in absolute value (`_first_failure`).
 """
 
 from __future__ import annotations
@@ -263,16 +262,13 @@ def _first_failure(pairs, middles) -> tuple | None:
     the middles, at which (b_i b_j) b_k != b_i (b_j b_k), with both sides as
     `Fraction` vectors, or None.
 
-    The sides are compared as ints.  Both are homogeneous of degree 2 in the
-    constants, so they agree exactly when they agree on the constants times
-    their common denominator (`_cleared`).  Each product b_t b_k of that
-    table is packed once into one int, coefficient c_s times 2^(w s); a
-    side is then sum_t a_t times a packed product, whose slot s holds a sum
-    of at most L |c| in absolute value, for L the largest sum of |a_t| over
-    one product and |c| the largest constant.  With w = bits(2 L |c|) + 1,
-    every slot of the difference of two sides lies below 2^(w - 1) in
-    absolute value, so the two ints are equal exactly when the sides are.
-    For each pair (i, j) the sides at every k are compared as two lists.
+    Both sides are homogeneous of degree 2 in the constants, so they are
+    compared on the constants times their common denominator (`_cleared`),
+    each product b_t b_k packed once, c_s times 2^(w s).  A side is then a
+    sum of a_t times packed products, and its slots are sums of at most
+    L |c| (see the module docstring).  For each pair (i, j) the sides at
+    every k are two lists of ints, the right one read at the nonzero terms
+    (k, t, b) of the products b_j b_k alone.
     """
     d = len(pairs)
     table = _cleared(pairs)[1]
@@ -302,9 +298,8 @@ def _first_failure(pairs, middles) -> tuple | None:
 
 
 def _cleared(table) -> tuple[int, list]:
-    """The common denominator L of a product table's constants, and the
-    table with each constant times L, as an int: the table itself when its
-    constants are ints already."""
+    """The common denominator L of a product table's constants and the
+    table of the constants times L, as ints (the table itself if they are)."""
     scale = lcm(*[c.denominator for row in table for terms in row for _, c in terms])
     if scale == 1 and all(type(c) is int for row in table for terms in row for _, c in terms):
         return 1, table
@@ -654,8 +649,8 @@ def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
     """v + A v (side "left") or v + v A (side "right"), spanned by integer
     rows: each basis vector u of v times the lcm of its denominators, and
     for each i, b_i u (or u b_i) from those integers and the structure
-    constants times their common denominator (`_cleared_sided`).  Scaling a
-    row keeps the span."""
+    constants times their common denominator.  Scaling a row keeps the
+    span."""
     d = a.dim
     table = _cleared_sided(a, side)[1]
     work = []
@@ -675,10 +670,8 @@ def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
 
 
 def _cleared_sided(a: FinAlgebra, side: str) -> tuple[int, tuple]:
-    """The common denominator L of A's constants and the `_sided` table with
-    each constant times L, as an int, built once per algebra; when L is 1
-    that is the table itself, as `FinAlgebra` keeps integral constants as
-    int."""
+    """`_cleared` of the `_sided` table, built once per algebra: the table
+    itself when the constants are integral."""
     _sided(a, side)
     return a.derived(_cleared_tables)[side]
 

@@ -334,7 +334,7 @@ _FILE = {"type": click.Path(dir_okay=False), "callback": _nonempty}
 
 
 def _bounded(ctx, param, value):
-    """A count over MAX_COUNT is a usage error; the handlers check the lower bounds."""
+    """A count over MAX_COUNT is a usage error (the handlers check the lower bounds)."""
     if value > MAX_COUNT:
         raise click.BadParameter(f"must be at most {MAX_COUNT}", ctx, param)
     return value

@@ -11,14 +11,13 @@ results.  Every canonical subspace comes from sparse rows, lists of
 vectors as they are.  No dense matrix is built on the way.  `Mat.rref`
 reaches the same core, but serves only callers that hold a `Mat`.  The
 kernel's core `_kernel` can stop pulling rows at a floor dimension, for
-callers that know a subspace of that dimension inside the answer.  Where
-its basis is dense, it tests a row for redundancy as one integer sum
-(Kronecker substitution): each column is packed into one ``int``, the k-th
-live vector's value times 2^(w k) with w = bits(max |entry|) + 66, and a row
-of integer L1 norm below 2^64 is redundant exactly when the sum of its
-entries times their packed columns is zero, as every slot then holds less
-than 2^(w - 2) in absolute value.  Rationals serialize as ``p/q`` (or just ``p`` when the denominator is 1)
-with the sign on the numerator.
+callers that know a subspace of that dimension inside the answer.  On a
+dense basis it packs each column into one ``int`` (Kronecker substitution,
+a slot of w = bits(max |entry|) + 66 bits per vector), so a row of integer
+L1 norm below 2^64 is redundant exactly when one sum of ints is zero: each
+slot then holds less than 2^(w - 2) in absolute value.  Rationals
+serialize as ``p/q`` (or just ``p`` when the denominator is 1) with the
+sign on the numerator.
 
 Subspaces of Q^n are stored by their reduced-row-echelon basis.  That
 basis is unique, so two equal subspaces have identical representations
@@ -61,8 +60,7 @@ def parse_rational(token: str) -> Fraction:
 
 
 def _digit_check(token: str, *digits: str) -> None:
-    """Refuse a number token with a run of more digits than the interpreter
-    converts (`sys.get_int_max_str_digits`, 0 for no limit), naming both."""
+    """Refuse a token with more digits than `sys.get_int_max_str_digits()`."""
     limit = sys.get_int_max_str_digits()
     if limit and len(token) > limit and (longest := max(map(len, digits))) > limit:
         raise ValueError(f"number {_echo(token)} has {longest} digits, over the limit of {limit}")
@@ -536,28 +534,23 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
     are, and the result is their canonical `Subspace`, with ``Fraction``
     entries; nothing is ever rounded.
 
-    Redundant rows on a dense basis cost the most, so once the redundant
-    rows since the last independent row have hit more vectors than are
-    live, the basis's nonzeros are counted, and if the average column holds
-    at least 4 (below that a packed test costs more than the column reads
-    it replaces), the columns are packed (`_packed`).  A row of L1 norm
-    below 2^64 whose packed sum is zero is then passed over; any other row
-    takes the column path above, and an independent row drops the packed
-    columns.  So the pivots, the basis and the rows pulled are unchanged.
+    Once the redundant rows since the last independent row have hit more
+    vectors than are live, and if the columns then hold 4 nonzeros each on
+    average (on sparser ones a packed test costs more than the reads it
+    saves), the columns are packed (`_packed`).  A row of L1 norm below 2^64
+    with a zero packed sum is then passed over; any other row takes the
+    column path, and an independent row drops the packed columns.
     """
     # vectors[k] maps coordinate -> nonzero int; columns[j] maps vector key
     # -> its nonzero value at j.  Keys follow the original order, and
     # deleting keeps the order of the rest.
     vectors: dict[int, dict[int, int]] = {k: {k: 1} for k in range(n)}
     columns: list[dict[int, int]] = [{k: 1} for k in range(n)]
-    # packed[j] is column j as one int (`_packed`) while the basis is
-    # unchanged; touched counts the vectors hit by redundant rows since the
-    # last independent row, and the basis's density is read once it is due.
     packed, touched, due = None, 0, len(vectors)
     for row in rows if len(vectors) > floor else ():
         if packed is not None:
             indices, ints = _integral(row)
-            if sum(map(abs, ints)) < _NARROW and not sum(map(mul, ints, map(packed.__getitem__, indices))):
+            if _packed_zero(indices, ints, packed):
                 continue
             row = zip(indices, ints)
         values: dict[int, int] = {}
@@ -634,10 +627,8 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
 
 
 def _integral(row) -> tuple[list[int], list[int]]:
-    """The indices and values of the nonzero entries of a sparse row of
-    (index, coefficient) pairs, the values times the lcm of the row's
-    denominators, as ints.  One pass: the values found so far are lifted
-    when the lcm grows.  Scaling a row keeps its kernel and its span."""
+    """The indices and int values of the nonzero entries of a sparse row
+    times the lcm of its denominators, which keeps its kernel and span."""
     indices, values = [], []
     scale = 1
     for j, c in row:
@@ -658,15 +649,15 @@ def _integral(row) -> tuple[list[int], list[int]]:
     return indices, values
 
 
-# the integer L1 norm below which `_packed` decides a row
-_NARROW = 1 << 64
-
-
 def _packed(vectors: dict, columns: list) -> list[int]:
-    """Each column as one int: the s-th live vector's value there times
-    2^(w s), with w = bits(max |entry|) + 66.  For an integer row p of L1
-    norm below 2^64, sum_j p_j packed[j] is sum_s v_s 2^(w s) with each
-    |v_s| below 2^(w - 2), so it is zero exactly when every value v_s is."""
+    """Each column as one int, the s-th live vector's value times 2^(w s)."""
     w = max(abs(x) for v in vectors.values() for x in v.values()).bit_length() + 66
     shift = {k: w * s for s, k in enumerate(vectors)}
     return [sum([x << shift[k] for k, x in column.items()]) for column in columns]
+
+
+def _packed_zero(indices: list[int], ints: list[int], packed: list[int]) -> bool:
+    """True only when the integer row is zero on every live vector: for a
+    row p of L1 norm below 2^64, sum_j p_j packed[j] is sum_s v_s 2^(w s)
+    with every |v_s| < 2^(w - 2), zero iff each v_s is."""
+    return sum(map(abs, ints)) < 1 << 64 and not sum(map(mul, ints, map(packed.__getitem__, indices)))

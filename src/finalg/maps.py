@@ -42,11 +42,9 @@ So each f gives one covector over z per prefix, added up from the sparse
 columns of G_f and those columns times T, and the least z at which one is
 nonzero is the first failing tuple.  The covectors and their Gram columns
 are built once per algebra by `structure._commutator_forms`, in ints with a
-denominator D, from the product table `FinAlgebra` keeps; a zero test
-reads them as they are.  A criterion row's context is built in ints too,
-from the Gram columns and the denominator-cleared table, and divided by
-L D once, when it is cached, so every row holds the rational values of
-the forms themselves.
+denominator D; a zero test reads them as they are.  A criterion row's
+context is built in ints too, from them and the constants times their
+common denominator L, and divided by L D once, when it is cached.
 
 The Leibniz rule and both multiplicativity identities are closed in their
 first letter: the x at which one holds for every y form a subalgebra.  So

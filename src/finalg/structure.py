@@ -13,10 +13,8 @@ their common radical read it.  So do the tests modulo [A, A] in `maps`,
 through the covectors that vanish on [A, A] and their Gram forms, which
 are built here once per algebra (`_commutator_covectors`,
 `_commutator_forms`) and shared with the trace functionals.  A Gram form
-is built in ints, from the constants times their common denominator L and
-f times the lcm h of its denominators, and comes with its denominator
-L h (`_integer_gram`); for integral tables and covectors that is 1, and
-nothing is built beyond the form itself.
+is built in ints, with its denominator (`_integer_gram`), which is 1 for
+integral tables and covectors.
 """
 
 from __future__ import annotations
@@ -64,8 +62,7 @@ def _commutator_covectors(a: FinAlgebra) -> tuple:
 def gram_columns(a: FinAlgebra, f, side: str = "right") -> list:
     """The Gram form G[u][v] = f(b_u b_v) of the covector f: for each u, column
     u, x -> f(x b_u) (side "right"), or row u, x -> f(b_u x) (side "left"),
-    as its nonzero (k, value) pairs, k increasing, integral values as int:
-    the `_integer_gram` divided by its denominator."""
+    as its nonzero (k, value) pairs, k increasing, integral values as int."""
     form, denominator = _integer_gram(a, f, side)
     if denominator == 1:
         return form
@@ -73,11 +70,9 @@ def gram_columns(a: FinAlgebra, f, side: str = "right") -> list:
 
 
 def _integer_gram(a: FinAlgebra, f, side: str) -> tuple[list, int]:
-    """The `gram_columns` of f times an integer D, with int values, and D:
-    read from the constants times their common denominator L
-    (`_cleared_sided`) and f times the lcm h of its denominators, so
-    D = L h.  For a covector with an entry 1, as every canonical basis
-    vector has, h f is primitive."""
+    """The `gram_columns` of f times D, in ints, and D = L h: read from the
+    constants times their common denominator L and f times the lcm h of
+    its denominators, primitive when f has an entry 1."""
     scale, table = _cleared_sided(a, side)
     lifted = lcm(*[x.denominator for x in f])
     f = [x.numerator * (lifted // x.denominator) for x in f]
@@ -86,8 +81,7 @@ def _integer_gram(a: FinAlgebra, f, side: str) -> tuple[list, int]:
 
 
 def _commutator_forms(a: FinAlgebra) -> list:
-    """The `_integer_gram` columns r -> [(k, D f(b_k b_r))] of each f of
-    `_commutator_covectors`, with D."""
+    """The `_integer_gram` of each f of `_commutator_covectors`, with D."""
     return [_integer_gram(a, f, "right") for f in a.derived(_commutator_covectors)]
 
 

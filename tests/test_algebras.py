@@ -378,6 +378,21 @@ class TestValidationParity:
                 failures += found is not None
         assert failures > 50
 
+    def test_small_random_tables_match_the_oracle(self):
+        """Seeded tables of dimension 2 and 3 with constants in -2..4, most of
+        them not associative, where the sides' slots carry into each other
+        unless they are wide enough."""
+        rng = Random(53)
+        failures = 0
+        for _ in range(400):
+            d = rng.choice((2, 3))
+            table = [[[(k, c) for k in range(d) if (c := rng.choice((0, 0, 1, -1, 2, 3, -2, 4)))]
+                      for _ in range(d)] for _ in range(d)]
+            found = _first_failure(table, range(d))
+            assert found == associativity_oracle(table), table
+            failures += found is not None
+        assert failures > 300
+
     @pytest.mark.parametrize("name", ["M2", "QS3", "T3"])
     def test_constants_near_2_to_the_200(self, name):
         """On bases scaled by about 2^200 the constants reach 2^200 (one

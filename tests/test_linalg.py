@@ -568,12 +568,17 @@ class TestPackedZeroTest:
         assert streamed.basis == null_space_oracle(Mat([_dense(n, row) for row in rows], cols=n))
 
     def test_the_slots_hold_every_value_exactly(self):
-        """Values of opposite sign in neighbouring slots do not cancel: each
-        slot of w bits holds a value below 2^(w - 2)."""
-        vectors = {0: {0: 1, 1: -(1 << 40)}, 1: {0: 1 << 40, 1: 1}}
-        columns = [{0: 1, 1: 1 << 40}, {0: -(1 << 40), 1: 1}]
-        packed = linalg._packed(vectors, columns)
-        # row (p0, p1) gives the values p0 + p1 (1 << 40) ... per vector
-        for p in ((1 << 40, 1), ((1 << 63) - 1, 0), (1, 1)):
-            values = [p[0] * columns[0].get(k, 0) + p[1] * columns[1].get(k, 0) for k in vectors]
-            assert (sum(x * y for x, y in zip(p, packed)) == 0) == (not any(values))
+        """On two unit vectors (slot width w = 67) the row (2^k, -1) is
+        nonzero for every k with L1 norm below 2^64, and so is its packed
+        sum; at k = 67 the packed sum is zero, and the norm guard keeps the
+        row from being passed over."""
+        for top in (1, 1 << 40):
+            vectors = {0: {0: top}, 1: {1: top}}
+            columns = [{0: top}, {1: top}]
+            packed = linalg._packed(vectors, columns)
+            for k in range(64):
+                assert not linalg._packed_zero([0, 1], [1 << k, -1], packed)
+                assert linalg._packed_zero([0, 1], [0, 0], packed)
+        packed = linalg._packed({0: {0: 1}, 1: {1: 1}}, [{0: 1}, {1: 1}])
+        assert not sum(p * x for p, x in zip((1 << 67, -1), packed))
+        assert not linalg._packed_zero([0, 1], [1 << 67, -1], packed)

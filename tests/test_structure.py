@@ -510,7 +510,9 @@ class TestClosedFormsAgainstOracles:
         forms are not symmetric; integral values come as int."""
         rng = Random(12)
         asymmetric = 0
-        for name, a in list(corpus()) + _dense_corpus() + list(non_unital_algebras()):
+        # a rescaled Q[S3] has fractional constants, so its forms have a denominator
+        rescaled = rescaled_copy(corpus_algebra("QS3"), (F(1), F(1, 2), F(3), F(2, 5), F(7), F(1, 3)))
+        for name, a in list(corpus()) + _dense_corpus() + list(non_unital_algebras()) + [("rescaled-QS3", rescaled)]:
             d = a.dim
             covectors = list(fa.commutator_subspace(a).annihilator().basis)
             covectors += [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)] for _ in range(2)]
