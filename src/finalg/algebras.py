@@ -264,11 +264,9 @@ def _first_failure(pairs, middles) -> tuple | None:
 
     Both sides are homogeneous of degree 2 in the constants, so they are
     compared on the constants times their common denominator (`_cleared`),
-    each product b_t b_k packed once, c_s times 2^(w s).  A side is then a
-    sum of a_t times packed products, and its slots are sums of at most
-    L |c| (see the module docstring).  For each pair (i, j) the sides at
-    every k are two lists of ints, the right one read at the nonzero terms
-    (k, t, b) of the products b_j b_k alone.
+    each product b_t b_k packed once, c_s times 2^(w s) (see the module
+    docstring).  For each pair (i, j) the sides at every k are two lists of
+    ints, the right one read at the nonzero terms of the b_j b_k alone.
     """
     d = len(pairs)
     table = _cleared(pairs)[1]

@@ -69,7 +69,7 @@ EXIT_FOR_VERDICT = {
 
 DEFAULT_MAX_DIM = 24
 MAX_DIM_ENV = "FINALG_MAX_DIM"
-# the largest --samples and --trials, checked before any point is drawn
+# the largest --samples and --trials: click refuses more before any point is drawn
 MAX_COUNT = 10_000
 
 
@@ -333,13 +333,6 @@ def _nonempty(ctx, param, value):
 _FILE = {"type": click.Path(dir_okay=False), "callback": _nonempty}
 
 
-def _bounded(ctx, param, value):
-    """A count over MAX_COUNT is a usage error (the handlers check the lower bounds)."""
-    if value > MAX_COUNT:
-        raise click.BadParameter(f"must be at most {MAX_COUNT}", ctx, param)
-    return value
-
-
 def _max_dim_option(f):
     return click.option(
         "--max-dim", type=int, default=None,
@@ -488,8 +481,8 @@ def verify_jordan_criterion_cmd(path, map_spec, fmt, max_dim):
 @click.option("--map", "map_spec", required=True, callback=_nonempty)
 @click.option("--kind", type=click.Choice(["derivation", "inner-auto"]), required=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--samples", type=int, required=True, callback=_bounded)
-@click.option("--trials", type=int, default=20, callback=_bounded,
+@click.option("--samples", type=click.IntRange(max=MAX_COUNT), required=True)
+@click.option("--trials", type=click.IntRange(max=MAX_COUNT), default=20,
               help="Invertibility trials per point (inner-auto only).")
 @_report_options
 def local_test(path, map_spec, kind, seed, samples, trials, fmt, max_dim):
@@ -499,7 +492,7 @@ def local_test(path, map_spec, kind, seed, samples, trials, fmt, max_dim):
 
 @_document_command("trace")
 @click.option("--seed", type=int, required=True)
-@click.option("--trials", type=int, default=50, callback=_bounded)
+@click.option("--trials", type=click.IntRange(max=MAX_COUNT), default=50)
 @_report_options
 def trace(path, seed, trials, fmt, max_dim):
     """Search for a nondegenerate trace functional on A^2."""

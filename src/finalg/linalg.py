@@ -60,8 +60,9 @@ def parse_rational(token: str) -> Fraction:
 
 
 def _digit_check(token: str, *digits: str) -> None:
-    """Refuse a token with more digits than `sys.get_int_max_str_digits()`."""
-    limit = sys.get_int_max_str_digits()
+    """Refuse a token with more digits than `sys.get_int_max_str_digits()`
+    (absent before Python 3.10.7, which has no limit)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit and len(token) > limit and (longest := max(map(len, digits))) > limit:
         raise ValueError(f"number {_echo(token)} has {longest} digits, over the limit of {limit}")
 
@@ -535,11 +536,10 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
     entries; nothing is ever rounded.
 
     Once the redundant rows since the last independent row have hit more
-    vectors than are live, and if the columns then hold 4 nonzeros each on
-    average (on sparser ones a packed test costs more than the reads it
-    saves), the columns are packed (`_packed`).  A row of L1 norm below 2^64
-    with a zero packed sum is then passed over; any other row takes the
-    column path, and an independent row drops the packed columns.
+    vectors than are live, the columns are packed (`_packed`) if they hold
+    4 nonzeros each on average (on sparser ones a packed test costs more
+    than the reads it saves).  Then a row with `_packed_zero` is passed over,
+    and an independent row drops the packed columns.
     """
     # vectors[k] maps coordinate -> nonzero int; columns[j] maps vector key
     # -> its nonzero value at j.  Keys follow the original order, and
