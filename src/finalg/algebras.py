@@ -518,33 +518,25 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def build_matrix_algebra(n: int) -> FinAlgebra:
     """Full matrix algebra M_n with basis e_pq (row-major), e_pq e_rs = [q=r] e_ps."""
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    terms = [
-        [((p * n + s, _ONE),) if q == r else () for r in range(n) for s in range(n)]
-        for p in range(n) for q in range(n)
-    ]
-    unit = [_ZERO] * (n * n)
-    for p in range(n):
-        unit[p * n + p] = _ONE
-    labels = [f"e{p + 1}{q + 1}" for p in range(n) for q in range(n)]
-    return FinAlgebra(terms, unit, labels)
+    return _matrix_units(n, [(p, q) for p in range(n) for q in range(n)])
 
 
 def build_upper_triangular(n: int) -> FinAlgebra:
     """Upper-triangular n x n matrices; dim n(n+1)/2, unital."""
+    return _matrix_units(n, [(p, q) for p in range(n) for q in range(p, n)])
+
+
+def _matrix_units(n: int, positions: list) -> FinAlgebra:
+    """The span of the matrix units e_pq at these positions, in this order,
+    with e_pq e_rs = [q=r] e_ps; the positions hold every diagonal one and
+    are closed under that product, and the identity, the sum of the
+    diagonal ones, is the unit."""
     if n < 1:
         raise ValueError("matrix size must be at least 1")
-    positions = [(p, q) for p in range(n) for q in range(p, n)]
     index = {pq: i for i, pq in enumerate(positions)}
-    terms = [
-        [((index[p, s], _ONE),) if q == r else () for r, s in positions] for p, q in positions
-    ]
-    unit = [_ZERO] * len(positions)
-    for p in range(n):
-        unit[index[(p, p)]] = _ONE
-    labels = [f"e{p + 1}{q + 1}" for p, q in positions]
-    return FinAlgebra(terms, unit, labels)
+    terms = [[((index[p, s], _ONE),) if q == r else () for r, s in positions] for p, q in positions]
+    unit = [_ONE if p == q else _ZERO for p, q in positions]
+    return FinAlgebra(terms, unit, [f"e{p + 1}{q + 1}" for p, q in positions])
 
 
 def build_group_algebra(g: FiniteGroup) -> FinAlgebra:
@@ -664,6 +656,7 @@ def _with_products(a: FinAlgebra, v: Subspace, side: str) -> Subspace:
                     row[k] += x * c
             if any(row):
                 work.append(row)
+    # dense rows straight to `_int_rref`: through `_span`, `_unclosed_side` took 2-3x as long on dense T4 and T5
     return Subspace._of_reduced(d, _int_rref(work, d)[0])
 
 

@@ -137,7 +137,9 @@ def _new_report(command: str, doc: AlgebraDocument | None = None) -> Report:
 def _run_gen(family: str, out: str, build) -> Report:
     """Write the document of build() -> (name, algebra) to out.  Each build
     computes the dimension from its arguments and parsed inputs and checks
-    it against the cap before it builds anything."""
+    it against the cap before it builds anything.  The text is serialized,
+    which refuses a number over the interpreter's digit limit, before out
+    is opened."""
     name, algebra = build()
     doc = document_from_algebra(name, algebra)
     Path(out).write_text(serialize_document(doc), encoding="utf-8")
@@ -183,10 +185,10 @@ def _run_analyze(path: str, max_dim: int | None) -> Report:
 
     basis = structure.trace_functional_space(algebra)
     forms = structure._gram_forms(algebra, basis)
-    common = structure._common_gram_radical(algebra, basis, forms)
+    common = structure._common_gram_radical(algebra, forms)
     sec = rep.section("trace")
     sec.add("trace-space-dim", len(basis))
-    nondeg = [structure._nondegenerate(algebra, tf, form) for tf, form in zip(basis, forms)]
+    nondeg = [structure._nondegenerate(algebra, form) for form in forms]
     sec.add("basis-functionals-nondegenerate", nondeg)
     sec.add("definite-negative", common.dim > 0)
     if common.dim > 0:

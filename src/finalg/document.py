@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -237,7 +238,7 @@ def serialize_document(doc: AlgebraDocument) -> str:
         except KeyError:
             objects = dict(zip(ids, coeffs))
             for key in objects.keys() - rendered.keys():
-                rendered[key] = str(objects[key])
+                rendered[key] = _text(objects[key])
             return list(map(rendered.__getitem__, ids))
 
     lines = [f"algebra {doc.name}", f"dim {doc.dim}"]
@@ -253,6 +254,24 @@ def serialize_document(doc: AlgebraDocument) -> str:
         if texts[key]:
             lines.append(f"product {i} {j} = {texts[key]}")
     return "\n".join(lines) + "\n"
+
+
+def _text(x: Fraction) -> str:
+    """str(x), or, when a part of x has more digits than the interpreter
+    converts (`sys.get_int_max_str_digits()`, read, never set), one
+    ValueError that names the part, its digits and the limit.  The digits
+    are counted a limit's worth at a time, so no conversion meets it."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        part = "numerator" if abs(x.numerator) >= 10**limit else "denominator"
+        n, digits = abs(getattr(x, part)), 0
+        while n >= 10**limit:
+            n, digits = n // 10**limit, digits + limit
+        raise ValueError(
+            f"a coefficient's {part} has {digits + len(str(n))} digits, over the limit of {limit}"
+        ) from None
 
 
 def document_fingerprint(doc: AlgebraDocument) -> str:

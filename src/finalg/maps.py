@@ -42,7 +42,8 @@ So each f gives one covector over z per prefix, added up from the sparse
 columns of G_f and those columns times T, and the least z at which one is
 nonzero is the first failing tuple.  The covectors and their Gram columns
 are built once per algebra by `structure._commutator_forms`, in ints with a
-denominator D; a zero test reads them as they are.  A criterion row's
+denominator D, by `structure.gram_columns`, the one Gram builder; a zero
+test reads them as they are.  A criterion row's
 context is built in ints too, from them and the constants times their
 common denominator L, and divided by L D once, when it is cached.
 

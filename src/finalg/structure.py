@@ -13,8 +13,9 @@ their common radical read it.  So do the tests modulo [A, A] in `maps`,
 through the covectors that vanish on [A, A] and their Gram forms, which
 are built here once per algebra (`_commutator_covectors`,
 `_commutator_forms`) and shared with the trace functionals.  A Gram form
-is built in ints, with its denominator (`_integer_gram`), which is 1 for
-integral tables and covectors.
+is built once, in ints, times a denominator D that is 1 for integral
+tables and covectors.  The kernels read it as built, since a row times a
+nonzero integer keeps its kernel, and only `gram_matrix` divides by D.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import lcm
 from random import Random
 
 from .algebras import Element, FinAlgebra, _bracket, _cleared_sided, _unclosed_side, _with_products
-from .linalg import _ZERO, InternalError, Mat, Subspace, Vec, _combination, _dense, _exact, _nonzeros, _span
+from .linalg import _ZERO, InternalError, Mat, Subspace, Vec, _combination, _dense, _nonzeros, _span
 from .linalg import as_vector, dot, kernel_from_constraints
 
 
@@ -59,20 +60,14 @@ def _commutator_covectors(a: FinAlgebra) -> tuple:
     return a.derived(commutator_subspace).annihilator().basis
 
 
-def gram_columns(a: FinAlgebra, f, side: str = "right") -> list:
-    """The Gram form G[u][v] = f(b_u b_v) of the covector f: for each u, column
-    u, x -> f(x b_u) (side "right"), or row u, x -> f(b_u x) (side "left"),
-    as its nonzero (k, value) pairs, k increasing, integral values as int."""
-    form, denominator = _integer_gram(a, f, side)
-    if denominator == 1:
-        return form
-    return [[(k, _exact(Fraction(g, denominator))) for k, g in column] for column in form]
-
-
-def _integer_gram(a: FinAlgebra, f, side: str) -> tuple[list, int]:
-    """The `gram_columns` of f times D, in ints, and D = L h: read from the
-    constants times their common denominator L and f times the lcm h of
-    its denominators, primitive when f has an entry 1."""
+def gram_columns(a: FinAlgebra, f, side: str = "right") -> tuple[list, int]:
+    """The Gram form G[u][v] = f(b_u b_v) of the covector f times D, and D:
+    for each u, column u, x -> f(x b_u) (side "right"), or row u,
+    x -> f(b_u x) (side "left"), as its nonzero (k, int) pairs, k
+    increasing.  It is read from the constants times their common
+    denominator L and f times the lcm h of its denominators, so D = L h,
+    and the form is primitive when f has an entry 1.  A kernel reads it as
+    it is: a row times a nonzero int keeps its kernel."""
     scale, table = _cleared_sided(a, side)
     lifted = lcm(*[x.denominator for x in f])
     f = [x.numerator * (lifted // x.denominator) for x in f]
@@ -81,8 +76,8 @@ def _integer_gram(a: FinAlgebra, f, side: str) -> tuple[list, int]:
 
 
 def _commutator_forms(a: FinAlgebra) -> list:
-    """The `_integer_gram` of each f of `_commutator_covectors`, with D."""
-    return [_integer_gram(a, f, "right") for f in a.derived(_commutator_covectors)]
+    """The `gram_columns` of each f of `_commutator_covectors`, with D."""
+    return [gram_columns(a, f, "right") for f in a.derived(_commutator_covectors)]
 
 
 def _stable_part(a: FinAlgebra, covectors, side: str) -> Subspace:
@@ -94,7 +89,7 @@ def _stable_part(a: FinAlgebra, covectors, side: str) -> Subspace:
         for f in covectors:
             yield _nonzeros(f)
         for f in covectors:
-            yield from gram_columns(a, f, side)
+            yield from gram_columns(a, f, side)[0]
 
     return kernel_from_constraints(a.dim, rows())
 
@@ -243,52 +238,50 @@ def trace_functional_space(a: FinAlgebra) -> tuple[TraceFunctional, ...]:
     return tuple(TraceFunctional(a.dim, domain, row) for row in restricted.basis)
 
 
-def _covector(a: FinAlgebra, tf: TraceFunctional) -> Vec:
-    """t extended to A: its coefficients at the pivots of A^2, 0 elsewhere, since
-    a product's coordinates on the canonical basis of A^2 are its pivot entries."""
+def _gram_rows(a: FinAlgebra, tf: TraceFunctional) -> tuple[list, int]:
+    """The Gram rows of t times D, row u being x -> t(b_u x), as sparse
+    (k, int) pairs, and D (`gram_columns`).  They are read from t extended
+    to A, its coefficients at the pivots of A^2 and 0 elsewhere, since a
+    product's coordinates on the canonical basis of A^2 are its pivot
+    entries."""
     if tf.algebra_dim != a.dim:
         raise ValueError("functional belongs to a different algebra")
-    return _dense(zip(tf.domain.pivots, tf.coeffs), a.dim)
-
-
-def _gram_rows(a: FinAlgebra, tf: TraceFunctional) -> list:
-    """The Gram rows of t, row u being x -> t(b_u x), as sparse (k, value) pairs."""
-    return gram_columns(a, _covector(a, tf), "left")
+    return gram_columns(a, _dense(zip(tf.domain.pivots, tf.coeffs), a.dim), "left")
 
 
 def _gram_forms(a: FinAlgebra, functionals) -> list:
-    """Each functional's Gram rows, as a function that builds them on its
+    """Each functional's `_gram_rows`, as a function that builds them on its
     first call and keeps them, so that the common radical and the verdict
     on each functional read one copy."""
     return [functools.cache(functools.partial(_gram_rows, a, tf)) for tf in functionals]
 
 
 def gram_matrix(a: FinAlgebra, tf: TraceFunctional) -> Mat:
-    """The dim x dim matrix G[i][j] = t(b_i b_j), the Gram rows made dense."""
-    return Mat([_dense(row, a.dim) for row in _gram_rows(a, tf)], cols=a.dim)
+    """The dim x dim matrix G[i][j] = t(b_i b_j), the Gram rows divided by
+    their D and made dense."""
+    form, denominator = _gram_rows(a, tf)
+    return Mat([_dense(((k, Fraction(g, denominator)) for k, g in row), a.dim) for row in form], cols=a.dim)
 
 
-def _nondegenerate(a: FinAlgebra, tf: TraceFunctional, form=None) -> bool:
-    """True iff t's Gram matrix has zero kernel, decided on its sparse rows
-    (form(), when given) by a kernel that reads none of them once it is zero."""
-    return _common_gram_radical(a, (tf,), None if form is None else (form,)).dim == 0
+def _nondegenerate(a: FinAlgebra, form) -> bool:
+    """True iff the Gram matrix of a `_gram_forms` entry has zero kernel,
+    decided on its sparse rows by a kernel that reads none of them once it
+    is zero."""
+    return _common_gram_radical(a, (form,)).dim == 0
 
 
 def is_nondegenerate_trace(a: FinAlgebra, tf: TraceFunctional) -> bool:
     """True iff t(xA) = 0 forces x = 0, i.e. the Gram matrix has zero kernel."""
     _validate_trace(a, tf)
-    return _nondegenerate(a, tf)
+    return _nondegenerate(a, *_gram_forms(a, (tf,)))
 
 
-def _common_gram_radical(a: FinAlgebra, functionals, forms=None) -> Subspace:
-    """The x with G x = 0 for every functional's Gram matrix G (the whole
-    space when there are no functionals): one kernel over all their Gram
-    rows, which stops reading them, and building the next functional's,
-    once it is zero.  ``forms`` are the functionals' `_gram_forms` when the
-    caller reads them again."""
-    if forms is None:
-        forms = _gram_forms(a, functionals)
-    return kernel_from_constraints(a.dim, (row for form in forms for row in form()))
+def _common_gram_radical(a: FinAlgebra, forms) -> Subspace:
+    """The x with G x = 0 for the Gram matrix G of every `_gram_forms`
+    entry (the whole space when there are none): one kernel over all their
+    Gram rows, which stops reading them, and building the next entry's,
+    once it is zero."""
+    return kernel_from_constraints(a.dim, (row for form in forms for row in form()[0]))
 
 
 @dataclass(frozen=True)
@@ -320,11 +313,11 @@ def has_nondegenerate_trace(a: FinAlgebra, seed: int, trials: int) -> TraceSearc
         raise ValueError("trials must be at least 1")
     basis = trace_functional_space(a)
     forms = _gram_forms(a, basis)
-    common = _common_gram_radical(a, basis, forms)
+    common = _common_gram_radical(a, forms)
     if common.dim > 0:
         return TraceSearchResult(None, True, common.basis[0], 0, len(basis))
     for tf, form in zip(basis, forms):
-        if _nondegenerate(a, tf, form):
+        if _nondegenerate(a, form):
             return TraceSearchResult(tf, False, None, 0, len(basis))
     if not basis:
         # Only reachable at dimension zero, where A^2 = 0 and the zero
@@ -342,6 +335,6 @@ def has_nondegenerate_trace(a: FinAlgebra, seed: int, trials: int) -> TraceSearc
         coeffs = _combination((w, _nonzeros(tf.coeffs)) for w, tf in zip(weights, basis) if w)
         # a combination of trace functionals is one: no re-validation
         candidate = TraceFunctional(a.dim, domain, _dense(coeffs.items(), s))
-        if _nondegenerate(a, candidate):
+        if _nondegenerate(a, *_gram_forms(a, (candidate,))):
             return TraceSearchResult(candidate, False, None, trial, len(basis))
     return TraceSearchResult(None, False, None, trials, len(basis))

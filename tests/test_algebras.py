@@ -179,6 +179,46 @@ class TestUpperTriangular:
         assert left * left == fa.Mat.zeros(3, 3)
 
 
+class TestMatrixUnits:
+    """Both matrix-unit families against e_pq e_rs = [q=r] e_ps at their
+    positions: M_n row-major, T_n the p <= q of that order."""
+
+    @staticmethod
+    def _check(a, n, positions, generators):
+        assert a.dim == len(positions)
+        assert a.labels == tuple(f"e{p + 1}{q + 1}" for p, q in positions)
+        assert a.unit == tuple(F(int(p == q)) for p, q in positions)
+        for i, (p, q) in enumerate(positions):
+            for j, (r, s) in enumerate(positions):
+                expected = ((positions.index((p, s)), 1),) if q == r else ()
+                assert a.product_terms(i, j) == expected, (n, p, q, r, s)
+                assert all(type(c) is int for _, c in a.product_terms(i, j))
+        assert a.generators == tuple(sorted(positions.index(pq) for pq in generators))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matrix_algebra(self, n):
+        positions = [(p, q) for p in range(n) for q in range(n)]
+        # e11 = e12 e21 is a product of two other units on M2, so e12 and
+        # e21 generate it; from M3 on, the first row, then the first column
+        if n == 2:
+            generators = [(0, 1), (1, 0)]
+        else:
+            generators = [(0, q) for q in range(n)] + [(p, 0) for p in range(1, n)]
+        self._check(fa.build_matrix_algebra(n), n, positions, generators)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_upper_triangular(self, n):
+        positions = [(p, q) for p in range(n) for q in range(p, n)]
+        # the units that are no product of two others: e_pp and e_p,p+1
+        generators = [(p, q) for p, q in positions if q - p <= 1]
+        self._check(fa.build_upper_triangular(n), n, positions, generators)
+
+    @pytest.mark.parametrize("build", [fa.build_matrix_algebra, fa.build_upper_triangular])
+    def test_size_0_is_refused(self, build):
+        with pytest.raises(ValueError, match="^matrix size must be at least 1$"):
+            build(0)
+
+
 class TestAssociativityValidation:
     def test_corrupted_tensor_rejected_with_triple(self):
         good = fa.build_matrix_algebra(2)

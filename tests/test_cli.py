@@ -449,6 +449,25 @@ class TestUsageAndErrors:
             f"has 5000 digits, over the limit of {limit}\n"
         )
 
+    @pytest.mark.parametrize("part", ["numerator", "denominator"])
+    def test_gen_over_the_digit_limit_gets_one_message(self, tmp_path, part):
+        """A 2 200-digit coefficient loads, but its square has 4 400 digits,
+        more than `sys.get_int_max_str_digits()` (4300 by default) converts:
+        `gen tensor` of the document with itself exits 3 with the count and
+        the limit, writes no file and leaves the limit as it was."""
+        limit = sys.get_int_max_str_digits()
+        assert limit == 4300
+        token = "7" * 2200 if part == "numerator" else "1/" + "3" * 2200
+        doc = tmp_path / "long.alg"
+        doc.write_text(f"algebra Z\ndim 1\nproduct 0 0 = {token}\n")
+        assert CliRunner().invoke(main, ["analyze", str(doc)]).exit_code == 0
+        out = tmp_path / "t.alg"
+        result = CliRunner().invoke(main, ["gen", "tensor", str(doc), str(doc), "-o", str(out)])
+        assert result.exit_code == EXIT_PARSE
+        assert result.stderr == f"error: a coefficient's {part} has 4400 digits, over the limit of {limit}\n"
+        assert not out.exists()
+        assert sys.get_int_max_str_digits() == limit
+
     @pytest.mark.parametrize("args", [
         ("local-test", "--map", "transpose", "--kind", "inner-auto", "--seed", "1", "--samples"),
         ("local-test", "--map", "transpose", "--kind", "derivation", "--seed", "1", "--samples", "1", "--trials"),

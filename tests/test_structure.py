@@ -6,7 +6,7 @@ import pytest
 import finalg as fa
 from finalg.algebras import _bracket, _unclosed_side, _with_products
 from finalg.linalg import _span
-from finalg.structure import _common_gram_radical, gram_columns
+from finalg.structure import _common_gram_radical, _gram_forms, gram_columns
 from helpers import (
     SEMIPRIME_NAMES,
     common_gram_radical_oracle,
@@ -507,9 +507,9 @@ class TestClosedFormsAgainstOracles:
     def test_gram_columns_match_the_dense_products(self):
         """Row u of G_f[u][v] = f(b_u b_v) on the left, column u on the right,
         for the covectors vanishing on [A, A] and seeded random ones, whose
-        forms are not symmetric; integral values come as int."""
+        forms are not symmetric: each entry is an int g with g / D exact."""
         rng = Random(12)
-        asymmetric = 0
+        asymmetric = fractional = 0
         # a rescaled Q[S3] has fractional constants, so its forms have a denominator
         rescaled = rescaled_copy(corpus_algebra("QS3"), (F(1), F(1, 2), F(3), F(2, 5), F(7), F(1, 3)))
         for name, a in list(corpus()) + _dense_corpus() + list(non_unital_algebras()) + [("rescaled-QS3", rescaled)]:
@@ -521,13 +521,17 @@ class TestClosedFormsAgainstOracles:
                 columns = [list(col) for col in zip(*gram)]
                 asymmetric += gram != columns
                 for side, form in (("left", gram), ("right", columns)):
-                    found = gram_columns(a, f, side)
-                    assert found == [[(k, x) for k, x in enumerate(row) if x] for row in form], name
+                    found, denominator = gram_columns(a, f, side)
+                    assert type(denominator) is int and denominator > 0, name
+                    fractional += denominator != 1
+                    assert [[(k, F(g, denominator)) for k, g in row] for row in found] == [
+                        [(k, x) for k, x in enumerate(row) if x] for row in form
+                    ], name
                     for row in found:
                         assert [k for k, _ in row] == sorted(k for k, _ in row)
-                        assert all(type(x) is (int if x.denominator == 1 else F) for _, x in row)
+                        assert all(type(g) is int for _, g in row)
                 assert gram_columns(a, f) == gram_columns(a, f, "right")
-        assert asymmetric
+        assert asymmetric and fractional
 
     def test_common_gram_radical_matches_the_kernel_intersection(self):
         """One kernel over all Gram rows against the dense Gram kernels
@@ -536,7 +540,7 @@ class TestClosedFormsAgainstOracles:
         for name, a in list(corpus()) + _dense_corpus() + [("N3", n3_algebra())] + zeros:
             basis = fa.trace_functional_space(a)
             for functionals in [basis, ()] + [(tf,) for tf in basis]:
-                found = _common_gram_radical(a, functionals)
+                found = _common_gram_radical(a, _gram_forms(a, functionals))
                 assert found == common_gram_radical_oracle(a, functionals), name
 
     def test_common_gram_radical_reads_no_form_after_a_zero_kernel(self, monkeypatch):
@@ -550,7 +554,7 @@ class TestClosedFormsAgainstOracles:
         calls = []
         original = fs.gram_columns
         monkeypatch.setattr(fs, "gram_columns", lambda *args: calls.append(args) or original(*args))
-        assert _common_gram_radical(a, basis) == fa.Subspace.zero(a.dim)
+        assert _common_gram_radical(a, _gram_forms(a, basis)) == fa.Subspace.zero(a.dim)
         assert len(calls) == 1
 
     def test_commutator_simplicity_witness_matches_the_fixed_point(self):
