@@ -404,7 +404,7 @@ class FiniteGroup:
     """A finite group given by a Cayley table of 0-based indices.
 
     Construction checks that every row and column is a permutation, that
-    the table is associative, and that an identity and all inverses exist.
+    an identity exists and that the table is associative; inverses follow.
     """
 
     __slots__ = ("order", "cayley", "identity_index", "_inverse")
@@ -439,18 +439,12 @@ class FiniteGroup:
                 for k in range(n):
                     if table[table[i][j]][k] != table[i][table[j][k]]:
                         raise ValueError(f"Cayley table is not associative at ({i},{j},{k})")
-        inverse = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == identity and table[j][i] == identity:
-                    inverse[i] = j
-                    break
-            if inverse[i] is None:
-                raise ValueError(f"element {i} has no inverse")
         self.order = n
         self.cayley = table
         self.identity_index = identity
-        self._inverse = tuple(inverse)
+        # Row i holds the identity once, at j with ij = 1, and column i at k with
+        # ki = 1; associativity gives k = k(ij) = (ki)j = j, a two-sided inverse.
+        self._inverse = tuple(row.index(identity) for row in table)
 
     def mul(self, i: int, j: int) -> int:
         return self.cayley[i][j]

@@ -15,8 +15,7 @@ tuple of a concrete map.  Products are read from the product table of
 Rows come from one engine, which groups an identity's terms by the word in
 the map.  What a group adds to a tuple's rows depends only on the tuple's
 letters outside that word, so it is built once per such letters, with the
-column offsets folded in, and shifted into place for each tuple; when the
-tuple's mapped letters are distinct, nothing needs adding up.  The stream,
+column offsets folded in, and shifted into place for each tuple.  The stream,
 its order and every value are those of reading the terms one by one.  A
 solve can be given a floor, a space of maps inside its answer on every
 algebra, as the inner derivations lie in the derivations and in the
@@ -297,12 +296,10 @@ def _rows(a: FinAlgebra, identities, outputs: int, context, first=None):
     tuple's letters at the group's other positions.  context(terms, letters)
     gives it as {r: {k d: coefficient}}, the sum of sign * L b_k R over the
     terms (sign, L, R), their positions renumbered to index the letters.
-    It is built once per letters and shared by the groups whose renumbered
-    terms agree.  A tuple adds it at k d + t, times M_t, for each nonzero
-    M_t, adding up entries that meet.  Entries of the first group never
-    meet, and neither do any two when every M is one letter and the tuple's
-    letters there are distinct; then a group's entries for a single output
-    are stored at once, without being looked up.
+    It is cached per letters as its (r, k d, value) entries by increasing r,
+    integral values as `int`, shared by the groups whose renumbered terms
+    agree.  A tuple adds each entry at k d + t, times M_t, for each nonzero
+    M_t, adding up entries that meet.
     """
     d = a.dim
     caches: dict[tuple, dict] = {}
@@ -321,46 +318,24 @@ def _rows(a: FinAlgebra, identities, outputs: int, context, first=None):
                 for sign, left, right in terms
             ))
             plans.append((word, _letters_at(rest), shape, caches.setdefault(shape, {})))
-        # the positions of the one-letter words M, when every M is one letter
-        single = [word[0] for word in groups] if all(len(word) == 1 for word in groups) else []
-        mapped = _letters_at(single)
         for tup in identity.tuples(d, first=first if identity.closed else None):
-            distinct = len(single) > 1 and len(set(mapped(tup))) == len(single)
             rows = [{} for _ in range(outputs)]
-            disjoint = True
             for word, rest, shape, cache in plans:
                 letters = rest(tup)
-                summed = cache.get(letters)
-                if summed is None:
-                    summed = cache[letters] = _group_sum(context(shape, letters))
-                lone, entries = summed
+                entries = cache.get(letters)
+                if entries is None:
+                    sums = context(shape, letters)
+                    entries = cache[letters] = [(r, o, _exact(v)) for r in sorted(sums) for o, v in sums[r].items()]
                 if len(word) == 1:
                     shifts = ((tup[word[0]], 1),)
                 else:
                     shifts = _terms(a, (tup[word[0]], tup[word[1]]))
                 for t, m in shifts:
-                    if disjoint and lone:
-                        r, offsets, values = lone
-                        if m != 1:
-                            values = [m * v for v in values]
-                        rows[r].update(zip(map(t.__add__, offsets), values))
-                    else:
-                        for r, o, v in entries:
-                            _accumulate(rows[r], o + t, v if m == 1 else m * v)
-                disjoint = distinct
+                    for r, o, v in entries:
+                        _accumulate(rows[r], o + t, v if m == 1 else m * v)
             for row in rows:
                 if row:
                     yield row.items()
-
-
-def _group_sum(sums: dict[int, dict]) -> tuple:
-    """{r: {k d: coefficient}} as its (r, k d, value) entries by increasing
-    r, integral values as `int`, and as (r, offsets, values) too when one
-    output r holds them all."""
-    entries = [(r, o, _exact(v)) for r in sorted(sums) for o, v in sums[r].items()]
-    if len({r for r, _, _ in entries}) != 1:
-        return None, entries
-    return (entries[0][0], tuple(o for _, o, _ in entries), tuple(v for _, _, v in entries)), entries
 
 
 def _letters_at(positions):
@@ -396,7 +371,6 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
             (form, [_combination((g, rows[v]) for v, g in column).items() for column in form])
             for form, _ in a.derived(_commutator_forms)
         ]
-    heads = {}
 
     def value(factors):
         """The product of the factors as (index, value) pairs, without zeros."""
@@ -416,40 +390,36 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
         return [_combination((1, v) for s, v in values if s == side) for side in (1, -1)]
 
     def failing(identity, first=None):
-        """The tuples at which the identity fails, in `tuples` order, with
-        `first`, only those whose first letter is among these indices;
-        modulo [A, A], only the first."""
+        """The first tuple at which the identity fails, in `tuples` order,
+        with `first`, among those whose first letter is among these indices;
+        None when it holds at them all."""
         if not identity.modulo_commutators:
-            for tup in identity.tuples(d, first=first):
-                if operator.ne(*sides(identity, tup)):
-                    yield tup
-            return
+            tuples = identity.tuples(d, first=first)
+            return next((tup for tup in tuples if operator.ne(*sides(identity, tup))), None)
         # A symmetric identity at a prefix and a z below its last letter is a
         # reordered earlier tuple, which held, so the covectors vanish there.
         for prefix in identity.tuples(d, identity.arity - 1):
             # (weight, head value) of the terms ending in b_z, then of those ending in T(b_z)
             ends = ([], [])
             for weight, head, mapped in identity.cyclic:
-                head = tuple((m, _at(prefix, p)) for m, p in head)
-                if head not in heads:
-                    heads[head] = value(head)
-                ends[mapped].append((weight, heads[head]))
-            first = d
+                ends[mapped].append((weight, value(tuple((m, _at(prefix, p)) for m, p in head))))
+            least = d
             for form, through in forms:
                 covector = _combination(itertools.chain(
                     ((w * x, form[u]) for w, head in ends[0] for u, x in head),
                     ((w * x, through[u]) for w, head in ends[1] for u, x in head),
                 ))
-                first = min([first, *covector])
-            if first < d:
-                yield prefix + (first,)
-                return
+                least = min([least, *covector])
+            if least < d:
+                return prefix + (least,)
+        return None
 
     generators = a.generators
     for identity in identities:
-        if identity.closed and len(generators) < d and next(failing(identity, generators), None) is None:
+        if identity.closed and len(generators) < d and failing(identity, generators) is None:
             continue
-        for tup in failing(identity):
+        tup = failing(identity)
+        if tup is not None:
             lhs, rhs = (_dense(side.items(), d) for side in sides(identity, tup))
             if forms is not None:
                 return {key: tup, "value": tuple(x - y for x, y in zip(lhs, rhs))}

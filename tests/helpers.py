@@ -771,6 +771,14 @@ def constraint_rows_oracle(a: fa.FinAlgebra, identities):
         yield from _oracle_rows(a, identities, 1, projected)
 
 
+def row_stream_digest(rows) -> str:
+    """The sha256 of a row stream, one line per row, entries sorted."""
+    h = hashlib.sha256()
+    for row in rows:
+        h.update((" ".join(f"{i}:{c}" for i, c in sorted(row)) + "\n").encode())
+    return h.hexdigest()
+
+
 def _oracle_rows(a, identities, outputs, context):
     d = a.dim
     contexts = {}

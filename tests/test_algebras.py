@@ -144,9 +144,9 @@ class TestFiniteGroup:
         assert sorted(len(c) for c in classes) == [1, 1, 2, 2, 2]
 
     def test_inverse(self):
-        g = fa.dihedral_group(3)
-        for i in range(g.order):
-            assert g.mul(i, g.inverse(i)) == g.identity_index
+        for g in (fa.cyclic_group(5), fa.symmetric_group(3), fa.dihedral_group(4), fa.symmetric_group(4)):
+            for i in range(g.order):
+                assert g.mul(i, g.inverse(i)) == g.mul(g.inverse(i), i) == g.identity_index
 
 
 class TestUpperTriangular:

@@ -1,4 +1,3 @@
-import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -28,6 +27,7 @@ from helpers import (
     random_algebra,
     random_invertible,
     rescaled_copy,
+    row_stream_digest,
     verify_jordan_criterion_oracle,
     solve_affine,
     zero_product_algebra,
@@ -1172,13 +1172,6 @@ class TestRowEngine:
             assert [dict(row) for row in rows] == expected, (name, system)
 
 
-def _row_stream_digest(rows) -> str:
-    h = hashlib.sha256()
-    for row in rows:
-        h.update((" ".join(f"{i}:{c}" for i, c in sorted(row)) + "\n").encode())
-    return h.hexdigest()
-
-
 # system -> (rows, rank, sha256 of the rows, entries sorted in each row) of
 # Q[S4], recorded from the term-by-term engine the grouped one replaced.
 QS4_ROW_STREAMS = {
@@ -1193,4 +1186,4 @@ def test_qs4_row_streams(system):
     a = fa.build_group_algebra(fa.symmetric_group(4))
     rows = [list(row) for row in fm._constraint_rows(a, SYSTEMS[system])]
     rank = a.dim ** 2 - fa.kernel_from_constraints(a.dim ** 2, rows).dim
-    assert (len(rows), rank, _row_stream_digest(rows)) == QS4_ROW_STREAMS[system]
+    assert (len(rows), rank, row_stream_digest(rows)) == QS4_ROW_STREAMS[system]

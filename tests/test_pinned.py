@@ -6,7 +6,6 @@ moves a witness, reorders a row stream or alters a row shows here even when
 every verdict stays the same.  They are regression pins, not oracles.
 """
 
-import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -14,7 +13,7 @@ import pytest
 
 import finalg as fa
 import finalg.maps as fm
-from helpers import corpus_algebra, dense_copy
+from helpers import corpus_algebra, dense_copy, row_stream_digest
 
 F = Fraction
 
@@ -148,13 +147,6 @@ class TestCheckWitnesses:
             assert result.witness == {"triple": triple, "value": value}
 
 
-def _row_stream_digest(rows) -> str:
-    h = hashlib.sha256()
-    for row in rows:
-        h.update((" ".join(f"{i}:{c}" for i, c in sorted(row)) + "\n").encode())
-    return h.hexdigest()
-
-
 # member -> system -> (rows, rank, sha256 of the rows, entries sorted in each row)
 ROW_STREAMS = {
     "M3": {
@@ -172,6 +164,16 @@ ROW_STREAMS = {
         "jordan": (332, 91, "95d4c9554ada327d558255f56b1eed6f16245e8838f4741a6aa6d159ea5f598f"),
         "criterion": (80, 40, "7074efff52799752af5e3f1fdbdeaf29172ccbe9f3e220650a0a91b27a412d7e"),
     },
+    "T5": {
+        "derivation": (1215, 211, "67d9f30256b381058092c9f91056ad31e81aa3fa65b9f78500b1a580a3936e7f"),
+        "jordan": (965, 211, "dcf12e6c71fccfe9d2d4a74f883e205ac75c8f44bb853a477a19d5bf692dd370"),
+        "criterion": (150, 75, "2a62b53cd2050df23e3e26e0c902770ac08d5a4d76651ac8c765b4661e3fd527"),
+    },
+    "QS3tM2": {
+        "derivation": (11808, 555, "cd4fa37d9a919379310722a97132b4fffd53adc8c4d2044a6d0784c990b16071"),
+        "jordan": (6780, 555, "ddb75d4d8cef92a676044210380812c5ee6344177bb60dd6d602f7d184da752c"),
+        "criterion": (8364, 555, "91ea02b7e5fb770d457d49c638b935862512d3bb78cf014e03641e6eb4dadb8c"),
+    },
     "T4-dense": {
         "derivation": (1000, 91, "3cad1788d0b6d279f40cf29fde7c5154ecd6ecd37411ad4d49eecb775c9b6a82"),
         "jordan": (550, 91, "ded294f9a87a7479c86d7a2c684d99164859d67ffcfc6574ca7c26678d82da13"),
@@ -187,8 +189,10 @@ SPACES = {
 
 
 def _member(name):
-    if name == "T4":
-        return fa.build_upper_triangular(4)
+    if name in ("T4", "T5"):
+        return fa.build_upper_triangular(int(name[1:]))
+    if name == "QS3tM2":
+        return fa.tensor_product(fa.build_group_algebra(fa.symmetric_group(3)), fa.build_matrix_algebra(2))
     if name == "T4-dense":
         return dense_copy(fa.build_upper_triangular(4), Random(4))
     return corpus_algebra(name)
@@ -204,7 +208,7 @@ def test_row_streams(name, monkeypatch):
         def recording(n, rows):
             rows = [list(row) for row in rows]
             kernel = solve(n, rows)
-            seen.append((len(rows), n - kernel.dim, _row_stream_digest(rows)))
+            seen.append((len(rows), n - kernel.dim, row_stream_digest(rows)))
             return kernel
 
         monkeypatch.setattr(fm, "kernel_from_constraints", recording)
