@@ -14,6 +14,13 @@ Exit status contract (documented, deterministic):
 All randomized subcommands take an explicit --seed; nothing reads the
 clock.  The dimension guardrail defaults to 24 and can be raised with
 --max-dim or the FINALG_MAX_DIM environment variable.
+
+Each command is one decorated function.  A document command is declared by
+``_document_command(name, *options)`` around ``fill(rep, algebra,
+**options)``, which adds its sections and verdict to the report of the
+loaded, capped document; a ``gen`` family by ``_gen_command(family,
+*options)`` around ``build(max_dim, **options) -> (name, algebra)``.  The
+two skeletons alone load, cap, write, report and exit.
 """
 
 from __future__ import annotations
@@ -108,11 +115,6 @@ def _load_document(path: str, max_dim: int | None) -> AlgebraDocument:
     return doc
 
 
-def _load_algebra(path: str, max_dim: int | None) -> tuple[AlgebraDocument, FinAlgebra]:
-    doc = _load_document(path, max_dim)
-    return doc, doc.to_algebra()
-
-
 def _load_map(spec: str, algebra: FinAlgebra):
     if spec == "transpose":
         n = math.isqrt(algebra.dim)
@@ -124,31 +126,10 @@ def _load_map(spec: str, algebra: FinAlgebra):
     return parse_map_file(_read_text(spec, "map file "), expected_dim=algebra.dim)
 
 
-def _new_report(command: str, doc: AlgebraDocument | None = None) -> Report:
+def _new_report(command: str, doc: AlgebraDocument) -> Report:
     rep = Report(command)
-    if doc is not None:
-        rep.algebra_name = doc.name
-        rep.fingerprint = document_fingerprint(doc)
-    return rep
-
-
-# -- gen ----------------------------------------------------------------------
-
-def _run_gen(family: str, out: str, build) -> Report:
-    """Write the document of build() -> (name, algebra) to out.  Each build
-    computes the dimension from its arguments and parsed inputs and checks
-    it against the cap before it builds anything.  The text is serialized,
-    which refuses a number over the interpreter's digit limit, before out
-    is opened."""
-    name, algebra = build()
-    doc = document_from_algebra(name, algebra)
-    Path(out).write_text(serialize_document(doc), encoding="utf-8")
-    rep = _new_report("gen", doc)
-    sec = rep.section("generated")
-    sec.add("family", family)
-    sec.add("dim", algebra.dim)
-    sec.add("unital", algebra.is_unital)
-    sec.add("output", str(out))
+    rep.algebra_name = doc.name
+    rep.fingerprint = document_fingerprint(doc)
     return rep
 
 
@@ -158,11 +139,166 @@ def _check_size(n: int, dim: int, max_dim: int | None) -> None:
     _cap_check(dim, max_dim)
 
 
-# -- analyze -------------------------------------------------------------------
+# -- the command skeletons ----------------------------------------------------
 
-def _run_analyze(path: str, max_dim: int | None) -> Report:
-    doc, algebra = _load_algebra(path, max_dim)
-    rep = _new_report("analyze", doc)
+def _finish(run, fmt: str) -> None:
+    """Run run(), print the Report it returns and exit with its verdict's status."""
+    try:
+        rep = run()
+    except (InternalError, RuntimeError) as exc:
+        # an internal consistency check failed: a program fault, not bad input
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_REFUTATION)
+    except (DocumentError, OSError, ValueError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_PARSE)
+    click.echo(emit_report(rep, fmt), nl=False)
+    sys.exit(EXIT_FOR_VERDICT[rep.verdict])
+
+
+def _nonempty(ctx, param, value):
+    """An empty file name is a usage error (click.Path accepts it)."""
+    if value == "":
+        raise click.BadParameter("must not be empty", ctx, param)
+    return value
+
+
+_FILE = {"type": click.Path(dir_okay=False), "callback": _nonempty}
+_MAX_DIM = click.option(
+    "--max-dim", type=int, default=None,
+    help=f"Override the dimension cap (default {DEFAULT_MAX_DIM}, env {MAX_DIM_ENV}).",
+)
+_FORMAT = click.option(
+    "--format", "fmt", type=click.Choice(["text", "structured"]), default="text",
+    help="Report rendering.",
+)
+_OUT = click.option("-o", "--out", required=True, **_FILE)
+
+
+@click.group()
+@click.version_option(__version__, prog_name="finalg")
+def main():
+    """Exact analysis of finite-dimensional associative algebras."""
+
+
+@main.group()
+def gen():
+    """Write an algebra document for one of the built-in families."""
+
+
+def _declare(run, command, *params):
+    """command(run) with params, in the order listed, as its parameters."""
+    for param in reversed(params):
+        run = param(run)
+    return command(run)
+
+
+def _document_command(name: str, *options):
+    """Declare ``finalg <name> PATH`` with options, --format and --max-dim
+    around fill(rep, algebra, **options), which adds the command's sections
+    and verdict to the report on the loaded, capped document."""
+    def declare(fill):
+        def run(path, fmt, max_dim, **values):
+            def report() -> Report:
+                doc = _load_document(path, max_dim)
+                algebra = doc.to_algebra()
+                rep = _new_report(name, doc)
+                fill(rep, algebra, **values)
+                return rep
+            _finish(report, fmt)
+        return _declare(run, main.command(name, help=fill.__doc__),
+                        click.argument("path", **_FILE), *options, _FORMAT, _MAX_DIM)
+    return declare
+
+
+def _gen_command(family: str, *options):
+    """Declare ``finalg gen <family>`` with options, --max-dim and -o/--out
+    around build(max_dim, **options) -> (name, algebra).  Each build
+    computes the dimension from its arguments and parsed inputs and checks
+    it against the cap before it builds anything.  The text is serialized,
+    which refuses a number over the interpreter's digit limit, before out
+    is opened."""
+    def declare(build):
+        def run(out, max_dim, **values):
+            def report() -> Report:
+                name, algebra = build(max_dim, **values)
+                doc = document_from_algebra(name, algebra)
+                Path(out).write_text(serialize_document(doc), encoding="utf-8")
+                rep = _new_report("gen", doc)
+                sec = rep.section("generated")
+                sec.add("family", family)
+                sec.add("dim", algebra.dim)
+                sec.add("unital", algebra.is_unital)
+                sec.add("output", str(out))
+                return rep
+            _finish(report, "text")
+        return _declare(run, gen.command(family, help=build.__doc__), *options, _MAX_DIM, _OUT)
+    return declare
+
+
+# -- gen families ----------------------------------------------------------------
+
+@_gen_command("matrix", click.option("--n", type=int, required=True))
+def gen_matrix(max_dim, n):
+    """Full matrix algebra M_n (dimension n^2)."""
+    _check_size(n, n * n, max_dim)
+    return f"M{n}", build_matrix_algebra(n)
+
+
+@_gen_command("triangular", click.option("--n", type=int, required=True))
+def gen_triangular(max_dim, n):
+    """Upper-triangular n x n matrices (dimension n(n+1)/2)."""
+    _check_size(n, n * (n + 1) // 2, max_dim)
+    return f"T{n}", build_upper_triangular(n)
+
+
+@_gen_command(
+    "group",
+    click.option("--cayley", required=True, **_FILE),
+    click.option("--name", default=None, help="Algebra name (default QG<order>)."),
+)
+def gen_group(max_dim, cayley, name):
+    """Rational group algebra from a Cayley table file."""
+    text = _read_text(cayley, "Cayley table ")
+    _cap_check(cayley_order(text), max_dim)
+    group = parse_cayley_table(text)
+    return name or f"QG{group.order}", build_group_algebra(group)
+
+
+_TWO_DOCUMENTS = (click.argument("a", **_FILE), click.argument("b", **_FILE))
+
+
+@_gen_command("direct", *_TWO_DOCUMENTS)
+def gen_direct(max_dim, a, b):
+    """Direct product of two algebra documents."""
+    left, right = _load_document(a, max_dim), _load_document(b, max_dim)
+    _cap_check(left.dim + right.dim, max_dim)
+    return (f"{left.name}_times_{right.name}",
+            direct_product(left.to_algebra(), right.to_algebra()))
+
+
+@_gen_command("tensor", *_TWO_DOCUMENTS)
+def gen_tensor(max_dim, a, b):
+    """Tensor product of two algebra documents."""
+    left, right = _load_document(a, max_dim), _load_document(b, max_dim)
+    _cap_check(left.dim * right.dim, max_dim)
+    return (f"{left.name}_tensor_{right.name}",
+            tensor_product(left.to_algebra(), right.to_algebra()))
+
+
+@_gen_command("adjoin-unit", click.argument("a", **_FILE))
+def gen_adjoin_unit(max_dim, a):
+    """Adjoin a fresh unit to an algebra document."""
+    base = _load_document(a, max_dim)
+    _cap_check(base.dim + 1, max_dim)
+    return f"{base.name}_unital", adjoin_unit(base.to_algebra())
+
+
+# -- document commands -------------------------------------------------------------
+
+@_document_command("analyze")
+def analyze(rep, algebra):
+    """Commutator structure, radical, and trace facts of an algebra."""
     info = rep.section("algebra")
     info.add("dim", algebra.dim)
     info.add("unital", algebra.is_unital)
@@ -201,18 +337,16 @@ def _run_analyze(path: str, max_dim: int | None) -> Report:
         )
 
     rep.verdict = VERDICT_OK if simplicity else VERDICT_PROPERTY_FALSE
-    return rep
 
 
-def _run_derivations(path: str, max_dim: int | None) -> Report:
-    doc, algebra = _load_algebra(path, max_dim)
-    rep = _new_report("derivations", doc)
+@_document_command("derivations")
+def derivations(rep, algebra):
+    """Dimensions of the four derivation-type map spaces."""
     sec = rep.section("map-spaces")
     sec.add("inner-derivations", maps.inner_derivation_space(algebra).dim)
     sec.add("derivations", maps.derivation_space(algebra).dim)
     sec.add("jordan-derivations", maps.jordan_derivation_space(algebra).dim)
     sec.add("criterion-maps", maps.derivation_criterion_space(algebra).dim)
-    return rep
 
 
 def _verdict_from_verification(rep: Report, result: maps.VerificationReport) -> None:
@@ -233,28 +367,37 @@ def _verdict_from_verification(rep: Report, result: maps.VerificationReport) -> 
         rep.section("refutation").add("witness", result.witness)
 
 
-def _run_verify_derivation_criterion(path: str, max_dim: int | None) -> Report:
-    doc, algebra = _load_algebra(path, max_dim)
-    rep = _new_report("verify-derivation-criterion", doc)
+@_document_command("verify-derivation-criterion")
+def verify_derivation_criterion_cmd(rep, algebra):
+    """Check that maps with D(x)x, D(x)x^2 in [A,A] are exactly the derivations."""
     _verdict_from_verification(rep, maps.verify_derivation_criterion(algebra))
-    return rep
 
 
-def _run_verify_jordan_criterion(path: str, spec: str, max_dim: int | None) -> Report:
-    doc, algebra = _load_algebra(path, max_dim)
-    t = _load_map(spec, algebra)
-    rep = _new_report("verify-jordan-criterion", doc)
-    rep.section("map").add("map", spec)
+@_document_command(
+    "verify-jordan-criterion",
+    click.option("--map", "map_spec", required=True, callback=_nonempty,
+                 help="'transpose' or a map file (dim then dim^2 rationals row-major)."),
+)
+def verify_jordan_criterion_cmd(rep, algebra, map_spec):
+    """Check the cubic criterion: T(1)=1 and T(x)^3 - x^3 in [A,A] force a
+    Jordan homomorphism."""
+    t = _load_map(map_spec, algebra)
+    rep.section("map").add("map", map_spec)
     _verdict_from_verification(rep, maps.verify_jordan_criterion(algebra, t))
-    return rep
 
 
-def _run_local_test(
-    path: str, spec: str, kind: str, seed: int, samples: int, trials: int, max_dim: int | None
-) -> Report:
-    doc, algebra = _load_algebra(path, max_dim)
-    t = _load_map(spec, algebra)
-    rep = _new_report("local-test", doc)
+@_document_command(
+    "local-test",
+    click.option("--map", "map_spec", required=True, callback=_nonempty),
+    click.option("--kind", type=click.Choice(["derivation", "inner-auto"]), required=True),
+    click.option("--seed", type=int, required=True),
+    click.option("--samples", type=click.IntRange(max=MAX_COUNT), required=True),
+    click.option("--trials", type=click.IntRange(max=MAX_COUNT), default=20,
+                 help="Invertibility trials per point (inner-auto only)."),
+)
+def local_test(rep, algebra, map_spec, kind, seed, samples, trials):
+    """Sampling tests of local-derivation / local-inner-automorphism behavior."""
+    t = _load_map(map_spec, algebra)
     rep.seeds = {"seed": seed, "samples": samples}
     rep.caveats.append(maps.LOCAL_TEST_CAVEAT)
     if kind == "derivation":
@@ -264,7 +407,7 @@ def _run_local_test(
         sec.add("points-tested", result.points_tested)
         sec.add("counterexample", result.counterexample)
         rep.verdict = VERDICT_OK if result.passed else VERDICT_PROPERTY_FALSE
-        return rep
+        return
     rep.seeds["trials"] = trials
     outcomes = maps.local_inner_automorphism_test(algebra, t, seed, samples, trials)
     sec = rep.section("local-inner-automorphism")
@@ -281,12 +424,15 @@ def _run_local_test(
         rep.verdict = VERDICT_INCONCLUSIVE
     else:
         rep.verdict = VERDICT_OK
-    return rep
 
 
-def _run_trace(path: str, seed: int, trials: int, max_dim: int | None) -> Report:
-    doc, algebra = _load_algebra(path, max_dim)
-    rep = _new_report("trace", doc)
+@_document_command(
+    "trace",
+    click.option("--seed", type=int, required=True),
+    click.option("--trials", type=click.IntRange(max=MAX_COUNT), default=50),
+)
+def trace(rep, algebra, seed, trials):
+    """Search for a nondegenerate trace functional on A^2."""
     rep.seeds = {"seed": seed, "trials": trials}
     result = structure.has_nondegenerate_trace(algebra, seed, trials)
     sec = rep.section("trace")
@@ -305,200 +451,6 @@ def _run_trace(path: str, seed: int, trials: int, max_dim: int | None) -> Report
         rep.verdict = VERDICT_PROPERTY_FALSE
     else:
         rep.verdict = VERDICT_INCONCLUSIVE
-    return rep
-
-
-# -- click wiring ---------------------------------------------------------------
-
-def _finish(handler, fmt: str, *args) -> None:
-    """Run handler(*args), print its Report and exit with its verdict's status."""
-    try:
-        rep = handler(*args)
-    except (InternalError, RuntimeError) as exc:
-        # an internal consistency check failed: a program fault, not bad input
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_REFUTATION)
-    except (DocumentError, OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-    click.echo(emit_report(rep, fmt), nl=False)
-    sys.exit(EXIT_FOR_VERDICT[rep.verdict])
-
-
-def _nonempty(ctx, param, value):
-    """An empty file name is a usage error (click.Path accepts it)."""
-    if value == "":
-        raise click.BadParameter("must not be empty", ctx, param)
-    return value
-
-
-_FILE = {"type": click.Path(dir_okay=False), "callback": _nonempty}
-
-
-def _max_dim_option(f):
-    return click.option(
-        "--max-dim", type=int, default=None,
-        help=f"Override the dimension cap (default {DEFAULT_MAX_DIM}, env {MAX_DIM_ENV}).",
-    )(f)
-
-
-def _report_options(f):
-    f = _max_dim_option(f)
-    return click.option(
-        "--format", "fmt", type=click.Choice(["text", "structured"]), default="text",
-        help="Report rendering.",
-    )(f)
-
-
-def _document_command(name: str):
-    """A main command whose argument is the algebra document PATH."""
-    return lambda f: main.command(name)(click.argument("path", **_FILE)(f))
-
-
-@click.group()
-@click.version_option(__version__, prog_name="finalg")
-def main():
-    """Exact analysis of finite-dimensional associative algebras."""
-
-
-@main.group()
-def gen():
-    """Write an algebra document for one of the built-in families."""
-
-
-def _gen_common(f):
-    f = click.option("-o", "--out", required=True, **_FILE)(f)
-    f = _max_dim_option(f)
-    return f
-
-
-@gen.command("matrix")
-@click.option("--n", type=int, required=True)
-@_gen_common
-def gen_matrix(n, out, max_dim):
-    """Full matrix algebra M_n (dimension n^2)."""
-    def build():
-        _check_size(n, n * n, max_dim)
-        return f"M{n}", build_matrix_algebra(n)
-    _finish(_run_gen, "text", "matrix", out, build)
-
-
-@gen.command("triangular")
-@click.option("--n", type=int, required=True)
-@_gen_common
-def gen_triangular(n, out, max_dim):
-    """Upper-triangular n x n matrices (dimension n(n+1)/2)."""
-    def build():
-        _check_size(n, n * (n + 1) // 2, max_dim)
-        return f"T{n}", build_upper_triangular(n)
-    _finish(_run_gen, "text", "triangular", out, build)
-
-
-@gen.command("group")
-@click.option("--cayley", required=True, **_FILE)
-@click.option("--name", default=None, help="Algebra name (default QG<order>).")
-@_gen_common
-def gen_group(cayley, name, out, max_dim):
-    """Rational group algebra from a Cayley table file."""
-    def build():
-        text = _read_text(cayley, "Cayley table ")
-        _cap_check(cayley_order(text), max_dim)
-        group = parse_cayley_table(text)
-        return name or f"QG{group.order}", build_group_algebra(group)
-    _finish(_run_gen, "text", "group", out, build)
-
-
-@gen.command("direct")
-@click.argument("a", **_FILE)
-@click.argument("b", **_FILE)
-@_gen_common
-def gen_direct(a, b, out, max_dim):
-    """Direct product of two algebra documents."""
-    def build():
-        left, right = _load_document(a, max_dim), _load_document(b, max_dim)
-        _cap_check(left.dim + right.dim, max_dim)
-        return (f"{left.name}_times_{right.name}",
-                direct_product(left.to_algebra(), right.to_algebra()))
-    _finish(_run_gen, "text", "direct", out, build)
-
-
-@gen.command("tensor")
-@click.argument("a", **_FILE)
-@click.argument("b", **_FILE)
-@_gen_common
-def gen_tensor(a, b, out, max_dim):
-    """Tensor product of two algebra documents."""
-    def build():
-        left, right = _load_document(a, max_dim), _load_document(b, max_dim)
-        _cap_check(left.dim * right.dim, max_dim)
-        return (f"{left.name}_tensor_{right.name}",
-                tensor_product(left.to_algebra(), right.to_algebra()))
-    _finish(_run_gen, "text", "tensor", out, build)
-
-
-@gen.command("adjoin-unit")
-@click.argument("a", **_FILE)
-@_gen_common
-def gen_adjoin_unit(a, out, max_dim):
-    """Adjoin a fresh unit to an algebra document."""
-    def build():
-        base = _load_document(a, max_dim)
-        _cap_check(base.dim + 1, max_dim)
-        return f"{base.name}_unital", adjoin_unit(base.to_algebra())
-    _finish(_run_gen, "text", "adjoin-unit", out, build)
-
-
-@_document_command("analyze")
-@_report_options
-def analyze(path, fmt, max_dim):
-    """Commutator structure, radical, and trace facts of an algebra."""
-    _finish(_run_analyze, fmt, path, max_dim)
-
-
-@_document_command("derivations")
-@_report_options
-def derivations(path, fmt, max_dim):
-    """Dimensions of the four derivation-type map spaces."""
-    _finish(_run_derivations, fmt, path, max_dim)
-
-
-@_document_command("verify-derivation-criterion")
-@_report_options
-def verify_derivation_criterion_cmd(path, fmt, max_dim):
-    """Check that maps with D(x)x, D(x)x^2 in [A,A] are exactly the derivations."""
-    _finish(_run_verify_derivation_criterion, fmt, path, max_dim)
-
-
-@_document_command("verify-jordan-criterion")
-@click.option("--map", "map_spec", required=True, callback=_nonempty,
-              help="'transpose' or a map file (dim then dim^2 rationals row-major).")
-@_report_options
-def verify_jordan_criterion_cmd(path, map_spec, fmt, max_dim):
-    """Check the cubic criterion: T(1)=1 and T(x)^3 - x^3 in [A,A] force a
-    Jordan homomorphism."""
-    _finish(_run_verify_jordan_criterion, fmt, path, map_spec, max_dim)
-
-
-@_document_command("local-test")
-@click.option("--map", "map_spec", required=True, callback=_nonempty)
-@click.option("--kind", type=click.Choice(["derivation", "inner-auto"]), required=True)
-@click.option("--seed", type=int, required=True)
-@click.option("--samples", type=click.IntRange(max=MAX_COUNT), required=True)
-@click.option("--trials", type=click.IntRange(max=MAX_COUNT), default=20,
-              help="Invertibility trials per point (inner-auto only).")
-@_report_options
-def local_test(path, map_spec, kind, seed, samples, trials, fmt, max_dim):
-    """Sampling tests of local-derivation / local-inner-automorphism behavior."""
-    _finish(_run_local_test, fmt, path, map_spec, kind, seed, samples, trials, max_dim)
-
-
-@_document_command("trace")
-@click.option("--seed", type=int, required=True)
-@click.option("--trials", type=click.IntRange(max=MAX_COUNT), default=50)
-@_report_options
-def trace(path, seed, trials, fmt, max_dim):
-    """Search for a nondegenerate trace functional on A^2."""
-    _finish(_run_trace, fmt, path, seed, trials, max_dim)
 
 
 if __name__ == "__main__":

@@ -208,8 +208,12 @@ def parse_algebra_document(text: str) -> FinAlgebra:
 
 
 def document_from_algebra(name: str, a: FinAlgebra) -> AlgebraDocument:
-    if not name or _TOKEN_RE.fullmatch(name) is None:
-        raise ValueError("algebra name must be a single non-empty token")
+    """The document of a, refused when its name or a label would not read
+    back as itself: each must be one token with no '#', which starts a
+    comment."""
+    for what, text in (("algebra name", name), *(("label", label) for label in a.labels or ())):
+        if _TOKEN_RE.fullmatch(text) is None or "#" in text:
+            raise ValueError(f"{what} must be a single non-empty token without '#', got {_echo(text)}")
     vectors: dict[tuple, Vec] = {}  # equal products share one vector, as when parsed
     products = []
     for i in range(a.dim):

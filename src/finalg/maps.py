@@ -555,6 +555,12 @@ class VerificationReport:
     witness: dict | None = None
 
 
+def _simplicity_check(simplicity: SimplicityVerdict) -> TheoremCheck:
+    return TheoremCheck(
+        "commutator-simple", bool(simplicity), "" if simplicity else simplicity.witness.certificate
+    )
+
+
 def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
     """On a semiprime, commutator-simple algebra, the maps with
     D(x)x, D(x)x^2 in [A,A] are exactly the derivations; check that the two
@@ -578,11 +584,7 @@ def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
     criterion = derivation_criterion_space(a, floor=_criterion_floor(a, inner, simplicity))
     checks = (
         TheoremCheck("semiprime", semiprime, "radical is zero" if semiprime else "radical is nonzero"),
-        TheoremCheck(
-            "commutator-simple",
-            bool(simplicity),
-            "" if simplicity else simplicity.witness.certificate,
-        ),
+        _simplicity_check(simplicity),
     )
     spaces = {
         "inner-derivations": inner.dim,
@@ -617,6 +619,17 @@ def verify_derivation_criterion(a: FinAlgebra) -> VerificationReport:
     raise InternalError("internal error: the map spaces differ but no basis map separates them")
 
 
+def _points(a: FinAlgebra, rng: Random, samples: int):
+    """(label, x) for the unit (when present), each basis element, then
+    ``samples`` random elements, each drawn from rng when it is reached."""
+    if a.unit is not None:
+        yield "unit", a.unit_element()
+    for i in range(a.dim):
+        yield f"basis-{i}", a.basis_element(i)
+    for s in range(samples):
+        yield f"random-{s}", random_element(a, rng)
+
+
 @dataclass(frozen=True)
 class LocalDerivationResult:
     passed: bool
@@ -646,13 +659,7 @@ def local_derivation_test(a: FinAlgebra, d_map: Mat, seed: int, samples: int) ->
         return LocalDerivationResult(True, None, (a.unit is not None) + d + samples)
     columns = [_images(e) for e in derivation_space(a).basis_maps()]
     images = _images(d_map)
-    rng = Random(seed)
-    points = itertools.chain(
-        [a.unit_element()] if a.unit is not None else [],
-        (a.basis_element(i) for i in range(a.dim)),
-        (random_element(a, rng) for _ in range(samples)),
-    )
-    for tested, x in enumerate(points, 1):
+    for tested, (_, x) in enumerate(_points(a, Random(seed), samples), 1):
         # E(x) = sum_t x_t E(b_t) for each derivation E of the basis, and T(x)
         xs = _nonzeros(x.coeffs)
         values = _span(d, [[(s, c * v) for t, c in xs for s, v in e[t]] for e in columns])
@@ -719,9 +726,7 @@ def verify_jordan_criterion(a: FinAlgebra, t: Mat) -> VerificationReport:
     rank = _span(d, images).dim
     surjective = rank == d
     unit_preserved = unital and t.apply(a.unit) == a.unit
-    homo, anti = (
-        _first_violation(a, (identity,), t, "pair") is None for identity in _MULTIPLICATIVITY.values()
-    )
+    homo, anti = (multiplicativity_check(a, t, mode).ok for mode in _MULTIPLICATIVITY)
     if (homo or anti) and all(
         sum((f[k] * x for k, x in images[i]), _ZERO) == f[i]
         for f in a.derived(_commutator_covectors)
@@ -732,11 +737,7 @@ def verify_jordan_criterion(a: FinAlgebra, t: Mat) -> VerificationReport:
         cubic = cubic_condition_check(a, t)
     checks = [
         TheoremCheck("unital", unital),
-        TheoremCheck(
-            "commutator-simple",
-            bool(simplicity),
-            "" if simplicity else simplicity.witness.certificate,
-        ),
+        _simplicity_check(simplicity),
         TheoremCheck("surjective", surjective, f"rank {rank} of {d}"),
         TheoremCheck("unit-preserved", unit_preserved),
         TheoremCheck(
@@ -832,9 +833,8 @@ def local_inner_automorphism_test(
         raise ValueError("trials must be nonnegative")
     _square_check(a, t)
     rng = Random(seed)
-    points: list[tuple[str, Element]] = [("unit", a.unit_element())]
-    points.extend((f"basis-{i}", a.basis_element(i)) for i in range(a.dim))
-    points.extend((f"random-{s}", random_element(a, rng)) for s in range(samples))
+    # every point is drawn before the first search draws its weights
+    points = list(_points(a, rng, samples))
     results = []
     for label, x in points:
         target = apply_map(t, x)

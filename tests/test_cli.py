@@ -7,6 +7,7 @@ from click.testing import CliRunner
 import finalg as fa
 from finalg.cli import (
     EXIT_HYPOTHESES,
+    EXIT_INCONCLUSIVE,
     EXIT_PARSE,
     EXIT_PROPERTY_FALSE,
     EXIT_REFUTATION,
@@ -128,6 +129,22 @@ class TestGenerators:
             )
             assert result.exit_code == EXIT_PARSE
             assert "dimension 9 exceeds the cap 8" in result.output
+
+    @pytest.mark.parametrize("name", ["a#b", "#x", "two words"])
+    def test_a_name_that_would_not_read_back_is_refused(self, name, tmp_path):
+        # '#' starts a comment, so "a#b" would read back as an algebra named
+        # "a" and "#x" as a document with no name: nothing is written
+        (tmp_path / "c2.tbl").write_text(format_cayley_table(fa.cyclic_group(2)))
+        out = tmp_path / "ab.alg"
+        result = CliRunner().invoke(
+            main, ["gen", "group", "--cayley", str(tmp_path / "c2.tbl"), "--name", name,
+                   "-o", str(out)]
+        )
+        assert result.exit_code == EXIT_PARSE
+        assert result.output == (
+            f"error: algebra name must be a single non-empty token without '#', got {name!r}\n"
+        )
+        assert not out.exists()
 
     def test_nonpositive_size_is_rejected_before_the_cap(self, tmp_path):
         out = str(tmp_path / "x.alg")
@@ -309,6 +326,22 @@ class TestLocalTests:
         assert json.loads(result.output)["seeds"]["trials"] == 0
         assert budgets and set(budgets) == {0}
 
+    def test_inner_auto_without_an_invertible_intertwiner_is_inconclusive(self, workdir):
+        # Conjugation by the permutation matrix swaps e11 <-> e22 and
+        # e12 <-> e21.  At e11 the intertwiners are spanned by e12 and e21,
+        # each singular, and --trials 0 tries no combination of them.
+        tmp_path, cli = workdir
+        map_path = tmp_path / "swap.map"
+        map_path.write_text("4\n0 0 0 1\n0 0 1 0\n0 1 0 0\n1 0 0 0\n")
+        result = cli(
+            "local-test", tmp_path / "m2.alg", "--map", map_path, "--kind", "inner-auto",
+            "--seed", "1", "--samples", "1", "--trials", "0",
+        )
+        assert result.exit_code == EXIT_INCONCLUSIVE
+        assert ('basis-0 = {"point": ["1", "0", "0", "0"], "status": "inconclusive", '
+                '"witness": null}') in result.output.splitlines()
+        assert result.output.endswith("verdict: inconclusive\n")
+
     def test_inner_auto_negative_trials_exits_3(self, workdir):
         tmp_path, cli = workdir
         result = cli(
@@ -361,6 +394,21 @@ class TestTraceCommand:
             "functional-coeffs": [],
             "functional-domain-pivots": [],
         }
+
+    def test_an_exhausted_search_is_inconclusive(self, tmp_path):
+        # On Q x Q both basis functionals are degenerate and no common
+        # radical proves every trace degenerate; the one trial draws a zero
+        # weight, so the search ends with no answer.
+        q = tmp_path / "q.alg"
+        q.write_text("algebra Q\ndim 1\nunit 1\nproduct 0 0 = 1\n")
+        qq = tmp_path / "qq.alg"
+        assert invoke("gen", "direct", str(q), str(q), "-o", str(qq)).exit_code == 0
+        result = invoke("trace", str(qq), "--seed", "17", "--trials", "1")
+        assert result.exit_code == EXIT_INCONCLUSIVE
+        lines = result.output.splitlines()
+        for line in ("trace-space-dim = 2", "found = false", "definite-negative = false",
+                     "trials-used = 1", "verdict: inconclusive"):
+            assert line in lines
 
     def test_zero_trials_exits_3(self, workdir):
         tmp_path, cli = workdir
@@ -572,6 +620,52 @@ class TestUsageAndErrors:
                    "--seed", "1", "--samples", "2"]
         )
         assert result.exit_code == 0, result.output
+
+
+class TestRefutationReports:
+    """A refutation is a report, not an error: exit 6 with the witness in a
+    [refutation] section.  Sound inputs never reach it, so one solved space
+    or check is replaced."""
+
+    def test_derivation_criterion_refutation(self, workdir, monkeypatch):
+        tmp_path, cli = workdir
+        monkeypatch.setattr("finalg.maps.derivation_criterion_space",
+                            lambda a, **_: fa.MapSpace.full(a.dim))
+        result = cli("verify-derivation-criterion", tmp_path / "m2.alg")
+        assert result.exit_code == EXIT_REFUTATION
+        lines = result.output.splitlines()
+        assert lines[lines.index("[refutation]") + 1:] == [
+            'witness = {"direction": "criterion map is not a derivation", '
+            '"lhs": ["1", "0", "0", "0"], "map": [["1", "0", "0", "0"], ["0", "0", "0", "0"], '
+            '["0", "0", "0", "0"], ["0", "0", "0", "0"]], "pair": [0, 0], '
+            '"rhs": ["2", "0", "0", "0"]}',
+            "verdict: refutation",
+        ]
+
+    def test_jordan_criterion_refutation(self, workdir, monkeypatch):
+        # the transpose on the first factor of M2 x M2 and the identity on
+        # the second passes every hypothesis and is neither multiplicative
+        # nor antimultiplicative, so the Jordan check decides
+        tmp_path, cli = workdir
+        m2xm2 = tmp_path / "m2xm2.alg"
+        assert cli("gen", "direct", tmp_path / "m2.alg", tmp_path / "m2.alg",
+                   "-o", m2xm2).exit_code == 0
+        half = tmp_path / "half.map"
+        half.write_text("8\n" + "".join(
+            " ".join("1" if c == r else "0" for c in range(8)) + "\n" for r in (0, 2, 1, 3, 4, 5, 6, 7)
+        ))
+        monkeypatch.setattr("finalg.maps.jordan_homomorphism_check",
+                            lambda a, t: fa.CheckResult(False, {"pair": (0, 1)}))
+        result = cli("verify-jordan-criterion", m2xm2, "--map", half)
+        assert result.exit_code == EXIT_REFUTATION
+        lines = result.output.splitlines()
+        for line in ("cubic-condition = true", "homomorphism = false", "antihomomorphism = false"):
+            assert line in lines
+        assert lines[lines.index("[refutation]") + 1:] == [
+            'witness = {"direction": "cubic condition held but the Jordan identity fails", '
+            '"pair": [0, 1]}',
+            "verdict: refutation",
+        ]
 
 
 class TestSharedSubspaces:

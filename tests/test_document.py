@@ -20,6 +20,8 @@ from finalg.document import (
     serialize_document,
 )
 from helpers import (
+    corpus,
+    non_unital_algebras,
     cayley_order_oracle,
     document_fingerprint_oracle,
     parse_cayley_table_oracle,
@@ -121,6 +123,16 @@ class TestParsing:
         assert (x * x).is_zero()
 
 
+# every builder: the corpus, the non-unital algebras, adjoin_unit and a
+# tensor product with a group algebra
+_BUILT = (
+    *corpus(), *non_unital_algebras(),
+    ("T3_unital", fa.adjoin_unit(fa.build_upper_triangular(3))),
+    ("M2tQS3", fa.tensor_product(fa.build_matrix_algebra(2),
+                                fa.build_group_algebra(fa.symmetric_group(3)))),
+)
+
+
 class TestCanonicalSerialization:
     def test_round_trip_is_byte_identical_after_canonicalization(self):
         messy = (
@@ -171,6 +183,28 @@ class TestCanonicalSerialization:
     def test_name_must_be_a_token(self):
         with pytest.raises(ValueError, match="token"):
             document_from_algebra("two words", fa.build_matrix_algebra(1))
+
+    @pytest.mark.parametrize("name", ["a#b", "#x", ""], ids=["hash-inside", "hash-first", "empty"])
+    def test_name_must_not_start_a_comment(self, name):
+        with pytest.raises(ValueError, match="token"):
+            document_from_algebra(name, fa.build_matrix_algebra(1))
+
+    @pytest.mark.parametrize("label", ["a#", "a b", ""], ids=["hash", "space", "empty"])
+    def test_labels_must_be_tokens(self, label):
+        # each would write a labels line that does not parse
+        m2 = fa.build_matrix_algebra(2)
+        terms = [[m2.product_terms(i, j) for j in range(4)] for i in range(4)]
+        a = fa.FinAlgebra(terms, m2.unit, ["e11", label, "e21", "e22"])
+        with pytest.raises(ValueError, match=f"label must be a single non-empty token without '#', got {label!r}"):
+            document_from_algebra("M2", a)
+
+    @pytest.mark.parametrize("name, algebra", _BUILT, ids=[name for name, _ in _BUILT])
+    def test_serialized_document_reads_back_as_itself(self, name, algebra):
+        doc = document_from_algebra(name, algebra)
+        parsed = parse_document(serialize_document(doc))
+        assert (parsed.name, parsed.labels) == (name, algebra.labels)
+        assert document_fingerprint(parsed) == document_fingerprint(doc)
+        assert parsed.to_algebra() == algebra
 
 
 class TestCayleyTables:

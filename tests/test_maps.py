@@ -733,12 +733,18 @@ class TestBlockSwap:
         assert (cubic.passed, cubic.detail) == (False, "fails at basis triple (0, 0, 0)")
 
     def test_implied_cubic_condition_runs_no_check(self, monkeypatch):
-        for check in ("multiplicativity_check", "jordan_homomorphism_check", "cubic_condition_check"):
+        for check in ("jordan_homomorphism_check", "cubic_condition_check"):
             monkeypatch.setattr(fm, check, lambda *args: pytest.fail("a full check ran"))
+        # (anti)multiplicativity is decided by its public check, once per mode
+        modes = []
+        check = fm.multiplicativity_check
+        monkeypatch.setattr(fm, "multiplicativity_check",
+                            lambda a, t, mode: modes.append(mode) or check(a, t, mode))
         a = _m2xm2()
         transpose = fa.transpose_map(2)
         for t in (fa.Mat.identity(8), _block_diagonal(transpose, transpose)):
             assert fa.verify_jordan_criterion(a, t).verdict == "verified"
+        assert modes == ["homomorphism", "antihomomorphism"] * 2
 
 
 class TestInnerSimilarity:
