@@ -514,9 +514,11 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
     The loop runs in exact ``int`` arithmetic.  Each row is scaled by the
     lcm of its denominators, which leaves its kernel unchanged (the lcm
     grows as the row is read, and the values found so far are lifted to
-    it), and the basis vectors are integer vectors.  They are sparse, and
-    a column index lists, for each coordinate, the vectors that are nonzero
-    there.  A row's values on the whole basis therefore cost the nonzeros
+    it), and the basis vectors are integer vectors.  An ``int`` coefficient
+    is only multiplied by the lcm so far, with no numerator or denominator
+    read; every entry of the monomial streams is one.  The vectors are
+    sparse, and a column index lists, for each coordinate, the vectors that
+    are nonzero there.  A row's values on the whole basis therefore cost the nonzeros
     of the columns the row touches, which is all a redundant row costs.  An
     independent row takes as pivot p the hit vector with the fewest
     nonzeros, ties broken by the least absolute value pval, as in
@@ -554,20 +556,26 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
         scale = 1
         # read inline, not through `_integral`: that extra pass made the monomial solves 11 % slower
         for j, c in row:
-            p = c.numerator
-            if not p:
-                continue
-            q = c.denominator
-            if q != 1:
-                if scale % q:
-                    # a new factor of the lcm: lift the values found so far
-                    m = q // gcd(scale, q)
-                    scale *= m
-                    for k in values:
-                        values[k] *= m
-                p *= scale // q
-            elif scale != 1:
-                p *= scale
+            if type(c) is int:
+                # an int needs no denominator lookup and no lcm step
+                if not c:
+                    continue
+                p = c * scale
+            else:
+                p = c.numerator
+                if not p:
+                    continue
+                q = c.denominator
+                if q != 1:
+                    if scale % q:
+                        # a new factor of the lcm: lift the values found so far
+                        m = q // gcd(scale, q)
+                        scale *= m
+                        for k in values:
+                            values[k] *= m
+                    p *= scale // q
+                elif scale != 1:
+                    p *= scale
             for k, x in columns[j].items():
                 values[k] = values.get(k, 0) + p * x
         if not any(values.values()):

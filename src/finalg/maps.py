@@ -15,19 +15,23 @@ tuple of a concrete map.  Products are read from the product table of
 Rows come from one engine, which groups an identity's terms by the word in
 the map.  What a group adds to a tuple's rows depends only on the tuple's
 letters outside that word, so it is built once per such letters, with the
-column offsets folded in, and shifted into place for each tuple.  The stream,
-its order and every value are those of reading the terms one by one.  A
-solve can be given a floor, a space of maps inside its answer on every
-algebra, as the inner derivations lie in the derivations and in the
-criterion maps.  So do the maps into I, the largest ideal of A inside
-[A, A]: such a D has D(x) x and D(x) x^2 in I.  I is zero exactly when A
-is commutator-simple; otherwise Inn + Hom(A, I) is the criterion floor,
-and on T_n, where I = [A, A], it is the whole answer (row 135 of 150 on
-T5, rows 115 to 334 of about 1 050 on dense copies of T4).  A floored
-solve stops once its kernel has shrunk to the floor's dimension, so the
-rows after that are never generated, and it re-checks that the kernel
-equals the floor.  It reads the Leibniz rule, which is closed in its first
-letter (see below), only at the pairs whose first letter is a generator.
+column offsets folded in, and shifted into place for each tuple.  Where
+entries can meet, they are added up.  They cannot in the one-output rows
+modulo [A, A], whose words in the map are single letters, at a tuple whose
+letters there are distinct: each group's entries then have columns of their
+own, and the row is their concatenation.  The stream, its order and every
+value are those of reading the terms one by one.  A solve can be given a
+floor, a space of maps inside its answer on every algebra, as the inner
+derivations lie in the derivations and in the criterion maps.  So do the
+maps into I, the largest ideal of A inside [A, A]: such a D has D(x) x and
+D(x) x^2 in I.  I is zero exactly when A is commutator-simple; otherwise
+Inn + Hom(A, I) is the criterion floor, and on T_n, where I = [A, A], it is
+the whole answer (row 135 of 150 on T5, rows 115 to 334 of about 1 050 on
+dense copies of T4).  A floored solve stops once its kernel has shrunk to
+the floor's dimension, so the rows after that are never generated, and it
+re-checks that the kernel equals the floor.  It reads the Leibniz rule,
+which is closed in its first letter (see below), only at the pairs whose
+first letter is a generator.
 
 A check evaluates terms as sparse vectors, dense only at a failing tuple.
 Membership in [A, A] is decided exactly through the covectors f that vanish
@@ -300,6 +304,13 @@ def _rows(a: FinAlgebra, identities, outputs: int, context, first=None):
     integral values as `int`, shared by the groups whose renumbered terms
     agree.  A tuple adds each entry at k d + t, times M_t, for each nonzero
     M_t, adding up entries that meet.
+
+    Entries cannot meet when there is one output and every M is one letter,
+    as in the criterion memberships modulo [A, A], and the tuple's letters
+    at those M are distinct: a group's entries sit at k d + t for its own
+    letter t < d.  Such a row is built as a list, each group's cached
+    entries shifted by t, one comprehension per group.  Adding them up would
+    insert the same keys in the same order, so the stream is unchanged.
     """
     d = a.dim
     caches: dict[tuple, dict] = {}
@@ -318,14 +329,23 @@ def _rows(a: FinAlgebra, identities, outputs: int, context, first=None):
                 for sign, left, right in terms
             ))
             plans.append((word, _letters_at(rest), shape, caches.setdefault(shape, {})))
+        # a tuple's letters at the one-letter words M, when rows may be joined
+        mapped = _letters_at([word[0] for word in groups])
+        joinable = outputs == 1 and all(len(word) == 1 for word in groups)
         for tup in identity.tuples(d, first=first if identity.closed else None):
-            rows = [{} for _ in range(outputs)]
+            joined = [] if joinable and len(set(mapped(tup))) == len(plans) else None
+            rows = [{} for _ in range(outputs)] if joined is None else ()
             for word, rest, shape, cache in plans:
                 letters = rest(tup)
                 entries = cache.get(letters)
                 if entries is None:
                     sums = context(shape, letters)
                     entries = cache[letters] = [(r, o, _exact(v)) for r in sorted(sums) for o, v in sums[r].items()]
+                if joined is not None:
+                    if entries:
+                        t = tup[word[0]]
+                        joined += [(o + t, v) for _, o, v in entries]
+                    continue
                 if len(word) == 1:
                     shifts = ((tup[word[0]], 1),)
                 else:
@@ -333,6 +353,8 @@ def _rows(a: FinAlgebra, identities, outputs: int, context, first=None):
                 for t, m in shifts:
                     for r, o, v in entries:
                         _accumulate(rows[r], o + t, v if m == 1 else m * v)
+            if joined:
+                yield joined
             for row in rows:
                 if row:
                     yield row.items()

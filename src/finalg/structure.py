@@ -101,11 +101,15 @@ def largest_ideal_within(a: FinAlgebra, v: Subspace) -> Subspace:
     Two kernels find it.  J = {y in v : A y <= v} is a left ideal, since
     A (b y) <= A y for b in A, and it holds every left ideal inside v.
     I = {x in J : x A <= J} is then a right ideal by the same argument and
-    a left one because J is, and it holds every ideal inside v.
+    a left one because J is, and it holds every ideal inside v.  I lies in
+    J, so when J is zero, as it is for v = [A, A] on every
+    commutator-simple A, so is I, and the second kernel is not built.
     """
     if v.ambient_dim != a.dim:
         raise ValueError("subspace lives in a different ambient space")
     left = _stable_part(a, v.annihilator().basis, "left")
+    if left.dim == 0:
+        return left
     return _stable_part(a, left.annihilator().basis, "right")
 
 
@@ -213,15 +217,6 @@ class TraceFunctional:
         return dot(self.coeffs, coords)
 
 
-def _validate_trace(a: FinAlgebra, tf: TraceFunctional) -> None:
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            if tf(a.product(i, j)) != tf(a.product(j, i)):
-                raise ValueError(
-                    f"functional violates t(xy) = t(yx) at basis pair ({i},{j})"
-                )
-
-
 def trace_functional_space(a: FinAlgebra) -> tuple[TraceFunctional, ...]:
     """A basis of all functionals on A^2 with t(b_i b_j) = t(b_j b_i).
 
@@ -271,9 +266,18 @@ def _nondegenerate(a: FinAlgebra, form) -> bool:
 
 
 def is_nondegenerate_trace(a: FinAlgebra, tf: TraceFunctional) -> bool:
-    """True iff t(xA) = 0 forces x = 0, i.e. the Gram matrix has zero kernel."""
-    _validate_trace(a, tf)
-    return _nondegenerate(a, *_gram_forms(a, (tf,)))
+    """True iff t(xA) = 0 forces x = 0, i.e. the Gram matrix has zero kernel.
+
+    t must satisfy t(xy) = t(yx), which holds exactly when its Gram form,
+    G[u][v] = t(b_u b_v) times D, is symmetric; the first basis pair
+    (i, j), i < j, where it is not is refused."""
+    (form,) = _gram_forms(a, (tf,))
+    rows = [dict(row) for row in form()[0]]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, a.dim):
+            if row.get(j, 0) != rows[j].get(i, 0):
+                raise ValueError(f"functional violates t(xy) = t(yx) at basis pair ({i},{j})")
+    return _nondegenerate(a, form)
 
 
 def _common_gram_radical(a: FinAlgebra, forms) -> Subspace:

@@ -619,6 +619,16 @@ class TestProductTable:
             with pytest.raises(ValueError, match="dim x dim"):
                 fa.FinAlgebra(terms)
 
+    def test_unit_and_labels_need_one_entry_per_basis_element(self):
+        terms = [[((0, 1),), ()], [(), ((1, 1),)]]
+        for unit in ([1], [1, 1, 0]):
+            with pytest.raises(ValueError, match="unit vector has wrong length"):
+                fa.FinAlgebra(terms, unit)
+        for labels in (["e"], ["e", "f", "g"]):
+            with pytest.raises(ValueError, match="label list has wrong length"):
+                fa.FinAlgebra(terms, [1, 1], labels)
+        assert fa.FinAlgebra(terms, [1, 1], ["e", "f"]).labels == ("e", "f")
+
     def test_index_out_of_range_rejected(self):
         for k in (1, 2, -1):
             with pytest.raises(ValueError, match=r"outside range\(1\)"):
@@ -696,6 +706,35 @@ class TestElementArithmetic:
         b = fa.build_upper_triangular(2)
         with pytest.raises(ValueError):
             a.basis_element(0) * b.basis_element(0)
+
+    def test_negation_and_scalars(self):
+        a = fa.build_matrix_algebra(2)
+        x = a.element([1, F(1, 2), 0, -3])
+        assert (-x).coeffs == (-1, F(-1, 2), 0, 3)
+        assert x + -x == a.zero()
+        for s in (2, F(-2, 3)):
+            scaled = (s, F(s, 2), 0, -3 * s)
+            assert (x * s).coeffs == scaled
+            assert (s * x).coeffs == scaled
+            assert all(type(c) is Fraction for c in (s * x).coeffs)
+        with pytest.raises(TypeError):
+            x * 1.5
+        with pytest.raises(TypeError):
+            "2" * x
+
+    def test_repr_hash_and_equality_across_algebras(self):
+        m2 = fa.build_matrix_algebra(2)
+        x = m2.element([1, F(1, 2), 0, -3])
+        assert repr(x) == "e11 + 1/2*e12 + -3*e22"
+        assert repr(m2.zero()) == "0"
+        unlabelled = fa.FinAlgebra([[((0, 1),), ()], [(), ((1, 1),)]], [1, 1])
+        assert repr(unlabelled.element([0, 2])) == "2*b1"
+        assert hash(x) == hash(m2.element([1, F(1, 2), 0, F(-3)]))
+        assert {x, fa.build_matrix_algebra(2).element(x.coeffs)} == {x}
+        # Q[C4] has the same dimension but another product
+        other = fa.build_group_algebra(fa.cyclic_group(4)).element(x.coeffs)
+        assert x != other and other != x
+        assert x != x.coeffs
 
     def test_powers(self):
         a = fa.build_matrix_algebra(2)

@@ -560,6 +560,32 @@ class TestUsageAndErrors:
         assert result.output.startswith("error: internal ")
         assert "verdict" not in result.output
 
+    def test_witness_outside_the_commutators_exits_through_the_tripwire_code(self, tmp_path, monkeypatch):
+        out = tmp_path / "m2.alg"
+        CliRunner().invoke(main, ["gen", "matrix", "--n", "2", "-o", str(out)])
+        # A itself is an ideal, but it is not inside [A, A] = sl_2
+        monkeypatch.setattr("finalg.structure.largest_ideal_within", lambda a, v: fa.Subspace.full(4))
+        result = CliRunner().invoke(main, ["analyze", str(out)])
+        assert result.exit_code == EXIT_REFUTATION
+        assert result.output == "error: internal error: witness escapes the commutator subspace\n"
+
+    @pytest.mark.parametrize("command, option, text, message", [
+        (["local-test", "m2.alg", "--kind", "derivation", "--seed", "1", "--samples", "1"], "--map",
+         "# no entries\n", "empty map file"),
+        (["gen", "group", "-o", "out.alg"], "--cayley", "# no order\n# no identity\n",
+         "Cayley table needs an order and an identity index"),
+    ])
+    def test_an_input_of_comments_only_is_a_parse_error(self, command, option, text, message, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        m2 = fa.document_from_algebra("M2", fa.build_matrix_algebra(2))
+        (tmp_path / "m2.alg").write_text(fa.serialize_document(m2))
+        (tmp_path / "comments").write_text(text)
+        result = CliRunner().invoke(main, [*command, option, "comments"])
+        assert result.exit_code == EXIT_PARSE
+        assert message in result.stderr
+        assert not (tmp_path / "out.alg").exists()
+
     def test_non_canonical_rref_exits_through_the_tripwire_code(self, tmp_path, monkeypatch):
         out = tmp_path / "m2.alg"
         CliRunner().invoke(main, ["gen", "matrix", "--n", "2", "-o", str(out)])

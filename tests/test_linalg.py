@@ -223,6 +223,33 @@ class TestMatApply:
             Mat.identity(2).apply([1] * length)
 
 
+class TestMatShapes:
+    @pytest.mark.parametrize("data, cols, message", [
+        ([[1, 2], [3]], None, "unequal length"),
+        ([[1, 2]], 3, "disagrees with row width"),
+        ([], None, "explicit column count"),
+    ])
+    def test_construction_checks_the_shape(self, data, cols, message):
+        with pytest.raises(ValueError, match=message):
+            Mat(data, cols=cols)
+
+    def test_empty_matrix_with_its_column_count(self):
+        m = Mat([], cols=3)
+        assert (m.rows, m.cols) == (0, 3)
+
+    @pytest.mark.parametrize("other", [Mat.identity(3), Mat([[1, 2]])])
+    def test_sum_and_difference_need_equal_shapes(self, other):
+        for op in (Mat.__add__, Mat.__sub__):
+            with pytest.raises(ValueError, match="matrix shape mismatch"):
+                op(Mat.identity(2), other)
+
+    def test_product_needs_matching_inner_dimensions(self):
+        with pytest.raises(ValueError, match="matrix product shape mismatch"):
+            Mat([[1, 2]]) * Mat([[1, 2]])
+        assert Mat([[1, 2]]) * Mat([[3], [4]]) == Mat([[11]])
+        assert Mat.identity(2).__mul__(2) is NotImplemented
+
+
 class TestSolveAffine:
     def test_identity_system(self):
         sol = solve_affine(Mat.identity(2), (3, F(-1, 2)))

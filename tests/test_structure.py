@@ -132,6 +132,25 @@ class TestLargestIdealWithin:
         assert w.dim < a.dim
         assert fa.largest_ideal_within(a, w).dim == 0
 
+    def test_a_zero_left_stable_part_ends_the_search(self, monkeypatch):
+        """The largest ideal lies in J = {y in v : A y <= v}, so when J is
+        zero, as on a commutator-simple algebra, the second kernel is not
+        built; on T2, J = [A, A] and both are."""
+        stable_part = fa.structure._stable_part
+        sides = []
+
+        def recording(a, covectors, side):
+            sides.append(side)
+            return stable_part(a, covectors, side)
+
+        monkeypatch.setattr(fa.structure, "_stable_part", recording)
+        for name, expected in (("M2", ["left"]), ("M3", ["left"]), ("QS3", ["left"]), ("T2", ["left", "right"])):
+            a = corpus_algebra(name)
+            sides.clear()
+            found = fa.largest_ideal_within(a, fa.commutator_subspace(a))
+            assert sides == expected, name
+            assert found == largest_ideal_oracle(a, fa.commutator_subspace(a)), name
+
     def test_t2_commutator_line_is_already_an_ideal(self):
         a = fa.build_upper_triangular(2)
         w = fa.commutator_subspace(a)
@@ -327,6 +346,43 @@ class TestNondegeneracy:
             tf = trace_functional_from_covector(a, cov)
             assert fa.is_nondegenerate_trace(a, tf)
 
+    def test_a_non_trace_is_refused_at_its_first_basis_pair(self):
+        """(1, 0, 0, 0) on M2's full A^2 reads the e11 coefficient:
+        t(e11 b) = t(b e11) for every b, but t(e12 e21) = 1, t(e21 e12) = 0."""
+        a = fa.build_matrix_algebra(2)
+        tf = fa.TraceFunctional(4, fa.product_span(a), (1, 0, 0, 0))
+        with pytest.raises(ValueError, match=r"^functional violates t\(xy\) = t\(yx\) at basis pair \(1,2\)$"):
+            fa.is_nondegenerate_trace(a, tf)
+
+    def test_the_trace_identity_is_read_off_the_gram_form(self):
+        """Random functionals on A^2, most of them not traces: refused at the
+        first basis pair where t(b_i b_j) != t(b_j b_i), as the pairwise
+        check on the covector says, and decided otherwise."""
+        rng = Random(8)
+        for name in ("M2", "QS3", "T3", "QD4"):
+            a = corpus_algebra(name)
+            domain = fa.product_span(a)
+            traces = fa.trace_functional_space(a)
+            for trial in range(6):
+                if trial % 3:
+                    coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(domain.dim)]
+                else:
+                    weights = [rng.randint(-2, 2) for _ in traces]
+                    coeffs = [sum((w * tf.coeffs[t] for w, tf in zip(weights, traces)), F(0))
+                              for t in range(domain.dim)]
+                tf = fa.TraceFunctional(a.dim, domain, coeffs)
+                cov = fa.linalg._dense(zip(domain.pivots, coeffs), a.dim)
+                try:
+                    expected = trace_functional_from_covector(a, cov) and None
+                except ValueError as exc:
+                    expected = str(exc)
+                if expected is None:
+                    assert fa.is_nondegenerate_trace(a, tf) == (fa.gram_matrix(a, tf).rank() == a.dim), name
+                else:
+                    with pytest.raises(ValueError) as refused:
+                        fa.is_nondegenerate_trace(a, tf)
+                    assert str(refused.value) == expected, name
+
     def test_every_trace_on_t2_is_degenerate(self):
         a = fa.build_upper_triangular(2)
         e12 = (F(0), F(1), F(0))
@@ -360,6 +416,25 @@ class TestTraceSearch:
             result = fa.has_nondegenerate_trace(a, seed=5, trials=10)
             assert result.found
             assert fa.is_nondegenerate_trace(a, result.functional)
+
+    def test_an_all_zero_draw_is_skipped(self, monkeypatch):
+        """On Q x Q both basis functionals are degenerate; seed 365 draws the
+        weights 0, 0 first and (7/4, 9/4) second, so the zero functional is
+        never tested and the second draw is the witness."""
+        a = fa.direct_product(fa.build_matrix_algebra(1), fa.build_matrix_algebra(1))
+        nondegenerate = fa.structure._nondegenerate
+        tested = []
+
+        def recording(algebra, form):
+            tested.append(form()[0])
+            return nondegenerate(algebra, form)
+
+        monkeypatch.setattr(fa.structure, "_nondegenerate", recording)
+        result = fa.has_nondegenerate_trace(a, seed=365, trials=10)
+        assert result.found and result.trials_used == 2
+        assert result.functional.coeffs == (F(7, 4), F(9, 4))
+        # the two basis functionals, then the second draw
+        assert tested == [[[(0, 1)], []], [[], [(1, 1)]], [[(0, 7)], [(1, 9)]]]
 
     def test_search_is_deterministic(self):
         a = corpus_algebra("QS3")
