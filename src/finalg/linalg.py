@@ -11,11 +11,12 @@ results.  Every canonical subspace comes from sparse rows, lists of
 vectors.  No dense matrix is built on the way.  `Mat.rref`
 reaches the same core, but serves only callers that hold a `Mat`.  The
 kernel's core `_kernel` can stop pulling rows at a floor dimension, for
-callers that know a subspace of that dimension inside the answer.  On a
-dense basis it packs each column into one ``int`` (Kronecker substitution,
-a slot of w = bits(max |entry|) + 66 bits per vector), so a row of integer
-L1 norm below 2^64 is redundant exactly when one sum of ints is zero: each
-slot then holds less than 2^(w - 2) in absolute value.  Rationals
+callers that know a subspace of that dimension inside the answer.  Once a
+run of redundant rows pays for it, it packs each column into one ``int``
+(Kronecker substitution, a slot of w = bits(max |entry|) + bits(B) + 1
+bits per vector, B a power of two above the row L1 norms seen), so a row
+of integer L1 norm below B is redundant exactly when one sum of ints is
+zero: each slot then holds less than 2^(w - 2) in absolute value.  Rationals
 serialize as ``p/q`` (or just ``p`` when the denominator is 1) with the
 sign on the numerator.
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, inf
-from operator import is_not, itemgetter, mul
+from operator import is_not, itemgetter, length_hint, mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -41,6 +42,8 @@ Vec = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _RATIONAL_RE = re.compile(r"[+-]?(\d+)(?:/(\d+))?\Z")
+# `_kernel` packs its columns only while at most this many vectors are live
+_PACK_LIVE = 64
 
 
 class InternalError(ValueError):
@@ -534,24 +537,48 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
     and the result is their canonical `Subspace`, with ``Fraction``
     entries; nothing is ever rounded.
 
-    Once the redundant rows since the last independent row have hit more
-    vectors than are live, the columns are packed (`_packed`) if they hold
-    4 nonzeros each on average (on sparser ones a packed test costs more
-    than the reads it saves).  Then a row with `_packed_zero` is passed over,
-    and an independent row drops the packed columns.
+    A redundant run (the rows since the last independent one) may instead
+    be tested packed (`_packed`).  Its rows, with e entries in all, have
+    read about e z / n column entries, for z the basis's nonzeros, and a
+    pack costs about z to build; the columns are packed once e > 4 n (of
+    1, 2 and 4 n, 4 n measured best on the corpus streams), while at most
+    `_PACK_LIVE` vectors are live, so that a packed sum stays a few machine
+    words, and while the columns hold 1.5 nonzeros each on average: a
+    packed test costs about as much per row entry as that many column
+    reads.  The slots are sized for a bound B on the rows' L1 norms, at
+    least 2^(2 bits(N)) for the norm N of the row that completes the run.
+    Then a row of ``int`` entries is tested by one sum over its entries,
+    and is passed over when the sum is zero and its L1 norm is below B; a
+    row that holds a ``Fraction`` goes through `_integral` first, and so
+    does every later row.  Any other row takes the column path: a nonzero
+    sum means an independent row, which drops the pack, and a zero sum of
+    a row of norm N >= B may hide a slot that overflowed, so B becomes
+    2^(2 bits(N)) and the run packs again, wider.
     """
     # vectors[k] maps coordinate -> nonzero int; columns[j] maps vector key
     # -> its nonzero value at j.  Keys follow the original order, and
     # deleting keeps the order of the rest.
     vectors: dict[int, dict[int, int]] = {k: {k: 1} for k in range(n)}
     columns: list[dict[int, int]] = [{k: 1} for k in range(n)]
-    packed, touched, due = None, 0, len(vectors)
+    packed, bound, fractional = None, 1, False
+    touched, due = 0, 4 * n
     for row in rows if len(vectors) > floor else ():
         if packed is not None:
-            indices, ints = _integral(row)
-            if _packed_zero(indices, ints, packed):
-                continue
-            row = zip(indices, ints)
+            if iter(row) is row:
+                row = [*row]
+            total = None if fractional else sum([c * packed[j] for j, c in row])
+            if type(total) is not int:
+                # a Fraction: this row and every later one are read into ints by `_integral`
+                fractional = True
+                indices, ints = _integral(row)
+                total = sum(map(mul, ints, map(packed.__getitem__, indices)))
+                row = zip(indices, ints)
+            if not total:
+                norm = sum(map(abs, ints)) if fractional else sum([abs(c) for _, c in row])
+                if norm < bound:
+                    continue
+                # a slot may have overflowed: the column path decides, and the next pack is wider
+                bound, packed, due = 1 << 2 * norm.bit_length(), None, touched
         values: dict[int, int] = {}
         scale = 1
         # read inline, not through `_integral`: that extra pass made the monomial solves 11 % slower
@@ -579,16 +606,19 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
             for k, x in columns[j].items():
                 values[k] = values.get(k, 0) + p * x
         if not any(values.values()):
-            touched += len(values)
+            touched += length_hint(row)
             if touched > due:
                 due = inf
-                if sum(map(len, vectors.values())) >= 4 * n:
-                    packed = _packed(vectors, columns)
+                if len(vectors) <= _PACK_LIVE and 2 * sum(map(len, vectors.values())) >= 3 * n:
+                    # a consumed one-shot row has norm 0 here and leaves B as it is
+                    norm = int(scale * sum([abs(c) for _, c in row]))
+                    bound = max(bound, 1 << 2 * norm.bit_length())
+                    packed = _packed(vectors, columns, bound)
             continue
         hits = [k for k, s in values.items() if s]
         pivot = min(hits, key=lambda k: (len(vectors[k]), abs(values[k])))
         pvec = vectors.pop(pivot)
-        packed, touched, due = None, 0, len(vectors)
+        packed, touched, due = None, 0, 4 * n
         pval = values[pivot]
         for j in pvec:
             del columns[j][pivot]
@@ -649,15 +679,16 @@ def _integral(row) -> tuple[list[int], list[int]]:
     return indices, values
 
 
-def _packed(vectors: dict, columns: list) -> list[int]:
-    """Each column as one int, the s-th live vector's value times 2^(w s)."""
-    w = max(abs(x) for v in vectors.values() for x in v.values()).bit_length() + 66
-    shift = {k: w * s for s, k in enumerate(vectors)}
-    return [sum([x << shift[k] for k, x in column.items()]) for column in columns]
-
-
-def _packed_zero(indices: list[int], ints: list[int], packed: list[int]) -> bool:
-    """True only when the integer row is zero on every live vector: for a
-    row p of L1 norm below 2^64, sum_j p_j packed[j] is sum_s v_s 2^(w s)
-    with every |v_s| < 2^(w - 2), zero iff each v_s is."""
-    return sum(map(abs, ints)) < 1 << 64 and not sum(map(mul, ints, map(packed.__getitem__, indices)))
+def _packed(vectors: dict, columns: list, bound: int) -> list[int]:
+    """Each column as one int, the s-th live vector's value times 2^(w s),
+    w = bits(max |value|) + bits(bound) + 1: for a row of L1 norm below the
+    power of two ``bound``, each slot of its packed sum is below 2^(w - 2)
+    in absolute value, so the sum is zero iff every slot is."""
+    top = max(max(map(abs, v.values())) for v in vectors.values())
+    w = top.bit_length() + bound.bit_length() + 1
+    packed = [0] * len(columns)
+    for s, v in enumerate(vectors.values()):
+        shift = w * s
+        for j, x in v.items():
+            packed[j] += x << shift
+    return packed

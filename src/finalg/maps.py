@@ -257,7 +257,9 @@ def _constraint_rows(a: FinAlgebra, identities, first=None):
     f(L D(M) R) = f(D(M) R L).  A sum of such terms with the same M is
     f(D(M) W) for W the sum of the words R L, and f(b_k W) is found as
     sum_r W_r f(b_k b_r), adding the sparse Gram columns r of f over the
-    nonzeros of W.
+    nonzeros of W.  Where column r is zero, f(A b_r) = 0, so f(b_k W) = 0
+    for every W that is b_r or a product b_u b_r; a tuple whose letters all
+    have zero columns gives no row and is skipped before any is built.
     """
     d = a.dim
     if not identities[0].modulo_commutators:
@@ -287,13 +289,15 @@ def _constraint_rows(a: FinAlgebra, identities, first=None):
                 context = {o: Fraction(v, denominator) for o, v in context.items()}
             return {0: context}
 
-        yield from _rows(a, identities, 1, projected, first)
+        live = {r for r, column in enumerate(form) if column}
+        yield from _rows(a, identities, 1, projected, first, live if len(live) < d else None)
 
 
-def _rows(a: FinAlgebra, identities, outputs: int, context, first=None):
+def _rows(a: FinAlgebra, identities, outputs: int, context, first=None, live=None):
     """The rows of each basis tuple in turn, by increasing output coordinate
     r < outputs; with `first`, of a closed identity only the tuples whose
-    first letter is among these indices.
+    first letter is among these indices; with `live`, only the tuples
+    that hold one of these letters.
 
     The terms of an identity are grouped by the word M in the map.  What a
     group adds to a tuple's rows, with M left out, depends only on the
@@ -332,7 +336,8 @@ def _rows(a: FinAlgebra, identities, outputs: int, context, first=None):
         # a tuple's letters at the one-letter words M, when rows may be joined
         mapped = _letters_at([word[0] for word in groups])
         joinable = outputs == 1 and all(len(word) == 1 for word in groups)
-        for tup in identity.tuples(d, first=first if identity.closed else None):
+        tuples = identity.tuples(d, first=first if identity.closed else None)
+        for tup in tuples if live is None else itertools.filterfalse(live.isdisjoint, tuples):
             joined = [] if joinable and len(set(mapped(tup))) == len(plans) else None
             rows = [{} for _ in range(outputs)] if joined is None else ()
             for word, rest, shape, cache in plans:

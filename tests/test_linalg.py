@@ -538,10 +538,114 @@ class TestKernelFromConstraintsExact:
 
 
 class TestPackedZeroTest:
-    """Once redundant rows have read enough of a dense basis, `_kernel` tests
-    a row for redundancy as one packed integer sum (`linalg._packed`); a
-    nonzero sum, a row of L1 norm 2^64 or more, or an independent row takes
-    the column path.  The result must be the dense kernel's."""
+    """Once a redundant run has read enough of a dense basis, `_kernel`
+    tests a row for redundancy as one packed integer sum (`linalg._packed`),
+    with slots sized for a bound B on the rows' L1 norms; a nonzero sum, a
+    row of L1 norm B or more, or an independent row takes the column path.
+    The result must be the dense kernel's."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        """The (bound, packed columns) of every pack `_kernel` builds, and the
+        rows it reads on the column path and finds redundant."""
+        builds, redundant = [], []
+        packed, length_hint = linalg._packed, linalg.length_hint
+
+        def building(vectors, columns, bound):
+            builds.append((bound, packed(vectors, columns, bound)))
+            return builds[-1][1]
+
+        monkeypatch.setattr(linalg, "_packed", building)
+        monkeypatch.setattr(linalg, "length_hint", lambda row: redundant.append(row) or length_hint(row))
+        return builds, redundant
+
+    # On Q^5 the row r = (1, 1, 1, 1, 1) leaves the vectors e_k - e_0, k = 1..4,
+    # 8 nonzeros in 5 columns.  Five more rows 3 r, 25 entries against 4 n = 20,
+    # complete a redundant run, and the last, of norm 15, sizes the slots:
+    # B = 2^(2 bits(15)) = 2^8 and w = bits(1) + bits(B) + 1 = 11.
+    _R = [(j, 1) for j in range(5)]
+    _RUN = [_R] + [[(j, 3) for j in range(5)] for _ in range(5)]
+
+    @staticmethod
+    def _alias(w):
+        """An independent row whose packed sum is zero: 2^w on the first
+        vector's slot and -1 on the second's, slot 0 + 2^w slot 1 = 0."""
+        return [(1, 1 << w), (2, -1)]
+
+    def test_a_row_that_aliases_at_2_to_the_w_is_refused_by_the_norm_check(self, monkeypatch):
+        builds, _ = self._recorded(monkeypatch)
+        rows = self._RUN + [self._alias(11)]
+        streamed = kernel_from_constraints(5, rows)
+        ((bound, packed),) = builds
+        assert bound == 1 << 8 and packed[2] == 1 << 11
+        assert sum(c * packed[j] for j, c in rows[-1]) == 0
+        assert streamed.dim == 3
+        assert streamed.basis == null_space_oracle(Mat([_dense(5, row) for row in rows], cols=5))
+
+    def test_a_row_below_the_bound_passes_and_one_at_it_widens_the_next_pack(self, monkeypatch):
+        """51 r (norm 255 = B - 1) is passed over on the packed sum; 50 r
+        written with two more entries 3 and -3 (norm 256 = B) is read on the
+        column path, and the pack built next has B = 2^(2 bits(256)) = 2^18,
+        so w = 21: the row that aliases there is refused too."""
+        builds, redundant = self._recorded(monkeypatch)
+        below, at = [(j, 51) for j in range(5)], [(j, 50) for j in range(5)] + [(0, 3), (0, -3)]
+        rows = self._RUN + [below, at, self._alias(21)]
+        streamed = kernel_from_constraints(5, rows)
+        assert [bound for bound, _ in builds] == [1 << 8, 1 << 18]
+        assert builds[1][1][2] == 1 << 21
+        assert not any(row is below for row in redundant)
+        assert any(row is at for row in redundant)
+        assert streamed.dim == 3
+        assert streamed.basis == null_space_oracle(Mat([_dense(5, row) for row in rows], cols=5))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_int_and_fraction_rows_in_any_container_match_the_oracle(self, seed, monkeypatch):
+        """Integer combinations of 8 integer rows on Q^20, a late independent
+        row, rational combinations and then integer ones again, each row a
+        list, a tuple, dict_items or a one-shot generator: the index is
+        packed before and after the late row, the packed tests read both
+        kinds of row, and the kernel is the oracle's, floored or not."""
+        from random import Random
+
+        rng = Random(seed)
+        n = 20
+        base = [{j: rng.randint(-9, 9) for j in range(n)} for _ in range(8)]
+
+        def combination(*weights):
+            row = {}
+            for w, picked in zip(weights, rng.sample(base, len(weights))):
+                for j, c in picked.items():
+                    row[j] = row.get(j, 0) + w * c
+            return row
+
+        def ints():
+            return combination(rng.randint(1, 5), -rng.randint(1, 5))
+
+        dicts = base + [ints() for _ in range(20)] + [{j: rng.randint(-9, 9) for j in range(n)}]
+        dicts += [ints() for _ in range(8)]
+        dicts += [combination(F(rng.randint(1, 5), rng.randint(2, 3)), rng.randint(1, 5)) for _ in range(20)]
+        dicts += [ints() for _ in range(8)]
+        shapes = (list, tuple, lambda items: items, lambda items: (x for x in items))
+
+        def stream():
+            return (shapes[k % 4](row.items()) for k, row in enumerate(dicts))
+
+        builds, _ = self._recorded(monkeypatch)
+        integral, integrated = linalg._integral, []
+
+        def recording(row):
+            integrated.append(row := list(row))
+            return integral(row)
+
+        monkeypatch.setattr(linalg, "_integral", recording)
+        oracle = null_space_oracle(Mat([_dense(n, row.items()) for row in dicts], cols=n))
+        assert kernel_from_constraints(n, stream()).basis == oracle
+        assert len(builds) >= 2
+        # `_span` reads the surviving vectors through `_integral` too, so
+        # the packed rows are the ones that hold a Fraction or follow one
+        tested = [row for row in integrated if any(type(c) is Fraction for _, c in row)]
+        assert tested and len(integrated) > len(tested) + len(oracle)
+        assert _kernel(n, stream(), 5).basis == oracle
 
     @staticmethod
     def _stream(rng, n, rank, late, wide):
@@ -569,14 +673,14 @@ class TestPackedZeroTest:
         rng = Random(seed)
         n = 20
         rows = self._stream(rng, n, rank=8, late=2, wide=3)
-        builds = []
-        packed = linalg._packed
-        monkeypatch.setattr(linalg, "_packed", lambda *args: builds.append(1) or packed(*args))
+        builds, _ = self._recorded(monkeypatch)
         streamed = kernel_from_constraints(n, rows)
         dense = [_dense(n, row) for row in rows]
         assert streamed.basis == null_space_oracle(Mat(dense, cols=n))
-        # the packed index was built, dropped by a late independent row and built again
+        # the packed index was built, dropped by a late independent row or
+        # by a wide row and built again, wider after a wide row
         assert len(builds) >= 2
+        assert builds[-1][0] > 1 << 128
         assert _kernel(n, rows, 1) == streamed
 
     def test_a_wide_independent_row_in_packed_mode(self, monkeypatch):
@@ -587,25 +691,22 @@ class TestPackedZeroTest:
         n = 20
         rows = self._stream(rng, n, rank=8, late=0, wide=0)
         rows.append([(0, F(1 << 70)), (1, F(3))])
-        builds = []
-        packed = linalg._packed
-        monkeypatch.setattr(linalg, "_packed", lambda *args: builds.append(1) or packed(*args))
+        builds, _ = self._recorded(monkeypatch)
         streamed = kernel_from_constraints(n, rows)
         assert builds
         assert streamed.basis == null_space_oracle(Mat([_dense(n, row) for row in rows], cols=n))
 
     def test_the_slots_hold_every_value_exactly(self):
-        """On two unit vectors (slot width w = 67) the row (2^k, -1) is
-        nonzero for every k with L1 norm below 2^64, and so is its packed
-        sum; at k = 67 the packed sum is zero, and the norm guard keeps the
-        row from being passed over."""
-        for top in (1, 1 << 40):
-            vectors = {0: {0: top}, 1: {1: top}}
-            columns = [{0: top}, {1: top}]
-            packed = linalg._packed(vectors, columns)
-            for k in range(64):
-                assert not linalg._packed_zero([0, 1], [1 << k, -1], packed)
-                assert linalg._packed_zero([0, 1], [0, 0], packed)
-        packed = linalg._packed({0: {0: 1}, 1: {1: 1}}, [{0: 1}, {1: 1}])
-        assert not sum(p * x for p, x in zip((1 << 67, -1), packed))
-        assert not linalg._packed_zero([0, 1], [1 << 67, -1], packed)
+        """On two vectors top e_0 and top e_1, with slot width
+        w = bits(top) + bits(B) + 1, the row (2^k, -1) of L1 norm below B
+        has a nonzero packed sum for every k, and so does (B - 1, 0) at the
+        largest slot value; (2^w, -1), of norm at least B, sums to zero."""
+        for top in (1, (1 << 40) - 1):
+            for bound in (1 << 8, 1 << 64):
+                packed = linalg._packed({0: {0: top}, 1: {1: top}}, [{0: top}, {1: top}], bound)
+                w = top.bit_length() + bound.bit_length() + 1
+                assert packed == [top, top << w]
+                for k in range(bound.bit_length() - 1):
+                    assert sum(c * p for c, p in zip((1 << k, -1), packed))
+                assert sum(c * p for c, p in zip((bound - 1, 0), packed)) == (bound - 1) * top < 1 << (w - 2)
+                assert not sum(c * p for c, p in zip((1 << w, -1), packed))

@@ -1142,6 +1142,40 @@ SYSTEMS = {
 }
 
 
+class TestPackBuilds:
+    """`linalg._kernel` packs its columns only once a redundant run pays for
+    the build.  The floored solves of `verify_derivation_criterion` reach
+    their floors within short runs and build the packed index at most once;
+    the full Q[S4] criterion stream, redundant after its row 1 764 of
+    14 500, builds it, and tests its tail at the 19 vectors of the answer."""
+
+    @staticmethod
+    def _builds(monkeypatch):
+        """The live vector count of each pack built from now on."""
+        builds = []
+        packed = fa.linalg._packed
+        monkeypatch.setattr(fa.linalg, "_packed", lambda vectors, *rest: builds.append(len(vectors)) or packed(vectors, *rest))
+        return builds
+
+    @pytest.mark.parametrize("name", ["QS4", "dense-T4"])
+    def test_floored_solves_build_the_pack_at_most_once(self, name, monkeypatch):
+        a = BUILDS[name]()
+        inner = fa.inner_derivation_space(a)
+        floor = fm._criterion_floor(a, inner, fa.is_commutator_simple(a))
+        builds = self._builds(monkeypatch)
+        fa.derivation_space(a, floor=inner)
+        assert len(builds) <= 1
+        builds.clear()
+        fa.derivation_criterion_space(a, floor=floor)
+        assert len(builds) <= 1
+
+    def test_the_full_qs4_criterion_stream_is_tested_packed(self, monkeypatch):
+        a = BUILDS["QS4"]()
+        builds = self._builds(monkeypatch)
+        assert fa.derivation_criterion_space(a).dim == 19
+        assert builds and builds[-1] == 19
+
+
 def _row_engine_members():
     """The corpus, a dense copy of each member, seeded random draws, the
     named algebras without a unit, and copies on rescaled bases, with
@@ -1177,6 +1211,26 @@ class TestRowEngine:
             assert all(len(dict(row)) == len(row) and all(v for _, v in row) for row in rows)
             expected = [dict(row) for row in constraint_rows_oracle(a, SYSTEMS[system])]
             assert [dict(row) for row in rows] == expected, (name, system)
+
+    def test_tuples_without_a_live_letter_are_skipped_with_the_same_rows(self, monkeypatch):
+        """Modulo [A, A], a tuple whose letters all have a zero Gram column
+        gives no row: the criterion rows with those tuples skipped equal the
+        rows with every tuple read, entry for entry, and on T2, T3 and T5
+        some tuples are skipped."""
+        rows, skipping = fm._rows, []
+
+        def reading(*args):
+            skipping.append(len(args) > 5 and args[5] is not None)
+            return rows(*args[:5])
+
+        for name, a in _row_engine_members() + [("T5", BUILDS["T5"]())]:
+            skipped = [list(row) for row in fm._constraint_rows(a, fm._CRITERION)]
+            monkeypatch.setattr(fm, "_rows", reading)
+            assert [list(row) for row in fm._constraint_rows(a, fm._CRITERION)] == skipped, name
+            monkeypatch.setattr(fm, "_rows", rows)
+            if name in ("T2", "T3", "T5"):
+                assert any(skipping), name
+            skipping.clear()
 
 
 # system -> (rows, rank, sha256 of the rows, entries sorted in each row) of
