@@ -12,13 +12,19 @@ vectors.  No dense matrix is built on the way.  `Mat.rref`
 reaches the same core, but serves only callers that hold a `Mat`.  The
 kernel's core `_kernel` can stop pulling rows at a floor dimension, for
 callers that know a subspace of that dimension inside the answer.  Once a
-run of redundant rows pays for it, it packs each column into one ``int``
-(Kronecker substitution, a slot of w = bits(max |entry|) + bits(B) + 1
-bits per vector, B a power of two above the row L1 norms seen), so a row
-of integer L1 norm below B is redundant exactly when one sum of ints is
-zero: each slot then holds less than 2^(w - 2) in absolute value.  Rationals
-serialize as ``p/q`` (or just ``p`` when the denominator is 1) with the
-sign on the numerator.
+run of redundant rows pays for it, `_kernel` packs each column into one
+``int`` (Kronecker substitution, a slot of w = bits(max |entry|) + bits(B)
++ 1 bits per vector, B a power of two above the row L1 norms seen), so a
+row of integer L1 norm below B is redundant exactly when one sum of ints
+is zero: each slot then holds less than 2^(w - 2) in absolute value.
+
+Both eliminations, `_int_rref` and `_kernel`, update a row or vector by
+one integer-preserving formula (after Bareiss, Math. Comp. 22, 1968):
+against a pivot p, v becomes a v - f p with a > 0 and gcd(a, f) = 1, and
+is divided by its content when a != 1.  When the pivot value divides v's,
+a = 1 and the update is a plain subtraction.  Rationals serialize as
+``p/q`` (or just ``p`` when the denominator is 1) with the sign on the
+numerator.
 
 Subspaces of Q^n are stored by their reduced-row-echelon basis.  That
 basis is unique, so two equal subspaces have identical representations
@@ -36,7 +42,6 @@ from math import gcd, inf
 from operator import is_not, itemgetter, length_hint, mul
 from typing import Iterable, Sequence
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
@@ -154,13 +159,6 @@ class Mat:
         self.cols = width
 
     @classmethod
-    def _of_vectors(cls, rows: tuple[Vec, ...], cols: int) -> "Mat":
-        """The matrix of rows that are already `Fraction` tuples of length cols."""
-        m = cls.__new__(cls)
-        m.data, m.rows, m.cols = rows, len(rows), cols
-        return m
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
         return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
 
@@ -249,7 +247,7 @@ class Mat:
         reduced, pivots = _int_rref(_int_rows(self.cols, rows), self.cols)
         r = len(pivots)
         reduced += [(_ZERO,) * self.cols] * (self.rows - r)
-        return Mat._of_vectors(tuple(reduced), self.cols), pivots, r
+        return Mat(reduced, cols=self.cols), pivots, r
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -266,12 +264,13 @@ def _int_rref(work: list[list[int]], cols: int) -> tuple[list[Vec], tuple[int, .
 
     Gauss-Jordan elimination in exact ``int`` arithmetic (integer-preserving,
     after Bareiss 1968).  At each column the pivot row is a hit row whose
-    value p there is smallest in absolute value (the first +-1, if any), and
-    every other row v with value f there becomes v - (f/p) prow when p
-    divides f, else (p/g) v - (f/g) prow divided by its content,
-    g = gcd(p, f).  Either keeps the row space, and the division keeps the
-    entries small.  Each pivot row is divided by its lead only at the end,
-    at its nonzeros, into `Fraction`s.
+    value p there is smallest in absolute value (the first +-1, if any).
+    Every other row v with value f there takes the one update of `_kernel`:
+    it becomes (p/g) v - (f/g) prow, for g = gcd(p, f) with the sign of p,
+    so that p/g > 0, and is then divided by its content unless p/g = 1,
+    which is the case exactly when p divides f.  The update keeps the row
+    space, and the division keeps the entries small.  Each pivot row is
+    divided by its lead only at the end, at its nonzeros, into `Fraction`s.
     """
     rows = len(work)
     pivots: list[int] = []
@@ -297,18 +296,14 @@ def _int_rref(work: list[list[int]], cols: int) -> tuple[list[Vec], tuple[int, .
             if not f or i == r:
                 continue
             v = work[i]
-            if f % p == 0:
-                f //= p
-                for j, b in nonzero:
-                    v[j] -= f * b
-                continue
-            g = gcd(p, f)
+            g = gcd(p, f) if p > 0 else -gcd(p, f)
             a, f = p // g, f // g
-            v = [a * x for x in v]
+            if a != 1:
+                v = work[i] = [a * x for x in v]
             for j, b in nonzero:
                 v[j] -= f * b
-            content = gcd(*v)
-            work[i] = [x // content for x in v] if content > 1 else v
+            if a != 1 and (content := gcd(*v)) > 1:
+                work[i] = [x // content for x in v]
         pivots.append(c)
         r += 1
     out = []
@@ -527,11 +522,15 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
     nonzeros, ties broken by the least absolute value pval, as in
     Markowitz's rule (H. M. Markowitz, Management Science 3, 1957): each
     other hit vector gains at most the pivot's nonzeros, so a sparse pivot
-    keeps the basis sparse.  Only the other hit vectors are updated: v
-    with value val becomes v - (val/pval) p when pval divides val, else
-    (pval/g) v - (val/g) p divided by its content, g = gcd(pval, val).
-    Either keeps the span, and the division keeps v primitive, so its
-    entries stay small.  Whatever the pivot, the span after each row is
+    keeps the basis sparse.  Only the other hit vectors are updated, all by
+    one formula: v with value val becomes a v - f p, for g = gcd(pval,
+    val) with the sign of pval, a = pval/g > 0 and f = val/g, and is then
+    divided by its content unless a = 1.  v and its column-index entries
+    are rewritten in place.  When pval divides val, a = 1 and the update is
+    the subtraction v - (val/pval) p alone, with no gcd of the entries;
+    such a vector is not divided, so a basis vector need not be primitive.
+    The update keeps the span, and the division keeps the entries of the
+    other updates small.  Whatever the pivot, the span after each row is
     the null space of the rows read so far, so the rows pulled do not
     depend on it.  The surviving integer vectors go to `_span` as they are,
     and the result is their canonical `Subspace`, with ``Fraction``
@@ -627,30 +626,20 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
                 continue
             val = values[k]
             v = vectors[k]
-            if val % pval == 0:
-                f = val // pval
-                for j, b in pvec.items():
-                    x = v.get(j, 0) - f * b
-                    if x:
-                        v[j] = columns[j][k] = x
-                    else:
-                        del v[j], columns[j][k]
-                continue
-            g = gcd(pval, val)
+            g = gcd(pval, val) if pval > 0 else -gcd(pval, val)
             a, f = pval // g, val // g
-            v = {j: a * x for j, x in v.items()}
+            if a != 1:
+                for j, x in v.items():
+                    v[j] = columns[j][k] = a * x
             for j, b in pvec.items():
                 x = v.get(j, 0) - f * b
                 if x:
-                    v[j] = x
+                    v[j] = columns[j][k] = x
                 else:
                     del v[j], columns[j][k]
-            content = gcd(*v.values())
-            if content != 1:
-                v = {j: x // content for j, x in v.items()}
-            vectors[k] = v
-            for j, x in v.items():
-                columns[j][k] = x
+            if a != 1 and (content := gcd(*v.values())) > 1:
+                for j, x in v.items():
+                    v[j] = columns[j][k] = x // content
         if len(vectors) <= floor:
             break
     return _span(n, [v.items() for v in vectors.values()])

@@ -537,6 +537,64 @@ class TestKernelFromConstraintsExact:
         assert all(type(x) is Fraction for x in kernel.basis[0])
 
 
+# Fixed streams on Q^4 for the one update of `_kernel`: every hit vector v
+# other than the pivot p becomes a v - f p, a = pval / g > 0 and f = val / g
+# for g = gcd(pval, val) with the sign of pval, divided by its content when
+# a != 1.  The first row meets each named (pval, val), with the unit vectors
+# as basis.  The third row is the sum of the first two, so it is redundant
+# exactly when the column index holds the updated values, and the fourth
+# reads the columns again.
+UPDATE_STREAMS = {
+    "negative pivot, not dividing (-2, 3)":
+        [[(0, -2), (1, 3)], [(1, 1), (2, -1)], [(0, -2), (1, 4), (2, -1)], [(2, 1), (3, 1)]],
+    "negative pivot, dividing (-2, 4)":
+        [[(0, -2), (1, 4)], [(1, 1), (2, -1)], [(0, -2), (1, 5), (2, -1)], [(2, 1), (3, 1)]],
+    "positive pivot, not dividing (2, 3)":
+        [[(0, 2), (1, 3)], [(1, 1), (2, -1)], [(0, 2), (1, 4), (2, -1)], [(2, 1), (3, 1)]],
+    # the second row meets (-4, 5) on two-entry vectors: 4 v + 5 p has content 3
+    "negative pivot, content division (-4, 5)":
+        [[(0, 4), (1, 4), (2, 3)], [(2, 1), (1, 3)], [(0, 4), (1, 7), (2, 4)], [(1, 1), (3, 1)]],
+}
+
+
+class TestOneUpdate:
+    """`_kernel` and `_int_rref` apply one integer-preserving update whatever
+    the signs of the pivot and hit values and whether one divides the other;
+    the results are checked against the `Fraction` oracles."""
+
+    @pytest.mark.parametrize("rows", UPDATE_STREAMS.values(), ids=UPDATE_STREAMS.keys())
+    def test_kernel_from_constraints(self, rows):
+        n = 4
+        expected = null_space_oracle(Mat([_dense(n, row) for row in rows], cols=n))
+        kernel = kernel_from_constraints(n, rows)
+        assert kernel.dim == 1
+        assert kernel.basis == expected
+
+    @pytest.mark.parametrize("rows", UPDATE_STREAMS.values(), ids=UPDATE_STREAMS.keys())
+    @pytest.mark.parametrize("floor", [1, 2, 3])
+    def test_floored_kernel(self, rows, floor):
+        """Each row but the redundant third drops the dimension by one, so
+        floor f stops after the 4 - f independent rows, and the result is
+        the null space of the rows pulled."""
+        n = 4
+        pulled = []
+        kernel = _kernel(n, (pulled.append(row) or row for row in rows), floor)
+        assert len(pulled) == {1: 4, 2: 2, 3: 1}[floor]
+        assert kernel.basis == null_space_oracle(Mat([_dense(n, row) for row in pulled], cols=n))
+
+    @pytest.mark.parametrize("rows", [
+        [[-2, 1, 0], [3, 0, 1], [5, -1, 1]],
+        [[-2, 1, 0], [4, 0, 1], [6, -1, 1]],
+        [[2, 1, 0], [3, 0, 1], [5, 1, 1]],
+        [[-4, 1, 0, 2], [6, 0, 3, 0], [9, 2, 0, 1], [11, 3, 3, 3]],
+    ], ids=["(-2, 3)", "(-2, 4)", "(2, 3)", "(-4, 6) and (-4, 9)"])
+    def test_from_rows(self, rows):
+        """The least pivot at column 0 meets each named (p, f) in `_int_rref`."""
+        n = len(rows[0])
+        reduced, _, rank = rref_oracle(Mat(rows, cols=n))
+        assert Subspace.from_rows(n, rows).basis == reduced.data[:rank]
+
+
 class TestPackedZeroTest:
     """Once a redundant run has read enough of a dense basis, `_kernel`
     tests a row for redundancy as one packed integer sum (`linalg._packed`),
