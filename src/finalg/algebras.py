@@ -143,10 +143,7 @@ class FinAlgebra:
         return self.unit is not None
 
     def element(self, coeffs: Sequence) -> "Element":
-        v = as_vector(coeffs)
-        if len(v) != self.dim:
-            raise ValueError("coefficient vector has wrong length")
-        return Element(self, v)
+        return Element(self, coeffs)
 
     def basis_element(self, i: int) -> "Element":
         if not 0 <= i < self.dim:

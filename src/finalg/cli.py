@@ -96,21 +96,21 @@ def _cap_check(dim: int, max_dim: int | None) -> None:
     cap = _max_dim(max_dim)
     if dim > cap:
         raise DocumentError(
-            f"dimension {dim} exceeds the cap {cap}; raise --max-dim or {MAX_DIM_ENV}"
+            f"dimension {_number(dim)} exceeds the cap {_number(cap)}; raise --max-dim or {MAX_DIM_ENV}"
         )
 
 
-def _read_text(path, what: str = "") -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"cannot read {what}{path}: {exc}") from exc
+def _number(n: int) -> str:
+    """n in decimal when it has at most 40 digits, else its sign and bit
+    length, so that a message stays bounded; no decimal of a longer n is
+    made, as it may be over the interpreter's digit limit."""
+    return str(n) if abs(n) < 10**40 else f"{'-' if n < 0 else ''}({n.bit_length()} bits)"
 
 
 def _load_document(path: str, max_dim: int | None) -> AlgebraDocument:
     """Parse the document at path and check its dimension against the cap;
     nothing is built yet."""
-    doc = parse_document(_read_text(path))
+    doc = parse_document(Path(path).read_text(encoding="utf-8"))
     _cap_check(doc.dim, max_dim)
     return doc
 
@@ -123,7 +123,7 @@ def _load_map(spec: str, algebra: FinAlgebra):
                 "the transpose map needs a matrix-unit algebra (square dimension)"
             )
         return maps.transpose_map(n)
-    return parse_map_file(_read_text(spec, "map file "), expected_dim=algebra.dim)
+    return parse_map_file(Path(spec).read_text(encoding="utf-8"), expected_dim=algebra.dim)
 
 
 def _new_report(command: str, doc: AlgebraDocument) -> Report:
@@ -149,7 +149,13 @@ def _finish(run, fmt: str) -> None:
         # an internal consistency check failed: a program fault, not bad input
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_REFUTATION)
-    except (DocumentError, OSError, ValueError) as exc:
+    except OSError as exc:
+        # a file that cannot be read or written, named once, as `_echo` shows
+        # a token; a failed write to an open file names none
+        where = "" if exc.filename is None else f"{_echo(str(exc.filename))}: "
+        click.echo(f"error: {where}{exc.strerror}", err=True)
+        sys.exit(EXIT_PARSE)
+    except (DocumentError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PARSE)
     click.echo(emit_report(rep, fmt), nl=False)
@@ -163,13 +169,33 @@ def _nonempty(ctx, param, value):
     return value
 
 
-_FILE = {"type": click.Path(dir_okay=False), "callback": _nonempty}
+def _echoed(kind, *args, **kwargs):
+    """kind(*args, **kwargs), a click parameter type whose refusal of a
+    value of more than 40 characters names it as `_echo` does, by its first
+    40 and its length, so that the message stays bounded; a shorter value
+    keeps click's own message."""
+
+    class Echoed(kind):
+        def convert(self, value, param, ctx):
+            try:
+                return super().convert(value, param, ctx)
+            except click.BadParameter:
+                if len(text := str(value)) <= 40:
+                    raise
+                self.fail(f"{_echo(text)} is not a valid {self.name}.", param, ctx)
+
+    return Echoed(*args, **kwargs)
+
+
+_INT = _echoed(click.types.IntParamType)
+_COUNT = _echoed(click.IntRange, max=MAX_COUNT)
+_FILE = {"type": _echoed(click.Path, dir_okay=False), "callback": _nonempty}
 _MAX_DIM = click.option(
-    "--max-dim", type=int, default=None,
+    "--max-dim", type=_INT, default=None,
     help=f"Override the dimension cap (default {DEFAULT_MAX_DIM}, env {MAX_DIM_ENV}).",
 )
 _FORMAT = click.option(
-    "--format", "fmt", type=click.Choice(["text", "structured"]), default="text",
+    "--format", "fmt", type=_echoed(click.Choice, ["text", "structured"]), default="text",
     help="Report rendering.",
 )
 _OUT = click.option("-o", "--out", required=True, **_FILE)
@@ -238,14 +264,14 @@ def _gen_command(family: str, *options):
 
 # -- gen families ----------------------------------------------------------------
 
-@_gen_command("matrix", click.option("--n", type=int, required=True))
+@_gen_command("matrix", click.option("--n", type=_INT, required=True))
 def gen_matrix(max_dim, n):
     """Full matrix algebra M_n (dimension n^2)."""
     _check_size(n, n * n, max_dim)
     return f"M{n}", build_matrix_algebra(n)
 
 
-@_gen_command("triangular", click.option("--n", type=int, required=True))
+@_gen_command("triangular", click.option("--n", type=_INT, required=True))
 def gen_triangular(max_dim, n):
     """Upper-triangular n x n matrices (dimension n(n+1)/2)."""
     _check_size(n, n * (n + 1) // 2, max_dim)
@@ -259,7 +285,7 @@ def gen_triangular(max_dim, n):
 )
 def gen_group(max_dim, cayley, name):
     """Rational group algebra from a Cayley table file."""
-    text = _read_text(cayley, "Cayley table ")
+    text = Path(cayley).read_text(encoding="utf-8")
     _cap_check(cayley_order(text), max_dim)
     group = parse_cayley_table(text)
     return name or f"QG{group.order}", build_group_algebra(group)
@@ -358,12 +384,10 @@ def _verdict_from_verification(rep: Report, result: maps.VerificationReport) -> 
     sec = rep.section("spaces")
     for name, dim in result.spaces.items():
         sec.add(name, dim)
-    if result.verdict == maps.VERDICT_VERIFIED:
-        rep.verdict = VERDICT_OK
-    elif result.verdict == maps.VERDICT_HYPOTHESES_NOT_MET:
-        rep.verdict = VERDICT_HYPOTHESES_NOT_MET
-    else:
-        rep.verdict = VERDICT_REFUTATION
+    rep.verdict = {
+        maps.VERDICT_VERIFIED: VERDICT_OK, maps.VERDICT_HYPOTHESES_NOT_MET: VERDICT_HYPOTHESES_NOT_MET,
+    }.get(result.verdict, VERDICT_REFUTATION)
+    if rep.verdict == VERDICT_REFUTATION:
         rep.section("refutation").add("witness", result.witness)
 
 
@@ -389,10 +413,10 @@ def verify_jordan_criterion_cmd(rep, algebra, map_spec):
 @_document_command(
     "local-test",
     click.option("--map", "map_spec", required=True, callback=_nonempty),
-    click.option("--kind", type=click.Choice(["derivation", "inner-auto"]), required=True),
-    click.option("--seed", type=int, required=True),
-    click.option("--samples", type=click.IntRange(max=MAX_COUNT), required=True),
-    click.option("--trials", type=click.IntRange(max=MAX_COUNT), default=20,
+    click.option("--kind", type=_echoed(click.Choice, ["derivation", "inner-auto"]), required=True),
+    click.option("--seed", type=_INT, required=True),
+    click.option("--samples", type=_COUNT, required=True),
+    click.option("--trials", type=_COUNT, default=20,
                  help="Invertibility trials per point (inner-auto only)."),
 )
 def local_test(rep, algebra, map_spec, kind, seed, samples, trials):
@@ -418,18 +442,14 @@ def local_test(rep, algebra, map_spec, kind, seed, samples, trials):
             sample.label,
             {"point": sample.point, "status": sample.status, "witness": sample.witness},
         )
-    if "infeasible" in statuses:
-        rep.verdict = VERDICT_PROPERTY_FALSE
-    elif "inconclusive" in statuses:
-        rep.verdict = VERDICT_INCONCLUSIVE
-    else:
-        rep.verdict = VERDICT_OK
+    rep.verdict = (VERDICT_PROPERTY_FALSE if "infeasible" in statuses
+                   else VERDICT_INCONCLUSIVE if "inconclusive" in statuses else VERDICT_OK)
 
 
 @_document_command(
     "trace",
-    click.option("--seed", type=int, required=True),
-    click.option("--trials", type=click.IntRange(max=MAX_COUNT), default=50),
+    click.option("--seed", type=_INT, required=True),
+    click.option("--trials", type=_COUNT, default=50),
 )
 def trace(rep, algebra, seed, trials):
     """Search for a nondegenerate trace functional on A^2."""
@@ -445,12 +465,8 @@ def trace(rep, algebra, seed, trials):
         sec.add("functional-domain-pivots", list(result.functional.domain.pivots))
     if result.degenerate_witness is not None:
         sec.add("degenerate-witness", list(result.degenerate_witness))
-    if result.found:
-        rep.verdict = VERDICT_OK
-    elif result.definite_negative:
-        rep.verdict = VERDICT_PROPERTY_FALSE
-    else:
-        rep.verdict = VERDICT_INCONCLUSIVE
+    rep.verdict = (VERDICT_OK if result.found
+                   else VERDICT_PROPERTY_FALSE if result.definite_negative else VERDICT_INCONCLUSIVE)
 
 
 if __name__ == "__main__":

@@ -514,7 +514,11 @@ def _kernel(n: int, rows: Iterable[Iterable[tuple[int, Fraction]]], floor: int) 
     grows as the row is read, and the values found so far are lifted to
     it), and the basis vectors are integer vectors.  An ``int`` coefficient
     is only multiplied by the lcm so far, with no numerator or denominator
-    read; every entry of the monomial streams is one.  The vectors are
+    read.  Every entry of a constraint row of `maps._constraint_rows` is
+    one: those rows are integral, the rows of the structure constants times
+    their common denominator L, or times L D_f modulo [A, A], D_f the
+    denominator of the Gram form of f.  The ``Fraction`` paths serve the
+    other callers, such as the structure kernels.  The vectors are
     sparse, and a column index lists, for each coordinate, the vectors that
     are nonzero there.  A row's values on the whole basis therefore cost the nonzeros
     of the columns the row touches, which is all a redundant row costs.  An

@@ -44,11 +44,12 @@ f(b_u b_v), which is symmetric, and a term H T(b_z) gives ((G_f H) T)_z.
 So each f gives one covector over z per prefix, added up from the sparse
 columns of G_f and those columns times T, and the least z at which one is
 nonzero is the first failing tuple.  The covectors and their Gram columns
-are built once per algebra by `structure._commutator_forms`, in ints with a
-denominator D, by `structure.gram_columns`, the one Gram builder; a zero
-test reads them as they are.  A criterion row's
-context is built in ints too, from them and the constants times their
-common denominator L, and divided by L D once, when it is cached.
+are built once per algebra by `structure._commutator_forms`, in ints times
+a denominator D, by `structure.gram_columns`, the one Gram builder; a zero
+test reads them as they are.  Every constraint row is built in ints too,
+from them and the constants times their common denominator L
+(`algebras._cleared_sided`): it is the row of the constants times L, or
+times L D modulo [A, A], which has the same kernel.
 
 The Leibniz rule and both multiplicativity identities are closed in their
 first letter: the x at which one holds for every y form a subalgebra.  So
@@ -66,7 +67,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
 from .algebras import Element, FinAlgebra, _bracket, _cleared_sided, _operator_rows, _sided, random_element
@@ -253,15 +253,23 @@ def _constraint_rows(a: FinAlgebra, identities, first=None):
     of output coordinate r.  With `first`, a closed identity gives only the
     rows of the tuples whose first letter is among these indices.
 
+    Every row is integral: the structure constants are read times their
+    common denominator s (`_cleared_sided`), so each row is the row of the
+    constants times s, with the same kernel; on an integral table s = 1.
+
     Modulo [A, A], each functional f vanishing on [A, A] gives one row, and
     f(L D(M) R) = f(D(M) R L).  A sum of such terms with the same M is
     f(D(M) W) for W the sum of the words R L, and f(b_k W) is found as
     sum_r W_r f(b_k b_r), adding the sparse Gram columns r of f over the
-    nonzeros of W.  Where column r is zero, f(A b_r) = 0, so f(b_k W) = 0
-    for every W that is b_r or a product b_u b_r; a tuple whose letters all
-    have zero columns gives no row and is skipped before any is built.
+    nonzeros of W.  Those columns are f's Gram form times its denominator
+    D_f (`structure.gram_columns`), and W is read times s, so the row of f
+    is the row of the constants times s D_f.  Where column r is zero,
+    f(A b_r) = 0, so f(b_k W) = 0 for every W that is b_r or a product
+    b_u b_r; a tuple whose letters all have zero columns gives no row and
+    is skipped before any is built.
     """
     d = a.dim
+    scale, table = _cleared_sided(a, "left")
     if not identities[0].modulo_commutators:
 
         def context(terms, letters):
@@ -269,34 +277,32 @@ def _constraint_rows(a: FinAlgebra, identities, first=None):
             for sign, left, right in terms:
                 left, right = _at(letters, left), _at(letters, right)
                 for k in range(d):
-                    for r, v in _terms(a, left + (k,) + right):
+                    w = left + (k,) + right
+                    for r, v in table[w[0]][w[1]] if len(w) == 2 else ((k, 1),):
                         _accumulate(sums.setdefault(r, {}), k * d, v if sign > 0 else -v)
             return sums
 
-        yield from _rows(a, identities, d, context, first)
+        yield from _rows(table, identities, d, context, first)
         return
-    scale, table = _cleared_sided(a, "left")
-    for form, denominator in a.derived(_commutator_forms):
+    for form in a.derived(_commutator_forms):
         columns = [[(k * d, g) for k, g in column] for column in form]
 
-        def projected(terms, letters, columns=columns, denominator=denominator * scale):
+        def projected(terms, letters, columns=columns):
             word = _combination(
                 (sign, table[w[0]][w[1]] if len(w := _at(letters, right + left)) == 2 else ((w[0], scale),))
                 for sign, left, right in terms
             )
-            context = _combination((c, columns[r]) for r, c in word.items())
-            if denominator != 1:
-                context = {o: Fraction(v, denominator) for o, v in context.items()}
-            return {0: context}
+            return {0: _combination((c, columns[r]) for r, c in word.items())}
 
         live = {r for r, column in enumerate(form) if column}
-        yield from _rows(a, identities, 1, projected, first, live if len(live) < d else None)
+        yield from _rows(table, identities, 1, projected, first, live if len(live) < d else None)
 
 
-def _rows(a: FinAlgebra, identities, outputs: int, context, first=None, live=None):
+def _rows(table, identities, outputs: int, context, first=None, live=None):
     """The rows of each basis tuple in turn, by increasing output coordinate
-    r < outputs; with `first`, of a closed identity only the tuples whose
-    first letter is among these indices; with `live`, only the tuples
+    r < outputs, read with `table`, the integer product table of
+    `_cleared_sided`; with `first`, of a closed identity only the tuples
+    whose first letter is among these indices; with `live`, only the tuples
     that hold one of these letters.
 
     The terms of an identity are grouped by the word M in the map.  What a
@@ -305,9 +311,10 @@ def _rows(a: FinAlgebra, identities, outputs: int, context, first=None, live=Non
     gives it as {r: {k d: coefficient}}, the sum of sign * L b_k R over the
     terms (sign, L, R), their positions renumbered to index the letters.
     It is cached per letters as its (r, k d, value) entries by increasing r,
-    integral values as `int`, shared by the groups whose renumbered terms
-    agree.  A tuple adds each entry at k d + t, times M_t, for each nonzero
-    M_t, adding up entries that meet.
+    as built, shared by the groups whose renumbered terms agree.  A tuple
+    adds each entry at k d + t, times M_t, for each nonzero M_t, adding up
+    entries that meet.  A two-letter M is read from the table, as the
+    contexts are, so the rows are integral when the contexts are.
 
     Entries cannot meet when there is one output and every M is one letter,
     as in the criterion memberships modulo [A, A], and the tuple's letters
@@ -316,7 +323,7 @@ def _rows(a: FinAlgebra, identities, outputs: int, context, first=None, live=Non
     entries shifted by t, one comprehension per group.  Adding them up would
     insert the same keys in the same order, so the stream is unchanged.
     """
-    d = a.dim
+    d = len(table)
     caches: dict[tuple, dict] = {}
     for identity in identities:
         groups: dict[tuple, list] = {}
@@ -345,16 +352,13 @@ def _rows(a: FinAlgebra, identities, outputs: int, context, first=None, live=Non
                 entries = cache.get(letters)
                 if entries is None:
                     sums = context(shape, letters)
-                    entries = cache[letters] = [(r, o, _exact(v)) for r in sorted(sums) for o, v in sums[r].items()]
+                    entries = cache[letters] = [(r, o, v) for r in sorted(sums) for o, v in sums[r].items()]
                 if joined is not None:
                     if entries:
                         t = tup[word[0]]
                         joined += [(o + t, v) for _, o, v in entries]
                     continue
-                if len(word) == 1:
-                    shifts = ((tup[word[0]], 1),)
-                else:
-                    shifts = _terms(a, (tup[word[0]], tup[word[1]]))
+                shifts = ((tup[word[0]], 1),) if len(word) == 1 else table[tup[word[0]]][tup[word[1]]]
                 for t, m in shifts:
                     for r, o, v in entries:
                         _accumulate(rows[r], o + t, v if m == 1 else m * v)
@@ -396,7 +400,7 @@ def _first_violation(a: FinAlgebra, identities, t: Mat, key: str) -> dict | None
         rows = [_nonzeros(row) for row in t.data]
         forms = [
             (form, [_combination((g, rows[v]) for v, g in column).items() for column in form])
-            for form, _ in a.derived(_commutator_forms)
+            for form in a.derived(_commutator_forms)
         ]
 
     def value(factors):
@@ -705,12 +709,18 @@ class CheckResult:
         return self.ok
 
 
+def _check(a: FinAlgebra, identity: _Identity, t: Mat, key: str) -> CheckResult:
+    """Whether the square map t satisfies the identity, with the first
+    failing basis tuple, under `key`, as the witness when it does not."""
+    _square_check(a, t)
+    witness = _first_violation(a, (identity,), t, key)
+    return CheckResult(witness is None, witness)
+
+
 def jordan_homomorphism_check(a: FinAlgebra, t: Mat) -> CheckResult:
     """Polarized exact check of T(x^2) = T(x)^2:
     T(b_i b_j + b_j b_i) = T(b_i)T(b_j) + T(b_j)T(b_i) for all i <= j."""
-    _square_check(a, t)
-    witness = _first_violation(a, (_JORDAN_HOMOMORPHISM,), t, "pair")
-    return CheckResult(witness is None, witness)
+    return _check(a, _JORDAN_HOMOMORPHISM, t, "pair")
 
 
 def multiplicativity_check(a: FinAlgebra, t: Mat, mode: str) -> CheckResult:
@@ -718,9 +728,7 @@ def multiplicativity_check(a: FinAlgebra, t: Mat, mode: str) -> CheckResult:
     decided at the pairs whose first letter is a generator of A."""
     if mode not in _MULTIPLICATIVITY:
         raise ValueError("mode must be 'homomorphism' or 'antihomomorphism'")
-    _square_check(a, t)
-    witness = _first_violation(a, (_MULTIPLICATIVITY[mode],), t, "pair")
-    return CheckResult(witness is None, witness)
+    return _check(a, _MULTIPLICATIVITY[mode], t, "pair")
 
 
 def cubic_condition_check(a: FinAlgebra, t: Mat) -> CheckResult:
@@ -729,9 +737,7 @@ def cubic_condition_check(a: FinAlgebra, t: Mat) -> CheckResult:
     Over the rationals the quantified statement is equivalent to the full
     symmetrization over basis triples i <= j <= k.
     """
-    _square_check(a, t)
-    witness = _first_violation(a, (_CUBIC,), t, "triple")
-    return CheckResult(witness is None, witness)
+    return _check(a, _CUBIC, t, "triple")
 
 
 def verify_jordan_criterion(a: FinAlgebra, t: Mat) -> VerificationReport:
@@ -799,10 +805,11 @@ def inner_similarity_witness(
 
     Solves the linear intertwining system u x = target u, whose sparse
     rows R_x - L_target come from the product table; a zero solution
-    space is a definite "infeasible".  Otherwise the unit (when it lies in
-    the solution space), the solution basis vectors (one per free column
-    of the system's RREF), and ``trials`` seeded random combinations are
-    tested for invertibility (left multiplication by u has zero kernel);
+    space is a definite "infeasible".  Otherwise one stream of candidates
+    is tested for invertibility (left multiplication by u has zero kernel):
+    the unit when x = target, as u = 1 then solves u x = target u, the
+    solution basis vectors (one per free column of the system's RREF), and
+    ``trials`` seeded random combinations, each drawn when it is reached;
     exhausting them is inconclusive.
     """
     if a.unit is None:
@@ -816,19 +823,16 @@ def inner_similarity_witness(
     if not kernel:
         return SimilaritySearch("infeasible")
 
-    def invertible(u: Vec) -> bool:
-        return any(u) and kernel_from_constraints(d, _operator_rows(a, u, "left")).dim == 0
+    def candidates():
+        if x.coeffs == target.coeffs:
+            yield a.unit
+        yield from kernel
+        for _ in range(trials):
+            weights = [rng.randint(-9, 9) for _ in kernel]
+            yield _dense(_combination((w, _nonzeros(v)) for w, v in zip(weights, kernel) if w).items(), d)
 
-    # u = 1 solves u x = target u exactly when x = target
-    candidates: list[Vec] = [a.unit] if x.coeffs == target.coeffs else []
-    candidates.extend(kernel)
-    for u in candidates:
-        if invertible(u):
-            return SimilaritySearch("witness", a.element(u))
-    for _ in range(trials):
-        weights = [Fraction(rng.randint(-9, 9)) for _ in kernel]
-        u = _dense(_combination((w, _nonzeros(v)) for w, v in zip(weights, kernel) if w).items(), d)
-        if invertible(u):
+    for u in candidates():
+        if any(u) and kernel_from_constraints(d, _operator_rows(a, u, "left")).dim == 0:
             return SimilaritySearch("witness", a.element(u))
     return SimilaritySearch("inconclusive")
 

@@ -76,8 +76,9 @@ def gram_columns(a: FinAlgebra, f, side: str = "right") -> tuple[list, int]:
 
 
 def _commutator_forms(a: FinAlgebra) -> list:
-    """The `gram_columns` of each f of `_commutator_covectors`, with D."""
-    return [gram_columns(a, f, "right") for f in a.derived(_commutator_covectors)]
+    """The Gram form of each f of `_commutator_covectors`, as `gram_columns`
+    builds it, times its D; no caller reads D."""
+    return [gram_columns(a, f, "right")[0] for f in a.derived(_commutator_covectors)]
 
 
 def _stable_part(a: FinAlgebra, covectors, side: str) -> Subspace:

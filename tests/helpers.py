@@ -4,6 +4,7 @@ independent closure/nilpotency checks used as oracles."""
 import functools
 import hashlib
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -517,6 +518,33 @@ def dense_copy(a: fa.FinAlgebra, rng: Random) -> fa.FinAlgebra:
     return algebra_from_tensor(c, unit)
 
 
+def path_algebra(vertices: int, arrows, max_length=None) -> fa.FinAlgebra:
+    """The path algebra over Q of the quiver with these vertices 0, 1, ...
+    and arrows (source, target), on its basis of paths: the trivial path
+    e_v of each vertex, then the paths of length 1, 2, ... as sequences of
+    arrows, each arrow's target the next one's source.  The product of two
+    paths is their concatenation when the first ends where the second
+    starts, and 0 otherwise, so e_v p = p for a path p from v, and the sum
+    of the e_v is the unit.  With `max_length`, only the paths of at most
+    that length are kept and a longer product is 0: the quotient by the
+    ideal of the longer paths, which is finite for a quiver with cycles.
+    A quiver with an oriented cycle needs `max_length`."""
+    level = [(v, v, ()) for v in range(vertices)]
+    paths = list(level)
+    while level and (max_length is None or len(level[0][2]) < max_length):
+        level = [(s, b, word + (n,)) for s, t, word in level for n, (a, b) in enumerate(arrows) if a == t]
+        paths += level
+        if len(paths) > 10_000:
+            raise ValueError("the quiver has an oriented cycle: give max_length")
+    index = {path: k for k, path in enumerate(paths)}
+    terms = [
+        [((index[key], 1),) if t == u and (key := (s, w, left + right)) in index else ()
+         for u, w, right in paths]
+        for s, t, left in paths
+    ]
+    return fa.FinAlgebra(terms, [1] * vertices + [0] * (len(paths) - vertices))
+
+
 def rescaled_copy(a: fa.FinAlgebra, scales) -> fa.FinAlgebra:
     """The same algebra on the basis s_i b_i, whose structure constants
     s_i s_j c[i][j][k] / s_k are fractions for fractional scales."""
@@ -744,26 +772,36 @@ def commutator_gram_oracle(a: fa.FinAlgebra):
     ]
 
 
-def constraint_rows_oracle(a: fa.FinAlgebra, identities):
+def constraint_rows_oracle(a: fa.FinAlgebra, identities, scaled=False):
     """The constraint rows of identities linear in D, read term by term from
     the same `_Identity` descriptions the program uses: a term L D(M) R
     adds M_t (L b_k R)_r at D[k][t] in the row of output coordinate r, and
     modulo [A, A] it adds M_t f(b_k R L) in the row of each functional f,
     read through the dense Gram forms.  Rows come tuple by tuple, by
     increasing r (functional by functional modulo [A, A]), as the items of
-    an {index: value} mapping without zeros."""
+    an {index: value} mapping without zeros.
+
+    With `scaled`, each row is multiplied by the factor that makes it
+    integral in the row engine: L, the lcm of the denominators of the
+    structure constants, or modulo [A, A] L^2 h_f, for h_f the lcm of the
+    denominators of the functional f."""
     d = a.dim
+    scale = 1
+    if scaled:
+        scale = math.lcm(*[F(c).denominator for i in range(d) for j in range(d) for _, c in a.product_terms(i, j)])
     if not identities[0].modulo_commutators:
         yield from _oracle_rows(a, identities, d, lambda left, right: [
-            (k, r, v) for k in range(d) for r, v in _oracle_terms(a, left + (k,) + right)
+            (k, r, scale * v) for k in range(d) for r, v in _oracle_terms(a, left + (k,) + right)
         ])
         return
-    for gram in commutator_gram_oracle(a):
+    covectors = fa.commutator_subspace(a).annihilator().basis
+    for f, gram in zip(covectors, commutator_gram_oracle(a)):
+        factor = scale * scale * math.lcm(*[x.denominator for x in f]) if scaled else 1
 
-        def projected(left, right, gram=gram):
+        def projected(left, right, gram=gram, factor=factor):
             w = _oracle_terms(a, right + left)
             return [
-                (k, 0, v)
+                (k, 0, factor * v)
                 for k, form in enumerate(gram)
                 if (v := sum((c * form[r] for r, c in w if form[r]), F0))
             ]

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import sys
 
 import pytest
@@ -547,6 +549,36 @@ class TestUsageAndErrors:
     def test_missing_file_exit_code(self, tmp_path):
         result = CliRunner().invoke(main, ["analyze", str(tmp_path / "nope.alg")])
         assert result.exit_code == EXIT_PARSE
+
+    def test_a_file_error_names_the_file_once(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, ["analyze", "nope.alg"])
+        assert (result.exit_code, result.stderr) == (EXIT_PARSE, "error: 'nope.alg': No such file or directory\n")
+
+    def test_a_failed_write_that_names_no_file_is_a_parse_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+        def full(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("pathlib.Path.write_text", full)
+        result = CliRunner().invoke(main, ["gen", "matrix", "--n", "2", "-o", "m2.alg"])
+        assert (result.exit_code, result.stderr) == (EXIT_PARSE, "error: No space left on device\n")
+
+    @pytest.mark.parametrize("n, max_dim, shown", [
+        ("1" + "0" * 2000, "24", f"({(10 ** 4000).bit_length()} bits) exceeds the cap 24"),
+        ("2", "-" + "9" * 60, f"4 exceeds the cap -({(10 ** 60 - 1).bit_length()} bits)"),
+        ("3" * 20, "-" + "9" * 39, f"{int('3' * 20) ** 2} exceeds the cap -{'9' * 39}"),
+    ], ids=["long-dimension", "long-cap", "40-digit-cap"])
+    def test_a_number_of_more_than_40_digits_in_the_cap_message_is_shown_by_its_bits(
+        self, tmp_path, n, max_dim, shown
+    ):
+        result = CliRunner().invoke(main, ["gen", "matrix", "--n", n, "--max-dim", max_dim,
+                                           "-o", str(tmp_path / "x.alg")])
+        assert (result.exit_code, result.stderr) == (
+            EXIT_PARSE, f"error: dimension {shown}; raise --max-dim or FINALG_MAX_DIM\n"
+        )
+        assert not (tmp_path / "x.alg").exists()
 
     def test_internal_error_exits_through_the_tripwire_code(self, tmp_path, monkeypatch):
         out = tmp_path / "m2.alg"

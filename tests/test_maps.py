@@ -24,6 +24,7 @@ from helpers import (
     local_derivation_test_oracle,
     matrix_trace,
     non_unital_algebras,
+    path_algebra,
     random_algebra,
     random_invertible,
     rescaled_copy,
@@ -1176,6 +1177,78 @@ class TestPackBuilds:
         assert builds and builds[-1] == 19
 
 
+# name -> (vertices, arrows, (dim Der, dim Inn)) of connected quivers
+# without an oriented cycle
+QUIVERS = {
+    "A4": (4, [(0, 1), (1, 2), (2, 3)], (9, 9)),
+    "Kronecker": (2, [(0, 1), (0, 1)], (6, 3)),
+    "3-Kronecker": (2, [(0, 1)] * 3, (12, 4)),
+    "diamond": (4, [(0, 1), (0, 2), (1, 3), (2, 3)], (10, 9)),
+    "A3-shortcut": (3, [(0, 1), (1, 2), (0, 2)], (8, 6)),
+    "D4-star": (4, [(1, 0), (2, 0), (3, 0)], (6, 6)),
+    "double-A3": (4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3)], (24, 18)),
+}
+
+
+def _path_counts(vertices, arrows):
+    """[u][w]: the number of paths from u to w, trivial ones included, of a
+    quiver without an oriented cycle, the sum of the powers of its adjacency
+    matrix below the number of vertices."""
+    adjacency = [[0] * vertices for _ in range(vertices)]
+    for s, t in arrows:
+        adjacency[s][t] += 1
+    power = [[int(u == w) for w in range(vertices)] for u in range(vertices)]
+    total = [row[:] for row in power]
+    for _ in range(vertices - 1):
+        power = [[sum(p * q for p, q in zip(row, column)) for column in zip(*adjacency)] for row in power]
+        total = [[x + y for x, y in zip(r, q)] for r, q in zip(total, power)]
+    return total
+
+
+class TestPathAlgebras:
+    """Path algebras of quivers, whose derivations are not all inner, against
+    Happel's formula (D. Happel, Hochschild cohomology of finite-dimensional
+    algebras, LNM 1404, 1989): for a connected quiver with n vertices and no
+    oriented cycle, dim HH^1(A) = 1 - n + sum over the arrows a of nu(a),
+    the number of paths parallel to a, and the center is Q 1.  So
+    dim Der = dim A - n + sum nu(a) and dim Inn = dim A - 1, and the
+    radical, the span of the paths of positive length, has dimension
+    dim A - n.  Each count is read from the quiver, with no solve."""
+
+    def _check(self, a, der, inner, radical, center):
+        inner_space = fa.inner_derivation_space(a)
+        derivations = fa.derivation_space(a)
+        assert (derivations.dim, inner_space.dim) == (der, inner)
+        assert fa.derivation_space(a, floor=inner_space).space == derivations.space
+        assert fa.jordan_derivation_space(a).space == derivations.space
+        assert (fa.radical(a).dim, fa.center(a).dim) == (radical, center)
+        report = fa.verify_derivation_criterion(a)
+        assert report.verdict == fm.VERDICT_HYPOTHESES_NOT_MET
+        assert (report.spaces["derivations"], report.spaces["inner-derivations"]) == (der, inner)
+
+    @pytest.mark.parametrize("name", sorted(QUIVERS))
+    def test_happel_counts(self, name):
+        vertices, arrows, expected = QUIVERS[name]
+        paths = _path_counts(vertices, arrows)
+        dim = sum(map(sum, paths))
+        der = dim - vertices + sum(paths[s][t] for s, t in arrows)
+        assert (der, dim - 1) == expected
+        a = path_algebra(vertices, arrows)
+        assert a.dim == dim
+        self._check(a, der, dim - 1, dim - vertices, 1)
+        if dim <= 10:
+            self._check(dense_copy(a, Random(dim)), der, dim - 1, dim - vertices, 1)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_one_loop_cut_at_length_n_minus_1(self, n):
+        """Q[t]/(t^n): commutative, so Inn = 0 and the center is A, and a
+        derivation sends t anywhere in the radical (t), of dimension n - 1."""
+        a = path_algebra(1, [(0, 0)], n - 1)
+        assert a == _truncated_polynomials(n)[0]
+        self._check(a, n - 1, 0, n - 1, n)
+        self._check(dense_copy(a, Random(n)), n - 1, 0, n - 1, n)
+
+
 def _row_engine_members():
     """The corpus, a dense copy of each member, seeded random draws, the
     named algebras without a unit, and copies on rescaled bases, with
@@ -1200,17 +1273,29 @@ def _row_engine_members():
 
 class TestRowEngine:
     """The grouped row engine against the term-by-term oracle: the same rows
-    in the same order, each equal as an {index: value} mapping.  The order
-    of the entries in a row, and int or Fraction for an integral value, are
-    free."""
+    in the same order, each equal as an {index: value} mapping to the
+    oracle's row times its factor, L for the Leibniz and Jordan rows and
+    L^2 h_f modulo [A, A] (`constraint_rows_oracle` with `scaled`).  The
+    order of the entries in a row is free."""
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     def test_matches_the_term_by_term_oracle(self, system):
         for name, a in _row_engine_members():
             rows = [list(row) for row in fm._constraint_rows(a, SYSTEMS[system])]
             assert all(len(dict(row)) == len(row) and all(v for _, v in row) for row in rows)
-            expected = [dict(row) for row in constraint_rows_oracle(a, SYSTEMS[system])]
+            expected = [dict(row) for row in constraint_rows_oracle(a, SYSTEMS[system], scaled=True)]
             assert [dict(row) for row in rows] == expected, (name, system)
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_every_value_is_an_int(self, system):
+        """The full streams and, for the closed Leibniz rule, the streams
+        read at the generators: no row value is a `Fraction`, on dense,
+        random, rescaled and non-unital members alike."""
+        identities = SYSTEMS[system]
+        for name, a in _row_engine_members():
+            for first in (None, a.generators) if identities[0].closed else (None,):
+                for row in fm._constraint_rows(a, identities, first):
+                    assert all(type(v) is int for _, v in row), (name, system, first)
 
     def test_tuples_without_a_live_letter_are_skipped_with_the_same_rows(self, monkeypatch):
         """Modulo [A, A], a tuple whose letters all have a zero Gram column

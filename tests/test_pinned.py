@@ -174,10 +174,12 @@ ROW_STREAMS = {
         "jordan": (6780, 555, "ddb75d4d8cef92a676044210380812c5ee6344177bb60dd6d602f7d184da752c"),
         "criterion": (8364, 555, "91ea02b7e5fb770d457d49c638b935862512d3bb78cf014e03641e6eb4dadb8c"),
     },
+    # the table of this copy is integral (L = 1), and each criterion row is
+    # the rational row times D_f, the denominator of its Gram form
     "T4-dense": {
         "derivation": (1000, 91, "3cad1788d0b6d279f40cf29fde7c5154ecd6ecd37411ad4d49eecb775c9b6a82"),
         "jordan": (550, 91, "ded294f9a87a7479c86d7a2c684d99164859d67ffcfc6574ca7c26678d82da13"),
-        "criterion": (1067, 40, "034153b3d74f20b34608e04f62a12351e21f80c9ad834f4b4169b51e6824c624"),
+        "criterion": (1067, 40, "aae6a5fc44d62319a522e6e0012704409193cca48037cdd7c946a3b98fb49736"),
     },
 }
 
