@@ -384,10 +384,12 @@ def _verdict_from_verification(rep: Report, result: maps.VerificationReport) -> 
     sec = rep.section("spaces")
     for name, dim in result.spaces.items():
         sec.add(name, dim)
-    rep.verdict = {
-        maps.VERDICT_VERIFIED: VERDICT_OK, maps.VERDICT_HYPOTHESES_NOT_MET: VERDICT_HYPOTHESES_NOT_MET,
-    }.get(result.verdict, VERDICT_REFUTATION)
-    if rep.verdict == VERDICT_REFUTATION:
+    if result.verdict == maps.VERDICT_VERIFIED:
+        rep.verdict = VERDICT_OK
+    elif result.verdict == maps.VERDICT_HYPOTHESES_NOT_MET:
+        rep.verdict = VERDICT_HYPOTHESES_NOT_MET
+    else:
+        rep.verdict = VERDICT_REFUTATION
         rep.section("refutation").add("witness", result.witness)
 
 
@@ -442,8 +444,12 @@ def local_test(rep, algebra, map_spec, kind, seed, samples, trials):
             sample.label,
             {"point": sample.point, "status": sample.status, "witness": sample.witness},
         )
-    rep.verdict = (VERDICT_PROPERTY_FALSE if "infeasible" in statuses
-                   else VERDICT_INCONCLUSIVE if "inconclusive" in statuses else VERDICT_OK)
+    if "infeasible" in statuses:
+        rep.verdict = VERDICT_PROPERTY_FALSE
+    elif "inconclusive" in statuses:
+        rep.verdict = VERDICT_INCONCLUSIVE
+    else:
+        rep.verdict = VERDICT_OK
 
 
 @_document_command(
@@ -465,8 +471,12 @@ def trace(rep, algebra, seed, trials):
         sec.add("functional-domain-pivots", list(result.functional.domain.pivots))
     if result.degenerate_witness is not None:
         sec.add("degenerate-witness", list(result.degenerate_witness))
-    rep.verdict = (VERDICT_OK if result.found
-                   else VERDICT_PROPERTY_FALSE if result.definite_negative else VERDICT_INCONCLUSIVE)
+    if result.found:
+        rep.verdict = VERDICT_OK
+    elif result.definite_negative:
+        rep.verdict = VERDICT_PROPERTY_FALSE
+    else:
+        rep.verdict = VERDICT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

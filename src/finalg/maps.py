@@ -167,8 +167,15 @@ class _Identity:
     product of factors separated by spaces, and a factor a word in the
     letters i, j, k, as in jk for b_j b_k, or the map applied to a word, as
     in D(ij); a word outside the map is parsed as one factor per letter.
-    The word in the map has at most two letters, and for rows so has the
-    rest of the term; outside [A, A] the rest has one letter at most.
+    The word in the map has at most two letters.  An identity whose every
+    term holds the map once is linear in it and gives rows, which read each
+    product of two letters from the table times L, the constants' common
+    denominator.  Every term then carries the one factor L, and each row is
+    the rational row times one factor with the same kernel, only when each
+    term outside [A, A] reads exactly one product, as D(ij) or D(i) j, and
+    each term modulo [A, A] has a one-letter word in the map and one or two
+    letters besides, a single letter read times L too.  The constructor
+    refuses an identity linear in the map that breaks this.
     Parsed terms are (sign, factors): +1 on the left, -1 on the right, and
     each factor is (mapped, positions in the tuple).  Modulo [A, A] the last
     letter is a factor of its own in every term, and the check reads
@@ -190,6 +197,12 @@ class _Identity:
                 if factors:
                     self.terms.append((sign, tuple(factors)))
         self.arity = 1 + max(p for _, factors in self.terms for _, word in factors for p in word)
+        linear = all(sum(mapped for mapped, _ in factors) == 1 for _, factors in self.terms)
+        for _, factors in self.terms if linear else ():
+            (word,) = [word for mapped, word in factors if mapped]
+            letters = sum(len(word) for _, word in factors)
+            if not (len(word) == 1 and letters <= 3 if modulo_commutators else letters == 2):
+                raise ValueError(f"{text!r}: a term linear in the map must read one product")
         self.symmetric = symmetric
         self.modulo_commutators = modulo_commutators
         self.closed = closed

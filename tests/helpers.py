@@ -772,7 +772,7 @@ def commutator_gram_oracle(a: fa.FinAlgebra):
     ]
 
 
-def constraint_rows_oracle(a: fa.FinAlgebra, identities, scaled=False):
+def constraint_rows_oracle(a: fa.FinAlgebra, identities):
     """The constraint rows of identities linear in D, read term by term from
     the same `_Identity` descriptions the program uses: a term L D(M) R
     adds M_t (L b_k R)_r at D[k][t] in the row of output coordinate r, and
@@ -781,14 +781,12 @@ def constraint_rows_oracle(a: fa.FinAlgebra, identities, scaled=False):
     increasing r (functional by functional modulo [A, A]), as the items of
     an {index: value} mapping without zeros.
 
-    With `scaled`, each row is multiplied by the factor that makes it
-    integral in the row engine: L, the lcm of the denominators of the
-    structure constants, or modulo [A, A] L^2 h_f, for h_f the lcm of the
-    denominators of the functional f."""
+    Each row is multiplied by the factor that makes it integral in the row
+    engine: L, the lcm of the denominators of the structure constants, or
+    modulo [A, A] L^2 h_f, for h_f the lcm of the denominators of the
+    functional f.  Both are read from the table and the covectors."""
     d = a.dim
-    scale = 1
-    if scaled:
-        scale = math.lcm(*[F(c).denominator for i in range(d) for j in range(d) for _, c in a.product_terms(i, j)])
+    scale = math.lcm(*[F(c).denominator for i in range(d) for j in range(d) for _, c in a.product_terms(i, j)])
     if not identities[0].modulo_commutators:
         yield from _oracle_rows(a, identities, d, lambda left, right: [
             (k, r, scale * v) for k in range(d) for r, v in _oracle_terms(a, left + (k,) + right)
@@ -796,7 +794,7 @@ def constraint_rows_oracle(a: fa.FinAlgebra, identities, scaled=False):
         return
     covectors = fa.commutator_subspace(a).annihilator().basis
     for f, gram in zip(covectors, commutator_gram_oracle(a)):
-        factor = scale * scale * math.lcm(*[x.denominator for x in f]) if scaled else 1
+        factor = scale * scale * math.lcm(*[x.denominator for x in f])
 
         def projected(left, right, gram=gram, factor=factor):
             w = _oracle_terms(a, right + left)

@@ -1275,7 +1275,7 @@ class TestRowEngine:
     """The grouped row engine against the term-by-term oracle: the same rows
     in the same order, each equal as an {index: value} mapping to the
     oracle's row times its factor, L for the Leibniz and Jordan rows and
-    L^2 h_f modulo [A, A] (`constraint_rows_oracle` with `scaled`).  The
+    L^2 h_f modulo [A, A], as `constraint_rows_oracle` gives it.  The
     order of the entries in a row is free."""
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
@@ -1283,7 +1283,7 @@ class TestRowEngine:
         for name, a in _row_engine_members():
             rows = [list(row) for row in fm._constraint_rows(a, SYSTEMS[system])]
             assert all(len(dict(row)) == len(row) and all(v for _, v in row) for row in rows)
-            expected = [dict(row) for row in constraint_rows_oracle(a, SYSTEMS[system], scaled=True)]
+            expected = [dict(row) for row in constraint_rows_oracle(a, SYSTEMS[system])]
             assert [dict(row) for row in rows] == expected, (name, system)
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
@@ -1296,6 +1296,19 @@ class TestRowEngine:
             for first in (None, a.generators) if identities[0].closed else (None,):
                 for row in fm._constraint_rows(a, identities, first):
                     assert all(type(v) is int for _, v in row), (name, system, first)
+
+    @pytest.mark.parametrize("text, modulo", [
+        ("D(i) = D(j)", False),
+        ("D(ij) k = D(i) jk", False),
+        ("D(ij) k = 0", True),
+        ("D(i) jkk = 0", True),
+    ])
+    def test_an_identity_whose_terms_would_carry_other_factors_is_refused(self, text, modulo):
+        """A term that reads no product, or two, outside [A, A], or a word
+        of two letters in the map modulo [A, A], would carry a factor other
+        than L, and rows rescaled unevenly would have another kernel."""
+        with pytest.raises(ValueError, match="one product"):
+            fm._Identity(text, symmetric=True, modulo_commutators=modulo)
 
     def test_tuples_without_a_live_letter_are_skipped_with_the_same_rows(self, monkeypatch):
         """Modulo [A, A], a tuple whose letters all have a zero Gram column
